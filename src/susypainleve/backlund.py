@@ -27,8 +27,10 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Sequence
 
+import numpy as np
+
 from .config import DEFAULT_TOLERANCE, VALUE_GUARD, default_x_grid, default_z_grid
-from .jets import Jet, JetError, jet_var
+from .jets import Jet, jet_var, on_grid
 from .oscillator import Parity, SeedSpec, State
 from .painleve import (
     DegenerateClosedFormError,
@@ -200,15 +202,8 @@ def _compose_maps(
 
 def _identically_small(f, grid: Sequence[float], guard: float = VALUE_GUARD) -> bool:
     """True when |f| stays below the value guard at every evaluable point."""
-    top = 0.0
-    for x in grid:
-        try:
-            top = max(top, abs(f(x, 0).value))
-        except JetError:
-            continue
-        if top >= guard:
-            return False
-    return True
+    jet = on_grid(f, grid, 0)
+    return not np.any(~jet.mask & (np.abs(jet.value) >= guard))
 
 
 def _best_branch_match(
@@ -233,7 +228,9 @@ def _best_branch_match(
             transformed = _compose_maps(kinds, branches, source)
             if _identically_small(transformed.g, grid):
                 continue
-            dev, n_valid = pointwise_deviation(transformed.g, target.g, grid)
+            dev, n_valid, deviations = pointwise_deviation(
+                transformed.g, target.g, grid, per_point=True
+            )
         except (GridDegenerateError, MapError):
             continue
         result = BTResult(
@@ -250,25 +247,20 @@ def _best_branch_match(
         )
         if result.passed:
             return result
-        result.notes.append(_mismatch_profile(transformed.g, target.g, grid, tol))
+        result.notes.append(_mismatch_profile(deviations, tol))
         if best is None or (best.max_deviation or math.inf) > dev:
             best = result
     return best
 
 
-def _mismatch_profile(f, g, grid: Sequence[float], tol: float) -> str:
-    """Distinguish a broad mismatch from isolated conditioning spikes."""
-    above = n = 0
-    for x in grid:
-        try:
-            fv = f(x, 0).value
-            gv = g(x, 0).value
-        except JetError:
-            continue
-        n += 1
-        if abs(fv - gv) / max(1.0, abs(fv), abs(gv)) > tol:
-            above += 1
-    return f"mismatch above {tol:g} at {above} of {n} points"
+def _mismatch_profile(deviations: Sequence[float], tol: float) -> str:
+    """Distinguish a broad mismatch from isolated conditioning spikes.
+
+    deviations are per-point pointwise deviations, nan where not comparable.
+    """
+    valid = [dev for dev in deviations if not math.isnan(dev)]
+    above = sum(1 for dev in valid if dev > tol)
+    return f"mismatch above {tol:g} at {above} of {len(valid)} points"
 
 
 def bt_piv_chain(
@@ -566,7 +558,9 @@ def check_catalog_row(
     result.target = row.target
     result.target_params = (target.a, target.b, target.c, target.d)
     try:
-        dev, n_valid = pointwise_deviation(result.transformed.w, target.w, grid)
+        dev, n_valid, deviations = pointwise_deviation(
+            result.transformed.w, target.w, grid, per_point=True
+        )
         certified = PVSolution(
             result.transformed.w, target.a, target.b, target.c, target.d,
             provenance=result.transformed.provenance + " @target-params",
@@ -590,5 +584,5 @@ def check_catalog_row(
     if not certificate_ok:
         result.notes.append(f"target-parameter residual profile fails: p90={p90:.2e}")
     if dev > tol:
-        result.notes.append(_mismatch_profile(result.transformed.w, target.w, grid, tol))
+        result.notes.append(_mismatch_profile(deviations, tol))
     return result

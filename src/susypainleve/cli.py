@@ -17,9 +17,10 @@ from typing import Sequence
 
 from . import config
 from .backlund import bt_piv_chain, bt_pv_catalog, check_catalog_row
-from .jets import JetError
+from .jets import JetError, on_grid
 from .oscillator import Parity, SeedSpec
 from .painleve import (
+    DegenerateClosedFormError,
     PIV_FAMILY_NAMES,
     PV_CLOSED_NAMES,
     PV_DERIVED_H1_NAMES,
@@ -79,9 +80,21 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"grid must be lo:hi:n, got {text!r}") from None
-    if lo <= 0 or hi <= lo or n < 20:
-        raise argparse.ArgumentTypeError("grid needs 0 < lo < hi and n >= 20")
+    if not (0 < lo < hi <= config.Z_MAX) or n < 20:
+        raise argparse.ArgumentTypeError(
+            f"grid needs 0 < lo < hi <= {config.Z_MAX:g} and n >= 20"
+        )
     return lo, hi, n
+
+
+def _parse_epsilon(text: str) -> float:
+    try:
+        eps = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"epsilon must be a number, got {text!r}") from None
+    if not math.isfinite(eps):
+        raise argparse.ArgumentTypeError(f"epsilon must be finite, got {text!r}")
+    return eps
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -121,16 +134,12 @@ def cmd_sample(cfg: RunConfig) -> int:
     sol = _solution(cfg)
     grid = _grid_for(cfg, sol)
     fn = sol.g if isinstance(sol, PIVSolution) else sol.w
-    rows = []
-    n_poles = 0
-    for t in grid:
-        try:
-            jet = fn(t, 1)
-            rows.append((t, jet.d[0], jet.d[1], 0))
-        except JetError:
-            rows.append((t, float("nan"), float("nan"), 1))
-            n_poles += 1
-    if n_poles == len(rows):
+    jet = on_grid(fn, grid, 1)
+    rows = [
+        (t, float("nan"), float("nan"), 1) if m else (t, v, dv, 0)
+        for t, m, v, dv in zip(grid, jet.mask.tolist(), jet.d[0].tolist(), jet.d[1].tolist())
+    ]
+    if jet.mask.all():
         print("error: every grid point is pole-guarded", file=sys.stderr)
         return EXIT_DEGENERATE
 
@@ -268,12 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_common(sp, family=False):
-        sp.add_argument("--epsilon", "--epsilon1", dest="epsilon", type=float,
+        sp.add_argument("--epsilon", "--epsilon1", dest="epsilon", type=_parse_epsilon,
                         help="factorization energy (eps or eps1, family-dependent)")
         sp.add_argument("--parity", choices=["odd", "even"])
         if family:
             sp.add_argument("--family", required=False, help=f"one of {', '.join(ALL_FAMILIES)}")
-        sp.add_argument("--grid", type=_parse_grid, help="lo:hi:n (n >= 20)")
+        sp.add_argument("--grid", type=_parse_grid,
+                        help=f"lo:hi:n (n >= 20; hi <= {config.X_MAX:g} for x, "
+                             f"<= {config.Z_MAX:g} for z)")
         sp.add_argument("--tol", type=float, default=config.DEFAULT_TOLERANCE)
         sp.add_argument("--jet-order", type=int, default=config.DEFAULT_JET_ORDER)
         sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
@@ -346,7 +357,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except GridDegenerateError as exc:
+    except (GridDegenerateError, DegenerateClosedFormError) as exc:
         print(f"error: degenerate configuration: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
 
@@ -363,16 +374,25 @@ def _require_family(cfg: RunConfig) -> None:
     if cfg.family not in PV_RATIONAL_NAMES:
         if cfg.epsilon is None or cfg.parity is None:
             raise UsageError(f"family {cfg.family!r} needs --epsilon and --parity")
+    if cfg.family in PIV_FAMILY_NAMES:
+        _require_x_grid(cfg)
 
 
 def _require_seed(cfg: RunConfig) -> None:
     if cfg.epsilon is None or cfg.parity is None:
         raise UsageError("chain needs --epsilon and --parity")
+    _require_x_grid(cfg)
 
 
 def _require_epsilon(cfg: RunConfig) -> None:
     if cfg.epsilon is None:
         raise UsageError("catalog needs --epsilon")
+
+
+def _require_x_grid(cfg: RunConfig) -> None:
+    """PIV grids run over x <= X_MAX; every grid stops at z = Z_MAX when parsed."""
+    if cfg.grid is not None and cfg.grid[1] > config.X_MAX:
+        raise UsageError(f"grid reaches x = {cfg.grid[1]:g}, beyond the domain x <= {config.X_MAX:g}")
 
 
 if __name__ == "__main__":

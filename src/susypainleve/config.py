@@ -14,8 +14,10 @@ X_GRID_RANGE = (0.2, 4.0)
 Z_GRID_RANGE = (0.1, 8.0)
 GRID_POINTS = 40
 
-# Seeds live on (0, 6]; the Kummer series argument is y = x^2.
+# Seeds live on (0, 6]; the Kummer series argument is y = x^2, and PV grids
+# run over z = 2 x^2.
 X_MAX = 6.0
+Z_MAX = 2.0 * X_MAX * X_MAX
 KUMMER_Y_MAX = 36.0
 KUMMER_MAX_TERMS = 500
 

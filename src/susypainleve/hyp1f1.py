@@ -13,15 +13,24 @@ differentiation:
     d/dy 1F1(p; q; y) = (p/q) 1F1(p+1; q+1; y)
 
 so every y-derivative is itself a certified series evaluation, and the
-composition with y = x^2 is exact jet algebra.
+composition with y = x^2 is exact jet algebra.  Along a grid, the K+1
+contiguity series of every point are summed together in one lockstep loop
+that repeats each series' scalar steps exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .config import KUMMER_MAX_TERMS, KUMMER_Y_MAX
 from .jets import Jet, jet_compose, jet_mul
+
+
+# Series terms per block of the grid (lockstep) summation.
+_BLOCK = 8
 
 
 class KummerError(ValueError):
@@ -111,19 +120,105 @@ def kummer_y_derivative(params: KummerParams, y: float, m: int) -> float:
     return coef * kummer(KummerParams(params.p + m, params.q + m), y)
 
 
+def _kummer_lockstep(p: np.ndarray, q: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Many 1F1(p; q; y) series at once, element i summing 1F1(p[i]; q[i]; y[i]).
+
+    Every element takes the steps of `kummer` in the same order (term
+    update, then Kahan update) and stops at the same n by the same rule, so
+    its sum equals `kummer`'s to the bit.  The loop runs in blocks of
+    _BLOCK terms and applies the stopping rule to a whole block at once: an
+    element that stops inside a block takes the partial sum of its stopping
+    term and ignores the terms after it.  Finished elements leave the
+    working arrays between blocks.
+    """
+    out = np.empty(y.shape)
+    at = np.arange(y.size)  # positions in `out` of the elements still summing
+    term = np.ones(y.shape)
+    comp = np.zeros(y.shape)
+    total = np.ones(y.shape)
+    small = np.zeros(y.shape, dtype=bool)  # was the last term below the quiet threshold?
+    n = 0
+    while at.size and n < KUMMER_MAX_TERMS:
+        b = min(_BLOCK, KUMMER_MAX_TERMS - n)
+        ns = np.arange(n, n + b, dtype=float)[:, None]
+        ratios = (p + ns) / (q + ns)
+        terms = np.empty((b, at.size))
+        totals = np.empty((b + 1, at.size))  # totals[k]: the sum before term n + k
+        totals[0] = total
+        for k in range(b):
+            term = np.multiply(term, ratios[k], out=terms[k])
+            np.multiply(term, y, out=term)
+            np.divide(term, n + k + 1, out=term)
+            t = term - comp
+            np.add(totals[k], t, out=totals[k + 1])
+            comp = totals[k + 1] - totals[k]
+            np.subtract(comp, t, out=comp)
+        zero = terms == 0.0
+        quiet = np.abs(terms) <= 1e-17 * np.abs(totals[1:])
+        settled = quiet.copy()  # two quiet terms in a row
+        settled[0] &= small
+        settled[1:] &= quiet[:-1]
+        stop = zero | settled
+        small = quiet[-1]
+        total = totals[-1]
+        n += b
+        ended = stop.any(axis=0)
+        if ended.any():
+            cols = np.flatnonzero(ended)
+            first = stop.argmax(axis=0)[cols]
+            # a zero term ends the sum before it is added
+            out[at[cols]] = totals[first + 1 - zero[first, cols], cols]
+            going = ~ended
+            at, p, q, y = at[going], p[going], q[going], y[going]
+            term, comp, total, small = term[going], comp[going], total[going], small[going]
+    if at.size:
+        raise KummerConvergenceError(
+            f"1F1({float(p[0])}; {float(q[0])}; {float(y[0])}) did not converge "
+            f"within {KUMMER_MAX_TERMS} terms"
+        )
+    return out
+
+
+def _kummer_rows(rows: list[KummerParams], y: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
+    """1F1(row; y) on every unmasked point, all rows in one lockstep pass; nan where masked."""
+    keep = ~mask
+    ys = np.broadcast_to(y, mask.shape)[keep]
+    beyond = np.abs(ys) > KUMMER_Y_MAX
+    if beyond.any():
+        raise KummerRangeError(
+            f"|y| = {float(abs(ys[beyond][0]))!r} exceeds working range {KUMMER_Y_MAX!r}"
+        )
+    n = ys.size
+    sums = _kummer_lockstep(
+        np.repeat([r.p for r in rows], n), np.repeat([r.q for r in rows], n), np.tile(ys, len(rows))
+    )
+    out = []
+    for i in range(len(rows)):
+        row = np.full(mask.shape, math.nan)
+        row[keep] = sums[i * n:(i + 1) * n]
+        out.append(row)
+    return out
+
+
 def kummer_jet(params: KummerParams, xjet: Jet) -> Jet:
     """Jet of x -> 1F1(p; q; x^2) along an arbitrary x-jet.
 
     The K+1 y-derivatives are evaluated by contiguity at y0 = x0^2, then
-    composed with the jet of y = x^2.
+    composed with the jet of y = x^2.  Along a grid jet all K+1 contiguity
+    series 1F1(p+m; q+m; y), m = 0..K (DLMF 13.3.15), run in one lockstep
+    pass over the unmasked points.
     """
     y0 = xjet.value * xjet.value
-    outer = []
+    coefs = []
     coef = 1.0
     for m in range(xjet.order + 1):
-        if coef == 0.0:
-            outer.append(0.0)  # polynomial case differentiated past its degree
-        else:
-            outer.append(coef * kummer(KummerParams(params.p + m, params.q + m), y0))
+        coefs.append(coef)
         coef *= (params.p + m) / (params.q + m)
-    return jet_compose(Jet(tuple(outer)), jet_mul(xjet, xjet))
+    # a zero coefficient: the polynomial case differentiated past its degree
+    rows = [KummerParams(params.p + m, params.q + m) for m, c in enumerate(coefs) if c != 0.0]
+    if xjet.mask is None:
+        sums = iter([kummer(row, y0) for row in rows])
+    else:
+        sums = iter(_kummer_rows(rows, y0, xjet.mask))
+    outer = tuple(c * next(sums) if c != 0.0 else 0.0 for c in coefs)
+    return jet_compose(Jet(outer, xjet.mask), jet_mul(xjet, xjet))

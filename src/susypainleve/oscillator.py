@@ -9,7 +9,8 @@ Schroedinger solutions).
 Every state here is *unnormalized*: all downstream formulas consume
 logarithmic derivatives or Wronskian ratios, so overall constants cancel.
 States are represented uniformly as jet-valued functions f(x, order) -> Jet,
-which keeps operator application (ladder, intertwiners) purely algebraic.
+which keeps operator application (ladder, intertwiners) purely algebraic;
+x is a point or a whole grid array (see `jets`).
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
+import numpy as np
+
 from .config import DEFAULT_JET_ORDER, X_MAX
 from .hyp1f1 import KummerParams, kummer_jet
 from .jets import DomainError, Jet, jet_exp, jet_var
 
-State = Callable[[float, int], Jet]
+State = Callable[[float | np.ndarray, int], Jet]  # x: one point or a grid array
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -98,14 +101,35 @@ def seed_u_jet(spec: SeedSpec, xjet: Jet) -> Jet:
     return gaussian_jet(xjet) * kummer_jet(params, xjet)
 
 
-@lru_cache(maxsize=1 << 16)
-def _seed_jet_cached(eps: float, parity: Parity, x: float, order: int) -> Jet:
-    xjet = jet_var(x, max(order, 1))
-    return seed_u_jet(SeedSpec(eps, parity), xjet).truncate(order)
+# A 400-point grid jet of order 7 takes about 26 kB, so this bound keeps the
+# cache under 7 MB while holding every seed jet one operation reuses (a seed
+# at several orders, shared by the states built on it).
+SEED_CACHE_SIZE = 256
 
 
-def seed_u(spec: SeedSpec, x: float, order: int = DEFAULT_JET_ORDER) -> Jet:
-    """Seed jet at a point x > 0."""
+@lru_cache(maxsize=SEED_CACHE_SIZE)
+def _seed_jet_cached(eps: float, parity: Parity, x: float | bytes, order: int) -> Jet:
+    """Seed jet at a point x, or on a grid when x holds the grid's float64 bytes.
+
+    A grid jet masks the points outside (0, X_MAX], where seed_u raises for
+    a point, and its arrays are read-only: every caller shares them.
+    """
+    if not isinstance(x, bytes):
+        return seed_u_jet(SeedSpec(eps, parity), jet_var(x, max(order, 1))).truncate(order)
+    xs = np.frombuffer(x)
+    xjet = Jet(jet_var(xs, max(order, 1)).d, ~((xs > 0.0) & (xs <= X_MAX)))
+    jet = seed_u_jet(SeedSpec(eps, parity), xjet).truncate(order)
+    for v in jet.d + (jet.mask,):
+        if isinstance(v, np.ndarray):
+            v.flags.writeable = False
+    return jet
+
+
+def seed_u(spec: SeedSpec, x, order: int = DEFAULT_JET_ORDER) -> Jet:
+    """Seed jet at a point x > 0, or on a grid array of points."""
+    if isinstance(x, np.ndarray):
+        key = np.ascontiguousarray(x, dtype=float).tobytes()
+        return _seed_jet_cached(spec.epsilon, spec.parity, key, order)
     _check_x(x)
     return _seed_jet_cached(spec.epsilon, spec.parity, x, order)
 
@@ -114,19 +138,18 @@ def seed_state(spec: SeedSpec) -> State:
     return lambda x, order: seed_u(spec, x, order)
 
 
-def eigenfunction_psi(n: int, x: float, order: int = DEFAULT_JET_ORDER) -> Jet:
+def eigenfunction_psi(n: int, x, order: int = DEFAULT_JET_ORDER) -> Jet:
     """Physical eigenfunction psi_n at E_n = 2n + 3/2 (the odd seed there)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     return seed_u(SeedSpec(2 * n + 1.5, Parity.ODD), x, order)
 
 
-def formal_chi(n: int, x: float, order: int = DEFAULT_JET_ORDER) -> Jet:
+def formal_chi(n: int, x, order: int = DEFAULT_JET_ORDER) -> Jet:
     """Formal even solution chi_n at 2n + 1/2; finite at x = 0, so no boundary zero."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    _check_x(x)
-    return _seed_jet_cached(2 * n + 0.5, Parity.EVEN, x, order)
+    return seed_u(SeedSpec(2 * n + 0.5, Parity.EVEN), x, order)
 
 
 def psi_state(n: int) -> State:

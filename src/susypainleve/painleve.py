@@ -115,13 +115,6 @@ def piv_from_extremal(
     return PIVSolution(g, a, b, provenance=f"extremal[{phi.label}]")
 
 
-def piv_triplet(family: Literal["H1", "H2"], epsilon: float) -> tuple[float, float, float]:
-    """Natural extremal triplet: (eps, eps+1, 1/2) or (eps1-1, eps1+1, 1/2)."""
-    if family == "H1":
-        return (epsilon, epsilon + 1.0, 0.5)
-    return (epsilon - 1.0, epsilon + 1.0, 0.5)
-
-
 def extremal_piv_solution(
     family: Literal["H1", "H2"], which: int, epsilon: float, parity: Parity
 ) -> PIVSolution:

@@ -27,7 +27,7 @@ from .config import (
     default_x_grid,
     default_z_grid,
 )
-from .jets import Jet, JetError
+from .jets import Jet, on_grid
 from .oscillator import State
 
 
@@ -52,15 +52,27 @@ def piv_terms(gjet: Jet, x: float, a: float, b: float) -> tuple[float, ...]:
 
     residual = g'' - (g')^2/(2g) - (3/2) g^3 - 4x g^2 - 2(x^2 - a) g - b/g
     """
-    g0, g1, g2 = gjet.d[0], gjet.d[1], gjet.d[2]
+    return _piv_terms(gjet.d[0], gjet.d[1], gjet.d[2], x, a, b)
+
+
+def _piv_terms(g0, g1, g2, x, a: float, b: float) -> tuple:
+    """PIV terms from the values at one point, or elementwise from arrays over many."""
     return (
         g2,
         -(g1 * g1) / (2.0 * g0),
-        -1.5 * g0**3,
+        -1.5 * _cube(g0),
         -4.0 * x * g0 * g0,
         -2.0 * (x * x - a) * g0,
         -b / g0,
     )
+
+
+def _cube(v):
+    # Python's float ** 3 (C pow) differs from numpy's power in the last bit
+    # for about 5% of arguments, so arrays are cubed per element with it too
+    if isinstance(v, np.ndarray):
+        return np.array([t**3 for t in v.tolist()])
+    return v**3
 
 
 def piv_residual(sol, x: float, order: int = 2) -> float:
@@ -75,7 +87,11 @@ def pv_terms(wjet: Jet, z: float, a: float, b: float, c: float, d: float) -> tup
     residual = w'' - (1/(2w) + 1/(w-1)) (w')^2 + w'/z
                - (w-1)^2 (a w + b/w)/z^2 - c w/z - d w(w+1)/(w-1)
     """
-    w0, w1, w2 = wjet.d[0], wjet.d[1], wjet.d[2]
+    return _pv_terms(wjet.d[0], wjet.d[1], wjet.d[2], z, a, b, c, d)
+
+
+def _pv_terms(w0, w1, w2, z, a: float, b: float, c: float, d: float) -> tuple:
+    """PV terms from the values at one point, or elementwise from arrays over many."""
     wm1 = w0 - 1.0
     return (
         w2,
@@ -120,11 +136,23 @@ class VerificationReport:
         }
 
 
-def _relative_residual(terms: Sequence[float]) -> float:
-    scale = max(abs(t) for t in terms)
-    if scale == 0.0:
-        return 0.0
-    return abs(math.fsum(terms)) / scale
+def _relative_residuals(terms: tuple) -> np.ndarray:
+    """|sum of terms| / max |term| per point; terms are arrays over the points.
+
+    The sum is math.fsum per point, as exact as the point code's; a point
+    whose terms all vanish has relative residual 0.
+    """
+    scale = np.max(np.abs(np.array(terms)), axis=0)
+    sums = np.array([math.fsum(col) for col in zip(*(t.tolist() for t in terms))])
+    vanishing = scale == 0.0
+    return np.where(vanishing, 0.0, np.abs(sums) / np.where(vanishing, 1.0, scale))
+
+
+def _value_guarded(kind: str, value, guard: float):
+    """Inside the guard band: |g| < guard for PIV, |w| or |w - 1| < guard for PV."""
+    if kind == "piv":
+        return abs(value) < guard
+    return (abs(value) < guard) | (abs(value - 1.0) < guard)
 
 
 def verify_on_grid(
@@ -141,8 +169,9 @@ def verify_on_grid(
 
     Points where the solution value sits inside the guard band (|g| < guard
     for PIV; |w| or |w-1| < guard for PV) or where jet evaluation hits a
-    pole are skipped and counted.  Raises GridDegenerateError when fewer
-    than min_valid points survive.
+    pole are skipped and counted.  The state is evaluated once, on the whole
+    grid.  Raises GridDegenerateError when fewer than min_valid points
+    survive.
     """
     if kind not in ("piv", "pv"):
         raise ValueError(f"unknown equation kind {kind!r}")
@@ -151,25 +180,18 @@ def verify_on_grid(
     if not grid:
         raise ValueError("empty verification grid")
 
-    rel: list[float] = []
-    skipped = 0
-    for t in grid:
-        try:
-            if kind == "piv":
-                jet = sol.g(t, max(order, 2))
-                if abs(jet.value) < guard:
-                    raise JetError("value guard")
-                terms = piv_terms(jet, t, sol.a, sol.b)
-            else:
-                jet = sol.w(t, max(order, 2))
-                if abs(jet.value) < guard or abs(jet.value - 1.0) < guard:
-                    raise JetError("value guard")
-                terms = pv_terms(jet, t, sol.a, sol.b, sol.c, sol.d)
-        except JetError:
-            rel.append(math.nan)
-            skipped += 1
-            continue
-        rel.append(_relative_residual(terms))
+    jet = on_grid(sol.g if kind == "piv" else sol.w, grid, max(order, 2))
+    keep = ~(jet.mask | _value_guarded(kind, jet.value, guard))
+    v0, v1, v2 = (v[keep] for v in jet.d[:3])
+    t = np.asarray(grid, dtype=float)[keep]
+    if kind == "piv":
+        terms = _piv_terms(v0, v1, v2, t, sol.a, sol.b)
+    else:
+        terms = _pv_terms(v0, v1, v2, t, sol.a, sol.b, sol.c, sol.d)
+    residuals = np.full(keep.shape, math.nan)
+    residuals[keep] = _relative_residuals(terms)
+    rel: list[float] = residuals.tolist()
+    skipped = int(keep.size - keep.sum())
 
     valid = [r for r in rel if not math.isnan(r)]
     report = VerificationReport(
@@ -227,16 +249,16 @@ def infer_piv_params(
     """
     if samples is None:
         samples = default_x_grid()[1::3]
+    jet = on_grid(g, samples, max(order, 2))
+    masked = jet.mask.tolist()
+    v0, v1, v2 = (v.tolist() for v in jet.d[:3])
     rows, rhs = [], []
-    for x in samples:
-        try:
-            jet = g(x, max(order, 2))
-            if abs(jet.value) < guard:
-                continue
-            base = math.fsum(piv_terms(jet, x, 0.0, 0.0))
-        except JetError:
+    for i, x in enumerate(samples):
+        g0 = v0[i]
+        if masked[i] or _value_guarded("piv", g0, guard):
             continue
-        row = [2.0 * jet.value, -1.0 / jet.value]
+        base = math.fsum(_piv_terms(g0, v1[i], v2[i], x, 0.0, 0.0))
+        row = [2.0 * g0, -1.0 / g0]
         # row-equilibration: keeps near-pole samples from dominating the fit
         s = max(abs(row[0]), abs(row[1]), abs(base))
         rows.append([r / s for r in row])
@@ -264,16 +286,15 @@ def infer_pv_params(
     """Least-squares (a, b, c) making the PV residual of w vanish (d frozen)."""
     if samples is None:
         samples = default_z_grid()[1::3]
+    jet = on_grid(w, samples, max(order, 2))
+    masked = jet.mask.tolist()
+    v0, v1, v2 = (v.tolist() for v in jet.d[:3])
     rows, rhs = [], []
-    for z in samples:
-        try:
-            jet = w(z, max(order, 2))
-            w0 = jet.value
-            if abs(w0) < guard or abs(w0 - 1.0) < guard:
-                continue
-            base = math.fsum(pv_terms(jet, z, 0.0, 0.0, 0.0, d))
-        except JetError:
+    for i, z in enumerate(samples):
+        w0 = v0[i]
+        if masked[i] or _value_guarded("pv", w0, guard):
             continue
+        base = math.fsum(_pv_terms(w0, v1[i], v2[i], z, 0.0, 0.0, 0.0, d))
         wm1sq = (w0 - 1.0) ** 2
         row = [wm1sq * w0 / (z * z), wm1sq / (w0 * z * z), w0 / z]
         s = max(abs(row[0]), abs(row[1]), abs(row[2]), abs(base))
@@ -297,25 +318,29 @@ def pointwise_deviation(
     grid: Sequence[float],
     *,
     min_valid: int = MIN_VALID_POINTS,
-) -> tuple[float, int]:
+    per_point: bool = False,
+):
     """Max of |f - g| / max(1, |f|, |g|) over evaluable grid points.
 
     Raw values are compared (the families are not defined up to scaling, so
     no pairwise normalization is allowed); the denominator only switches to
     relative accuracy where a pole inflates both magnitudes, where an
-    absolute difference would be meaningless.  Returns (deviation, n_valid);
-    raises GridDegenerateError when fewer than min_valid points survive.
+    absolute difference would be meaningless.  Returns (deviation, n_valid),
+    or with per_point=True (deviation, n_valid, deviations), where
+    deviations holds each grid point's deviation (nan where f or g cannot be
+    evaluated).  Raises GridDegenerateError when fewer than min_valid points
+    survive.
     """
-    best = 0.0
-    n_valid = 0
-    for t in grid:
-        try:
-            fv = f(t, 0).value
-            gv = g(t, 0).value
-        except JetError:
-            continue
-        n_valid += 1
-        best = max(best, abs(fv - gv) / max(1.0, abs(fv), abs(gv)))
+    fj, gj = on_grid(f, grid, 0), on_grid(g, grid, 0)
+    fv, gv = fj.value, gj.value
+    with np.errstate(all="ignore"):
+        dev = np.abs(fv - gv) / np.maximum(np.maximum(1.0, np.abs(fv)), np.abs(gv))
+    deviations: list[float] = np.where(fj.mask | gj.mask, math.nan, dev).tolist()
+    valid = [dev for dev in deviations if not math.isnan(dev)]
+    n_valid = len(valid)
     if n_valid < min_valid:
         raise GridDegenerateError(f"only {n_valid} comparable points (need {min_valid})")
+    best = max(valid, default=0.0)
+    if per_point:
+        return best, n_valid, deviations
     return best, n_valid

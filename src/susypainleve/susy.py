@@ -30,8 +30,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .config import DEFAULT_JET_ORDER
-from .jets import Jet, jet_const, jet_var, log_derivative
+from .jets import Jet, JetError, jet_const, jet_var, log_derivative, on_grid
 from .oscillator import (
     Direction,
     Parity,
@@ -244,8 +246,10 @@ def nodeless_check(f: State, grid: Sequence[float]) -> bool:
     """True iff f keeps a strict constant sign over the grid."""
     if len(grid) < 20:
         raise ValueError("nodeless check needs at least 20 grid points")
-    values = [f(x, 0).value for x in grid]
-    return all(v > 0.0 for v in values) or all(v < 0.0 for v in values)
+    jet = on_grid(f, grid, 0)
+    if jet.mask.any():
+        raise JetError(f"state not evaluable at {jet.mask.sum()} of {len(grid)} grid points")
+    return bool(np.all(jet.value > 0.0) or np.all(jet.value < 0.0))
 
 
 # -- extremal states -----------------------------------------------------------

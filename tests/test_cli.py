@@ -120,3 +120,23 @@ def test_catalog_function_checks_run_with_parity():
     applicable = [r for r in doc["rows"] if r["applicable"]]
     assert len(applicable) == 8
     assert all(r["pass"] for r in applicable)
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        # g3 is 0/0 for the even eps = 1/2 seed: a degeneracy
+        (("verify", "g3", "--epsilon", "0.5", "--parity", "even"), 3),
+        # a non-finite epsilon never reaches the Kummer series
+        (("verify", "g1", "--epsilon", "nan", "--parity", "odd"), 2),
+        (("sample", "w1a", "--epsilon", "inf", "--parity", "odd"), 2),
+        # grids past x = 6 (PIV) or z = 72 (PV) are refused before evaluation
+        (("verify", "g1", "--epsilon", "1", "--parity", "odd", "--grid", "0.1:6.5:30"), 2),
+        (("chain", "--epsilon", "2.5", "--parity", "odd", "--grid", "0.2:6.1:40"), 2),
+        (("verify", "w1c", "--epsilon", "1", "--parity", "odd", "--grid", "0.1:72.5:30"), 2),
+    ],
+)
+def test_exit_code_contract(args, code):
+    cp = run_cli(*args, expect=code)
+    assert "Traceback" not in cp.stderr
+    assert cp.stderr.startswith(("error:", "usage:"))

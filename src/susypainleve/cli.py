@@ -17,6 +17,7 @@ from typing import Sequence
 
 from . import config
 from .backlund import bt_piv_chain, bt_pv_catalog, check_catalog_row
+from .hyp1f1 import KummerError
 from .jets import JetError, on_grid
 from .oscillator import Parity, SeedSpec
 from .painleve import (
@@ -124,6 +125,12 @@ def _grid_for(cfg: RunConfig, sol) -> list[float]:
     return config.default_z_grid()
 
 
+def _emit_json(cfg: RunConfig, **body) -> None:
+    """Write the versioned JSON document of sample, verify, chain and catalog."""
+    doc = {"schema_version": SCHEMA_VERSION, "config": cfg.to_dict(), **body}
+    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.out)
+
+
 def _params_dict(sol) -> dict:
     if isinstance(sol, PIVSolution):
         return {"a": sol.a, "b": sol.b}
@@ -156,17 +163,15 @@ def cmd_sample(cfg: RunConfig) -> int:
             lines.append(f"{_fmt(t)},{_fmt(v)},{_fmt(dv)},{flag}\n")
         _emit("".join(lines), cfg.out)
     else:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "config": cfg.to_dict(),
-            "parameters": params,
-            "provenance": sol.provenance,
-            "points": [
+        _emit_json(
+            cfg,
+            parameters=params,
+            provenance=sol.provenance,
+            points=[
                 {"t": t, "value": _json_num(v), "deriv1": _json_num(dv), "pole": bool(flag)}
                 for t, v, dv, flag in rows
             ],
-        }
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.out)
+        )
     return EXIT_OK
 
 
@@ -182,25 +187,18 @@ def cmd_verify(cfg: RunConfig) -> int:
     try:
         report = verify_on_grid(kind, sol, grid=grid, tol=cfg.tol, order=max(2, cfg.jet_order))
     except GridDegenerateError as exc:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "config": cfg.to_dict(),
-            "parameters": _params_dict(sol),
-            "report": {"degenerate": True, "detail": str(exc)},
-        }
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.out)
+        _emit_json(cfg, parameters=_params_dict(sol),
+                   report={"degenerate": True, "detail": str(exc)})
         return EXIT_DEGENERATE
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "config": cfg.to_dict(),
-        "parameters": _params_dict(sol),
-        "points": [
+    _emit_json(
+        cfg,
+        parameters=_params_dict(sol),
+        points=[
             {"t": t, "rel_residual": _json_num(r)}
             for t, r in zip(report.grid, report.rel_residuals)
         ],
-        "report": report.to_dict(),
-    }
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.out)
+        report=report.to_dict(),
+    )
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
@@ -222,8 +220,7 @@ def cmd_chain(cfg: RunConfig) -> int:
             "inferred_params": list(link.inferred) if link.inferred else None,
             "notes": link.notes,
         })
-    doc = {"schema_version": SCHEMA_VERSION, "config": cfg.to_dict(), "links": rows}
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.out)
+    _emit_json(cfg, links=rows)
     hard_fail = any(not r["pass"] and not r["degenerate"] for r in rows)
     return EXIT_VERIFY_FAIL if hard_fail else EXIT_OK
 
@@ -257,8 +254,7 @@ def cmd_catalog(cfg: RunConfig) -> int:
                 row["degenerate"] = True
                 row["detail"] = str(exc)
         rows.append(row)
-    doc = {"schema_version": SCHEMA_VERSION, "config": cfg.to_dict(), "rows": rows}
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.out)
+    _emit_json(cfg, rows=rows)
     return EXIT_VERIFY_FAIL if hard_fail else EXIT_OK
 
 
@@ -356,6 +352,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except KummerError as exc:
+        # A finite but huge |epsilon| puts the Kummer series past its term budget.
+        print(f"error: outside the Kummer series' working range: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (GridDegenerateError, DegenerateClosedFormError) as exc:
         print(f"error: degenerate configuration: {exc}", file=sys.stderr)

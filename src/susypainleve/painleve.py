@@ -20,24 +20,23 @@ pair (phi3, phi4) -- six identifications (a)..(f) --
     g(x) = (prefactor) x - (ln W(phi3, phi4))',   w(z) = 1 + sqrt(2z)/g(sqrt(z/2))
 
 solves PV with a = (E1-E2)^2/8, b = -(E3-E4)^2/8,
-c = (E1+E2-E3-E4)/4 - 1/2, d = -1/8 (z = 2x^2 throughout).  The two conventional
-prefactors (-x for the first-order family, -2x for the second-order one)
-disagree with the tabulated closed forms in the first-order case, so the
-builder validates the conventional choice with the residual oracle, falls back
-to the alternate, and records both the prefactor used and whether it
-matched the family convention.
+c = (E1+E2-E3-E4)/4 - 1/2, d = -1/8 (z = 2x^2 throughout).  The prefactor is
+fixed at -2x for both families.  The conventional -x of the first-order family
+disagrees with the tabulated closed forms, which all correspond to -2x; the
+solution records the prefactor used and whether it matches the family
+convention.  tests/test_painleve.py::test_pv_prefactor_minus_two_pinned is the
+witness: -x fails the PV residual at O(1) for every identification, -2x passes.
+Constructors never run the verifier.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Literal
 
 from .hyp1f1 import KummerParams, kummer_jet
 from .jets import Jet, jet_compose, jet_sqrt, jet_var, log_derivative
 from .oscillator import Parity, SeedSpec, State
-from .residual import GridDegenerateError, VerificationError, verify_on_grid
 from .susy import (
     ExtremalState,
     FirstOrderTransform,
@@ -296,72 +295,31 @@ def _pair_w_state(phi3: ExtremalState, phi4: ExtremalState, prefactor: int) -> S
     return w
 
 
-# Prefactor selection threshold: the wrong prefactor fails the PV residual at
-# O(1), the right one sits at float-cancellation level (<= ~1e-7 near z -> 0),
-# so discrimination does not need the certification tolerance.
-PREFACTOR_SELECTION_TOL = 1e-6
-
-
 def pv_from_pair(
     phi3: ExtremalState,
     phi4: ExtremalState,
     family: Literal["H1", "H2"],
     quadruplet: tuple[float, float, float, float],
     identification: str = "",
-    prefactor: int | Literal["auto"] = "auto",
-    tol: float = PREFACTOR_SELECTION_TOL,
+    prefactor: int = -2,
 ) -> PVSolution:
     """PV solution from a chosen extremal pair.
 
     `quadruplet` is the identified eigenvalue order (E1, E2, E3, E4) with
-    (E3, E4) belonging to (phi3, phi4).  With prefactor="auto" the conventional
-    per-family choice is tried first and validated by the residual oracle;
-    on failure the alternate is used and the mismatch recorded.
+    (E3, E4) belonging to (phi3, phi4).  The solution records `prefactor`
+    and whether it matches the family's conventional one.
     """
     a, b, c, d = pv_parameters(*quadruplet)
     prov = f"pv[{family}{':' + identification if identification else ''}] W({phi3.label}, {phi4.label})"
-
-    def build(pref: int) -> PVSolution:
-        return PVSolution(
-            _pair_w_state(phi3, phi4, pref),
-            a,
-            b,
-            c,
-            d,
-            provenance=prov,
-            prefactor=pref,
-            prefactor_matches_reference=(pref == _REFERENCE_PREFACTOR[family]),
-        )
-
-    if prefactor != "auto":
-        return build(int(prefactor))
-
-    def selection_ok(sol: PVSolution) -> bool:
-        # Robust to isolated conditioning spikes next to Wronskian nodes
-        # (possible outside the admissibility windows): accept when at least
-        # three quarters of the unguarded points meet the selection tolerance.
-        report = verify_on_grid("pv", sol, tol=tol)
-        within = sum(1 for r in report.rel_residuals if not math.isnan(r) and r <= tol)
-        return report.passed or within >= 0.75 * report.n_valid
-
-    reference = _REFERENCE_PREFACTOR[family]
-    first = build(reference)
-    try:
-        if selection_ok(first):
-            return first
-        first_error: Exception | None = None
-    except GridDegenerateError as exc:
-        first_error = exc
-    second = build(-3 - reference)  # the other of {-1, -2}
-    try:
-        if selection_ok(second):
-            return second
-    except GridDegenerateError:
-        if first_error is not None:
-            raise first_error
-        raise
-    raise VerificationError(
-        f"neither prefactor satisfies PV for {prov} with parameters {(a, b, c, d)}"
+    return PVSolution(
+        _pair_w_state(phi3, phi4, prefactor),
+        a,
+        b,
+        c,
+        d,
+        provenance=prov,
+        prefactor=prefactor,
+        prefactor_matches_reference=(prefactor == _REFERENCE_PREFACTOR[family]),
     )
 
 
@@ -370,8 +328,7 @@ def derived_pv_solution(
     case: str,
     epsilon: float,
     parity: Parity,
-    prefactor: int | Literal["auto"] = "auto",
-    tol: float = PREFACTOR_SELECTION_TOL,
+    prefactor: int = -2,
 ) -> PVSolution:
     """Extremal-state PV member for one identification letter.
 
@@ -389,7 +346,7 @@ def derived_pv_solution(
     quad = tuple(states[i].eigenvalue for i in perm)
     sol = pv_from_pair(
         states[perm[2]], states[perm[3]], family, quad, identification=case,
-        prefactor=prefactor, tol=tol,
+        prefactor=prefactor,
     )
     return replace(sol, provenance=f"{sol.provenance} eps={epsilon:g} {parity.value}")
 

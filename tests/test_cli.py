@@ -140,3 +140,21 @@ def test_exit_code_contract(args, code):
     cp = run_cli(*args, expect=code)
     assert "Traceback" not in cp.stderr
     assert cp.stderr.startswith(("error:", "usage:"))
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        # a huge finite epsilon drives the Kummer series past its term budget
+        (("verify", "pv1a", "--epsilon", "1e6", "--parity", "odd"), 2),
+        # every grid point of this pair state is pole-guarded: a degeneracy
+        (("verify", "pv2b", "--epsilon", "3.5", "--parity", "odd"), 3),
+    ],
+)
+def test_exit_code_contract_extremes(args, code):
+    cp = run_cli(*args, expect=code)
+    assert "Traceback" not in cp.stderr
+    if code == 2:
+        assert cp.stderr.startswith("error:") and cp.stderr.count("\n") == 1
+    else:
+        assert json.loads(cp.stdout)["report"]["degenerate"] is True

@@ -187,6 +187,29 @@ def test_derived_h2_prefactor_matches_reference():
     assert sol.prefactor_matches_reference is True
 
 
+@pytest.mark.parametrize(
+    "family, eps, parity",
+    [("H1", 0.7, Parity.ODD), ("H1", 0.7, Parity.EVEN),
+     ("H2", 0.0, Parity.ODD), ("H2", -2.5, Parity.EVEN)],
+)
+def test_pv_prefactor_minus_two_pinned(family, eps, parity):
+    # Both families need -2x in the pair construction: -x, the first-order
+    # family's convention, misses PV at O(1) at every grid point for every
+    # identification letter.
+    for case in "abcdef":
+        wrong = verify_on_grid("pv", derived_pv_solution(family, case, eps, parity, prefactor=-1),
+                               tol=1e-6)
+        assert not wrong.passed, (case, wrong.max_rel_residual)
+        assert wrong.max_rel_residual > 0.1, (case, wrong.max_rel_residual)
+        assert all(r > 1e-6 for r in wrong.rel_residuals if not math.isnan(r)), case
+        sol = derived_pv_solution(family, case, eps, parity)
+        assert sol.prefactor == -2
+        assert sol.prefactor_matches_reference is (family == "H2")
+        right = verify_on_grid("pv", sol, tol=1e-6)
+        assert right.passed, (case, right.max_rel_residual)
+        assert right.n_valid == wrong.n_valid == len(Z_GRID)
+
+
 @pytest.mark.parametrize("parity", [Parity.ODD, Parity.EVEN])
 def test_derived_h1_matches_closed_forms_all_cases(parity):
     eps = 0.7

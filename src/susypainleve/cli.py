@@ -325,10 +325,34 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _join_epsilon(argv: Sequence[str]) -> list[str]:
+    """Write `--epsilon X` as `--epsilon=X` when X reads as a float.
+
+    argparse takes a separate token such as -2.5e0 for an option (its
+    negative-number pattern has no exponent), so the joined form keeps every
+    float spelling an argument.
+    """
+    out: list[str] = []
+    tokens = iter(argv)
+    for tok in tokens:
+        out.append(tok)
+        if tok in ("--epsilon", "--epsilon1"):
+            value = next(tokens, None)
+            if value is None:
+                break
+            try:
+                float(value)
+            except ValueError:
+                out.append(value)
+            else:
+                out[-1] = f"{tok}={value}"
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_epsilon(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     cfg = _config_from_args(args)

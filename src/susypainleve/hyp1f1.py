@@ -16,12 +16,27 @@ so every y-derivative is itself a certified series evaluation, and the
 composition with y = x^2 is exact jet algebra.  Along a grid, the K+1
 contiguity series of every point are summed together in one lockstep loop
 that repeats each series' scalar steps exactly.
+
+Row table.  A summed series over a grid (a row) is kept in a per-grid table,
+keyed by the bytes of the grid's y array and of its mask, then by (p, q).
+Jets of one seed at orders K and K+1, the seed's rows p+m, and the
+numerator and denominator of a Kummer ratio all read one ladder of rows,
+so each row is summed once per grid and later calls sum only the rows they
+lack.  Each element of a row takes the same IEEE steps whatever else is
+summed beside it, so cached and fresh rows agree to the bit.  Rows are
+read-only arrays shared by every caller.  A grid keeps at most _GRID_ROWS
+rows, the oldest dropped first, and the tables of _GRIDS grids are held in
+an lru_cache, so `cache_clear` empties them with the package's other caches.
+The seed-jet cache in `oscillator` stays on top: it also saves the jet
+arithmetic (products with the Gaussian, composition with x^2), not just the
+series.  The one-point path (`kummer`) is not cached.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +46,11 @@ from .jets import Jet, jet_compose, jet_mul
 
 # Series terms per block of the grid (lockstep) summation.
 _BLOCK = 8
+
+# Row table: grids kept (an op list uses two, its x and its z grid), and rows
+# kept per grid, the oldest dropped first.  A 400-point row takes 3.2 kB.
+_GRIDS = 8
+_GRID_ROWS = 256
 
 
 class KummerError(ValueError):
@@ -179,24 +199,42 @@ def _kummer_lockstep(p: np.ndarray, q: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=_GRIDS)
+def _grid_rows(y: bytes, mask: bytes) -> dict:
+    """The summed 1F1 rows of one grid (its y and mask bytes), keyed (p, q)."""
+    return {}
+
+
 def _kummer_rows(rows: list[KummerParams], y: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
-    """1F1(row; y) on every unmasked point, all rows in one lockstep pass; nan where masked."""
+    """1F1(row; y) on every unmasked point, nan where masked; read-only, shared arrays.
+
+    Rows already in the grid's table are reused; the missing ones are summed
+    together in one lockstep pass and stored.
+    """
     keep = ~mask
-    ys = np.broadcast_to(y, mask.shape)[keep]
+    y = np.ascontiguousarray(np.broadcast_to(y, mask.shape), dtype=float)
+    ys = y[keep]
     beyond = np.abs(ys) > KUMMER_Y_MAX
     if beyond.any():
         raise KummerRangeError(
             f"|y| = {float(abs(ys[beyond][0]))!r} exceeds working range {KUMMER_Y_MAX!r}"
         )
-    n = ys.size
-    sums = _kummer_lockstep(
-        np.repeat([r.p for r in rows], n), np.repeat([r.q for r in rows], n), np.tile(ys, len(rows))
-    )
-    out = []
-    for i in range(len(rows)):
-        row = np.full(mask.shape, math.nan)
-        row[keep] = sums[i * n:(i + 1) * n]
-        out.append(row)
+    table = _grid_rows(y.tobytes(), mask.tobytes())
+    missing = [r for r in rows if (r.p, r.q) not in table]
+    if missing:
+        n = ys.size
+        sums = _kummer_lockstep(
+            np.repeat([r.p for r in missing], n), np.repeat([r.q for r in missing], n),
+            np.tile(ys, len(missing)),
+        )
+        for i, r in enumerate(missing):
+            row = np.full(mask.shape, math.nan)
+            row[keep] = sums[i * n:(i + 1) * n]
+            row.flags.writeable = False
+            table[r.p, r.q] = row
+    out = [table[r.p, r.q] for r in rows]
+    while len(table) > _GRID_ROWS:
+        del table[next(iter(table))]
     return out
 
 
@@ -204,9 +242,10 @@ def kummer_jet(params: KummerParams, xjet: Jet) -> Jet:
     """Jet of x -> 1F1(p; q; x^2) along an arbitrary x-jet.
 
     The K+1 y-derivatives are evaluated by contiguity at y0 = x0^2, then
-    composed with the jet of y = x^2.  Along a grid jet all K+1 contiguity
-    series 1F1(p+m; q+m; y), m = 0..K (DLMF 13.3.15), run in one lockstep
-    pass over the unmasked points.
+    composed with the jet of y = x^2.  Along a grid jet the K+1 contiguity
+    series 1F1(p+m; q+m; y), m = 0..K (DLMF 13.3.15), come from the grid's
+    row table; those it lacks run in one lockstep pass over the unmasked
+    points.
     """
     y0 = xjet.value * xjet.value
     coefs = []

@@ -158,3 +158,16 @@ def test_exit_code_contract_extremes(args, code):
         assert cp.stderr.startswith("error:") and cp.stderr.count("\n") == 1
     else:
         assert json.loads(cp.stdout)["report"]["degenerate"] is True
+
+
+@pytest.mark.parametrize("command", ["sample", "verify"])
+def test_negative_exponent_epsilon_as_separate_argument(command):
+    # argparse reads a lone -2.5e0 as an option unless it is joined to --epsilon
+    separate = run_cli(command, "g1", "--epsilon", "-2.5e0", "--parity", "odd")
+    joined = run_cli(command, "g1", "--epsilon=-2.5e0", "--parity", "odd")
+    assert separate.stdout == joined.stdout != ""
+
+
+def test_epsilon_without_value_is_a_usage_error():
+    cp = run_cli("verify", "g1", "--epsilon", "--parity", "odd", expect=2)
+    assert "expected one argument" in cp.stderr

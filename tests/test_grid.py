@@ -5,13 +5,17 @@ floats the same state gives when called with that point alone, and its mask
 must mark exactly the points where the point call raises JetError.
 """
 
+import importlib
 import math
+import pkgutil
 import random
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import susypainleve
+from susypainleve import hyp1f1
 from susypainleve.backlund import (
     CATALOG,
     PIVMap,
@@ -30,7 +34,7 @@ from susypainleve.hyp1f1 import (
     kummer,
     kummer_jet,
 )
-from susypainleve.jets import JetError, jet_var, on_grid
+from susypainleve.jets import Jet, JetError, jet_var, on_grid
 from susypainleve.oscillator import Parity, SeedSpec, seed_u
 from susypainleve.painleve import (
     PIV_FAMILY_NAMES,
@@ -205,3 +209,128 @@ def test_lockstep_kummer_against_mpmath():
                 n = k + 1
         bound = 3 * max(n, 1) * 2.0**-53 * float(scale)
         assert abs(g - float(want)) <= bound, (pi, qi, yi, g, want)
+
+
+# -- the per-grid row table ---------------------------------------------------------
+
+
+def clear_package_caches():
+    """cache_clear() on every module-level cache of the package, as the benchmark does per pass."""
+    modules = [susypainleve] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(susypainleve.__path__, "susypainleve.")
+    ]
+    for module in modules:
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+# 40 points; the last five are masked, as a seed masks points outside its domain
+ROW_GRID = np.array(linear_grid(0.2, 4.0, 40))
+ROW_MASK = ROW_GRID > 3.6
+
+
+def row_xjet(order):
+    return Jet(jet_var(ROW_GRID, order).d, ROW_MASK)
+
+
+def row_table():
+    return hyp1f1._grid_rows((ROW_GRID * ROW_GRID).tobytes(), ROW_MASK.tobytes())
+
+
+def assert_same_jet(got, want):
+    assert got.mask.tobytes() == want.mask.tobytes()
+    assert got.order == want.order
+    for g, w in zip(got.d, want.d):
+        assert bits(g) == bits(w)
+
+
+@pytest.mark.parametrize("params", [KummerParams(0.3, 1.5), KummerParams(-2.0, 0.5)])
+def test_warm_row_table_equals_cold(params):
+    # -2: a terminating series, whose rows past its degree are never summed
+    cold = {}
+    for order in (2, 5, 3):
+        clear_package_caches()
+        cold[order] = kummer_jet(params, row_xjet(order))
+    clear_package_caches()
+    for order in (2, 5, 3):
+        assert_same_jet(kummer_jet(params, row_xjet(order)), cold[order])
+
+
+def spy_on_sums(monkeypatch) -> list:
+    """The number of series each later lockstep pass sums."""
+    summed = []
+    lockstep = hyp1f1._kummer_lockstep
+
+    def counted(p, q, y):
+        summed.append(y.size)
+        return lockstep(p, q, y)
+
+    monkeypatch.setattr(hyp1f1, "_kummer_lockstep", counted)
+    return summed
+
+
+UNMASKED = int((~ROW_MASK).sum())
+
+
+def test_contiguous_neighbour_sums_one_new_row(monkeypatch):
+    clear_package_caches()
+    p, q = 0.3, 1.5
+    kummer_jet(KummerParams(p, q), row_xjet(3))
+    assert len(row_table()) == 4  # rows m = 0..3
+    summed = spy_on_sums(monkeypatch)
+    kummer_jet(KummerParams(p + 1.0, q + 1.0), row_xjet(3))
+    assert len(row_table()) == 5  # only (p+4, q+4) is new
+    assert summed == [UNMASKED]
+
+
+def test_cached_rows_are_read_only():
+    clear_package_caches()
+    kummer_jet(KummerParams(0.3, 1.5), row_xjet(3))
+    rows = list(row_table().values())
+    assert rows
+    for row in rows:
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+
+
+def test_row_table_is_capped():
+    clear_package_caches()
+    for i in range(300):
+        eps = -2.5 + 7.0 * i / 300
+        kummer_jet(KummerParams((3.0 - 2.0 * eps) / 4.0, 1.5), row_xjet(2))
+    assert len(row_table()) <= hyp1f1._GRID_ROWS == 256
+    # a call that reads the oldest row and sums new ones, which push it out,
+    # still returns the row it read
+    params = KummerParams(*next(iter(row_table())))
+    warm = kummer_jet(params, row_xjet(5))
+    clear_package_caches()
+    assert_same_jet(warm, kummer_jet(params, row_xjet(5)))
+
+
+def test_kummer_errors_raise_with_a_warm_table():
+    clear_package_caches()
+    kummer_jet(KummerParams(0.5, 1.5), row_xjet(3))
+    assert row_table()
+    # y = 6.5^2 > 36 at an unmasked point
+    xjet = jet_var(np.append(ROW_GRID, 6.5), 3)
+    with pytest.raises(KummerRangeError):
+        kummer_jet(KummerParams(0.5, 1.5), xjet)
+    # the term budget runs out on the warm grid; nothing is stored, so it runs out again
+    before = list(row_table())
+    for _ in range(2):
+        with pytest.raises(KummerConvergenceError), np.errstate(all="ignore"):
+            kummer_jet(KummerParams(-5e5, 1.5), row_xjet(3))
+        assert list(row_table()) == before
+
+
+def test_clearing_the_package_caches_empties_the_row_table(monkeypatch):
+    kummer_jet(KummerParams(0.3, 1.5), row_xjet(4))
+    assert row_table()
+    clear_package_caches()  # must not raise for any module-level cache
+    assert not row_table()
+    summed = spy_on_sums(monkeypatch)
+    kummer_jet(KummerParams(0.3, 1.5), row_xjet(4))
+    assert summed == [5 * UNMASKED]  # all five rows again, in one pass

@@ -200,10 +200,10 @@ def _compose_maps(
     return out
 
 
-def _identically_small(f, grid: Sequence[float], guard: float = VALUE_GUARD) -> bool:
-    """True when |f| stays below the value guard at every evaluable point."""
+def _identically_small(f, grid: Sequence[float]) -> bool:
+    """True when |f| stays below VALUE_GUARD at every evaluable point."""
     jet = on_grid(f, grid, 0)
-    return not np.any(~jet.mask & (np.abs(jet.value) >= guard))
+    return not np.any(~jet.mask & (np.abs(jet.value) >= VALUE_GUARD))
 
 
 def _best_branch_match(
@@ -335,8 +335,8 @@ def bt_piv_chain(
     return results
 
 
-def _note_param_winner(link: BTResult, tol: float = 1e-6) -> None:
-    """Record which parameter candidate the inference supports.
+def _note_param_winner(link: BTResult) -> None:
+    """Record which parameter candidate the inference supports, to within 1e-6.
 
     Candidates: the composed map prediction and the target family's attached
     value.  When they disagree (the Wtilde+ link), exactly one should win.
@@ -344,10 +344,10 @@ def _note_param_winner(link: BTResult, tol: float = 1e-6) -> None:
     if link.inferred is None or link.target_params is None:
         return
     cand = {"map": link.predicted[0], "family": link.target_params[0]}
-    if abs(cand["map"] - cand["family"]) <= tol:
+    if abs(cand["map"] - cand["family"]) <= 1e-6:
         link.notes.append("a-candidates agree")
         return
-    winners = [name for name, val in cand.items() if abs(link.inferred[0] - val) <= tol]
+    winners = [name for name, val in cand.items() if abs(link.inferred[0] - val) <= 1e-6]
     link.notes.append(
         f"a-discrepancy map={cand['map']:.6g} family={cand['family']:.6g} "
         f"inferred={link.inferred[0]:.6g} winner={winners[0] if len(winners) == 1 else 'ambiguous'}"
@@ -416,15 +416,11 @@ def _pv_map_state(map_: PVMap, sol: PVSolution) -> State:
     return out
 
 
-def bt_pv_apply(
-    map_: PVMap,
-    sol: PVSolution,
-    grid: Sequence[float] | None = None,
-    tol: float = DEFAULT_TOLERANCE,
-) -> BTResult:
-    """Apply T_{k1,k2,k3}; reports predicted and inferred parameters."""
-    if grid is None:
-        grid = default_z_grid()
+def _pv_transform(map_: PVMap, sol: PVSolution, grid: Sequence[float]) -> BTResult:
+    """T_{k1,k2,k3} applied to sol, with predicted and inferred parameters, not verified.
+
+    The result is degenerate (and not passed) when inference fails.
+    """
     predicted = pv_map_params(map_, sol.a, sol.b, sol.c, sol.d)
     state = _pv_map_state(map_, sol)
     new_sol = PVSolution(
@@ -433,15 +429,30 @@ def bt_pv_apply(
     )
     try:
         fit = infer_pv_params(state, samples=grid)
-        inferred = (fit.a, fit.b, fit.c)
     except (SingularSystemError, GridDegenerateError):
         return BTResult(new_sol, predicted, None, passed=False, degenerate=True)
-    checked = PVSolution(state, fit.a, fit.b, fit.c, sol.d, provenance=new_sol.provenance)
+    return BTResult(new_sol, predicted, (fit.a, fit.b, fit.c), passed=False)
+
+
+def bt_pv_apply(
+    map_: PVMap,
+    sol: PVSolution,
+    grid: Sequence[float] | None = None,
+    tol: float = DEFAULT_TOLERANCE,
+) -> BTResult:
+    """Apply T_{k1,k2,k3}; the result is verified with *inferred* parameters."""
+    if grid is None:
+        grid = default_z_grid()
+    result = _pv_transform(map_, sol, grid)
+    if result.degenerate:
+        return result
+    new_sol = result.transformed
+    checked = PVSolution(new_sol.w, *result.inferred, sol.d, provenance=new_sol.provenance)
     try:
-        passed = verify_on_grid("pv", checked, grid=grid, tol=tol).passed
+        result.passed = verify_on_grid("pv", checked, grid=grid, tol=tol).passed
     except GridDegenerateError:
-        return BTResult(new_sol, predicted, inferred, passed=False, degenerate=True)
-    return BTResult(new_sol, predicted, inferred, passed=passed)
+        result.degenerate = True
+    return result
 
 
 # -- the transformation catalog -------------------------------------------------------------
@@ -553,7 +564,7 @@ def check_catalog_row(
         grid = default_z_grid()
     source = catalog_family_solution(row.source, epsilon, parity)
     target = catalog_family_solution(row.target, epsilon, parity)
-    result = bt_pv_apply(PVMap(*row.k), source, grid=grid)
+    result = _pv_transform(PVMap(*row.k), source, grid)
     result.source = row.source
     result.target = row.target
     result.target_params = (target.a, target.b, target.c, target.d)

@@ -57,7 +57,6 @@ class RunConfig:
     parity: Parity | None = None
     grid: tuple[float, float, int] | None = None
     tol: float = config.DEFAULT_TOLERANCE
-    jet_order: int = config.DEFAULT_JET_ORDER
     fmt: str = "csv"
     out: str | None = None
     corrupt_b: bool = False
@@ -70,7 +69,6 @@ class RunConfig:
             "parity": self.parity.value if self.parity else None,
             "grid": list(self.grid) if self.grid else None,
             "tol": self.tol,
-            "jet_order": self.jet_order,
             "format": self.fmt,
         }
 
@@ -88,14 +86,21 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     return lo, hi, n
 
 
-def _parse_epsilon(text: str) -> float:
-    try:
-        eps = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"epsilon must be a number, got {text!r}") from None
-    if not math.isfinite(eps):
-        raise argparse.ArgumentTypeError(f"epsilon must be finite, got {text!r}")
-    return eps
+def _parse_number(name: str, positive: bool = False):
+    """An argparse type: a finite float, and > 0 when `positive` (as --tol must be)."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{name} must be a number, got {text!r}") from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{name} must be finite, got {text!r}")
+        if positive and value <= 0.0:
+            raise argparse.ArgumentTypeError(f"{name} must be positive, got {text!r}")
+        return value
+
+    return parse
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -185,7 +190,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     kind = "piv" if isinstance(sol, PIVSolution) else "pv"
     grid = _grid_for(cfg, sol)
     try:
-        report = verify_on_grid(kind, sol, grid=grid, tol=cfg.tol, order=max(2, cfg.jet_order))
+        report = verify_on_grid(kind, sol, grid=grid, tol=cfg.tol)
     except GridDegenerateError as exc:
         _emit_json(cfg, parameters=_params_dict(sol),
                    report={"degenerate": True, "detail": str(exc)})
@@ -273,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_common(sp, family=False):
-        sp.add_argument("--epsilon", "--epsilon1", dest="epsilon", type=_parse_epsilon,
+        sp.add_argument("--epsilon", "--epsilon1", dest="epsilon",
+                        type=_parse_number("epsilon"),
                         help="factorization energy (eps or eps1, family-dependent)")
         sp.add_argument("--parity", choices=["odd", "even"])
         if family:
@@ -281,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--grid", type=_parse_grid,
                         help=f"lo:hi:n (n >= 20; hi <= {config.X_MAX:g} for x, "
                              f"<= {config.Z_MAX:g} for z)")
-        sp.add_argument("--tol", type=float, default=config.DEFAULT_TOLERANCE)
-        sp.add_argument("--jet-order", type=int, default=config.DEFAULT_JET_ORDER)
+        sp.add_argument("--tol", type=_parse_number("tol", positive=True),
+                        default=config.DEFAULT_TOLERANCE, help="pass threshold, finite and positive")
         sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
         sp.add_argument("--out", help="output path (default stdout)")
 
@@ -318,7 +324,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         parity=parity,
         grid=getattr(args, "grid", None),
         tol=getattr(args, "tol", config.DEFAULT_TOLERANCE),
-        jet_order=getattr(args, "jet_order", config.DEFAULT_JET_ORDER),
         fmt=getattr(args, "fmt", "csv"),
         out=getattr(args, "out", None),
         corrupt_b=getattr(args, "corrupt_b", False),

@@ -95,15 +95,14 @@ def kummer(
     y: float,
     *,
     max_terms: int = KUMMER_MAX_TERMS,
-    y_max: float = KUMMER_Y_MAX,
 ) -> float:
     """Sum the 1F1 series to machine convergence (Kahan-compensated).
 
     Terminating cases (p in {0, -1, -2, ...}) stop exactly when the running
     term hits zero, so they carry no truncation error beyond rounding.
     """
-    if abs(y) > y_max:
-        raise KummerRangeError(f"|y| = {abs(y)!r} exceeds working range {y_max!r}")
+    if abs(y) > KUMMER_Y_MAX:
+        raise KummerRangeError(f"|y| = {abs(y)!r} exceeds working range {KUMMER_Y_MAX!r}")
     p, q = params.p, params.q
     total = 1.0
     comp = 0.0

@@ -52,10 +52,6 @@ import numpy as np
 
 from .config import POLE_GUARD
 
-DEFAULT_ORDER = 5
-
-Number = float
-
 
 class JetError(ArithmeticError):
     """Base class for jet arithmetic failures."""
@@ -246,16 +242,16 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     return Jet(tuple(out), _join(a.mask, b.mask))
 
 
-def jet_div(a: Jet, b: Jet, guard: float = POLE_GUARD) -> Jet:
+def jet_div(a: Jet, b: Jet) -> Jet:
     """Quotient jet via recursive Leibniz inversion.
 
-    Raises PoleError (masks the point, on a grid) when |b(x0)| <= guard: the
-    quotient has (or grazes) a pole at the expansion point.
+    Raises PoleError (masks the point, on a grid) when |b(x0)| <= POLE_GUARD:
+    the quotient has (or grazes) a pole at the expansion point.
     """
     _check_orders(a, b)
     ad, bd = a.d, b.d
-    mask = _guard(_join(a.mask, b.mask), abs(bd[0]) <= guard, PoleError,
-                  "divisor value %r below pole guard %r", bd[0], guard)
+    mask = _guard(_join(a.mask, b.mask), abs(bd[0]) <= POLE_GUARD, PoleError,
+                  "divisor value %r below pole guard %r", bd[0], POLE_GUARD)
     q: list = []
     for k in range(len(ad)):
         s = ad[k]
@@ -298,7 +294,7 @@ def jet_sqrt(a: Jet) -> Jet:
     return Jet(tuple(s), mask)
 
 
-def log_derivative(a: Jet, guard: float = POLE_GUARD) -> Jet:
+def log_derivative(a: Jet) -> Jet:
     """Jet of a'/a (order drops by one); sign of a is irrelevant.
 
     This is the superpotential workhorse: unlike jet_ln it only needs
@@ -306,9 +302,9 @@ def log_derivative(a: Jet, guard: float = POLE_GUARD) -> Jet:
     """
     if a.order < 1:
         raise OrderMismatchError("log_derivative needs order >= 1")
-    if a.mask is None and abs(a.d[0]) <= guard:
+    if a.mask is None and abs(a.d[0]) <= POLE_GUARD:
         raise PoleError(f"log-derivative at a zero: value {a.d[0]!r}")
-    return jet_div(a.deriv(), a.truncate(a.order - 1), guard=guard)
+    return jet_div(a.deriv(), a.truncate(a.order - 1))
 
 
 def jet_compose(outer: Jet, inner: Jet) -> Jet:

@@ -148,11 +148,11 @@ def _relative_residuals(terms: tuple) -> np.ndarray:
     return np.where(vanishing, 0.0, np.abs(sums) / np.where(vanishing, 1.0, scale))
 
 
-def _value_guarded(kind: str, value, guard: float):
-    """Inside the guard band: |g| < guard for PIV, |w| or |w - 1| < guard for PV."""
+def _value_guarded(kind: str, value):
+    """Inside the guard band: |g| for PIV, |w| or |w - 1| for PV, below VALUE_GUARD."""
     if kind == "piv":
-        return abs(value) < guard
-    return (abs(value) < guard) | (abs(value - 1.0) < guard)
+        return abs(value) < VALUE_GUARD
+    return (abs(value) < VALUE_GUARD) | (abs(value - 1.0) < VALUE_GUARD)
 
 
 def verify_on_grid(
@@ -161,17 +161,16 @@ def verify_on_grid(
     grid: Sequence[float] | None = None,
     tol: float = DEFAULT_TOLERANCE,
     *,
-    guard: float = VALUE_GUARD,
     min_valid: int = MIN_VALID_POINTS,
     order: int = 2,
 ) -> VerificationReport:
     """Relative-residual verification over a grid with pole guarding.
 
-    Points where the solution value sits inside the guard band (|g| < guard
-    for PIV; |w| or |w-1| < guard for PV) or where jet evaluation hits a
-    pole are skipped and counted.  The state is evaluated once, on the whole
-    grid.  Raises GridDegenerateError when fewer than min_valid points
-    survive.
+    Points where the solution value sits inside the guard band (|g| <
+    VALUE_GUARD for PIV; |w| or |w-1| < VALUE_GUARD for PV) or where jet
+    evaluation hits a pole are skipped and counted.  The state is evaluated
+    once, on the whole grid.  Raises GridDegenerateError when fewer than
+    min_valid points survive.
     """
     if kind not in ("piv", "pv"):
         raise ValueError(f"unknown equation kind {kind!r}")
@@ -181,7 +180,7 @@ def verify_on_grid(
         raise ValueError("empty verification grid")
 
     jet = on_grid(sol.g if kind == "piv" else sol.w, grid, max(order, 2))
-    keep = ~(jet.mask | _value_guarded(kind, jet.value, guard))
+    keep = ~(jet.mask | _value_guarded(kind, jet.value))
     v0, v1, v2 = (v[keep] for v in jet.d[:3])
     t = np.asarray(grid, dtype=float)[keep]
     if kind == "piv":
@@ -235,81 +234,65 @@ class PVFit:
 _COND_LIMIT = 1e10
 
 
-def infer_piv_params(
-    g: State,
-    samples: Sequence[float] | None = None,
-    *,
-    guard: float = VALUE_GUARD,
-    order: int = 2,
-) -> PIVFit:
+def _affine_fit(kind: str, state: State, samples: Sequence[float] | None, row_of, n_params: int):
+    """Least-squares parameters making the residual of `state` vanish.
+
+    row_of(v0, v1, v2, t) gives one usable sample's coefficient row and
+    right-hand side.  Samples that are masked or inside the value guard are
+    skipped, each row is equilibrated, and the system is refused when it
+    has too few rows or is ill-conditioned.  Returns (theta, cond, misfit).
+    """
+    if samples is None:
+        samples = (default_x_grid() if kind == "piv" else default_z_grid())[1::3]
+    jet = on_grid(state, samples, 2)
+    masked = jet.mask.tolist()
+    v0, v1, v2 = (v.tolist() for v in jet.d[:3])
+    rows, rhs = [], []
+    for i, t in enumerate(samples):
+        if masked[i] or _value_guarded(kind, v0[i]):
+            continue
+        row, right = row_of(v0[i], v1[i], v2[i], t)
+        # row-equilibration: keeps near-pole samples from dominating the fit
+        s = max(*(abs(r) for r in row), abs(right))
+        rows.append([r / s for r in row])
+        rhs.append(right / s)
+    if len(rows) < n_params:
+        raise SingularSystemError(f"only {len(rows)} usable samples for a {n_params}-parameter fit")
+    A = np.asarray(rows)
+    y = np.asarray(rhs)
+    cond = float(np.linalg.cond(A))
+    if not math.isfinite(cond) or cond > _COND_LIMIT:
+        raise SingularSystemError(f"{kind.upper()} inference system condition number {cond:.3g}")
+    theta, *_ = np.linalg.lstsq(A, y, rcond=None)
+    misfit = float(np.sqrt(np.mean((A @ theta - y) ** 2)))
+    return [float(v) for v in theta], cond, misfit
+
+
+def infer_piv_params(g: State, samples: Sequence[float] | None = None) -> PIVFit:
     """Least-squares (a, b) making the PIV residual of g vanish.
 
     The residual is affine in (a, b) with coefficients 2g and -1/g, so each
     usable sample contributes one linear equation.
     """
-    if samples is None:
-        samples = default_x_grid()[1::3]
-    jet = on_grid(g, samples, max(order, 2))
-    masked = jet.mask.tolist()
-    v0, v1, v2 = (v.tolist() for v in jet.d[:3])
-    rows, rhs = [], []
-    for i, x in enumerate(samples):
-        g0 = v0[i]
-        if masked[i] or _value_guarded("piv", g0, guard):
-            continue
-        base = math.fsum(_piv_terms(g0, v1[i], v2[i], x, 0.0, 0.0))
-        row = [2.0 * g0, -1.0 / g0]
-        # row-equilibration: keeps near-pole samples from dominating the fit
-        s = max(abs(row[0]), abs(row[1]), abs(base))
-        rows.append([r / s for r in row])
-        rhs.append(-base / s)
-    if len(rows) < 2:
-        raise SingularSystemError(f"only {len(rows)} usable samples for a 2-parameter fit")
-    A = np.asarray(rows)
-    y = np.asarray(rhs)
-    cond = float(np.linalg.cond(A))
-    if not math.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularSystemError(f"PIV inference system condition number {cond:.3g}")
-    theta, *_ = np.linalg.lstsq(A, y, rcond=None)
-    misfit = float(np.sqrt(np.mean((A @ theta - y) ** 2)))
-    return PIVFit(float(theta[0]), float(theta[1]), cond, misfit)
+
+    def row_of(g0, g1, g2, x):
+        base = math.fsum(_piv_terms(g0, g1, g2, x, 0.0, 0.0))
+        return [2.0 * g0, -1.0 / g0], -base
+
+    (a, b), cond, misfit = _affine_fit("piv", g, samples, row_of, 2)
+    return PIVFit(a, b, cond, misfit)
 
 
-def infer_pv_params(
-    w: State,
-    samples: Sequence[float] | None = None,
-    *,
-    guard: float = VALUE_GUARD,
-    d: float = -0.125,
-    order: int = 2,
-) -> PVFit:
-    """Least-squares (a, b, c) making the PV residual of w vanish (d frozen)."""
-    if samples is None:
-        samples = default_z_grid()[1::3]
-    jet = on_grid(w, samples, max(order, 2))
-    masked = jet.mask.tolist()
-    v0, v1, v2 = (v.tolist() for v in jet.d[:3])
-    rows, rhs = [], []
-    for i, z in enumerate(samples):
-        w0 = v0[i]
-        if masked[i] or _value_guarded("pv", w0, guard):
-            continue
-        base = math.fsum(_pv_terms(w0, v1[i], v2[i], z, 0.0, 0.0, 0.0, d))
+def infer_pv_params(w: State, samples: Sequence[float] | None = None) -> PVFit:
+    """Least-squares (a, b, c) making the PV residual of w vanish (d = -1/8)."""
+
+    def row_of(w0, w1, w2, z):
+        base = math.fsum(_pv_terms(w0, w1, w2, z, 0.0, 0.0, 0.0, -0.125))
         wm1sq = (w0 - 1.0) ** 2
-        row = [wm1sq * w0 / (z * z), wm1sq / (w0 * z * z), w0 / z]
-        s = max(abs(row[0]), abs(row[1]), abs(row[2]), abs(base))
-        rows.append([r / s for r in row])
-        rhs.append(base / s)
-    if len(rows) < 3:
-        raise SingularSystemError(f"only {len(rows)} usable samples for a 3-parameter fit")
-    A = np.asarray(rows)
-    y = np.asarray(rhs)
-    cond = float(np.linalg.cond(A))
-    if not math.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularSystemError(f"PV inference system condition number {cond:.3g}")
-    theta, *_ = np.linalg.lstsq(A, y, rcond=None)
-    misfit = float(np.sqrt(np.mean((A @ theta - y) ** 2)))
-    return PVFit(float(theta[0]), float(theta[1]), float(theta[2]), cond, misfit)
+        return [wm1sq * w0 / (z * z), wm1sq / (w0 * z * z), w0 / z], base
+
+    (a, b, c), cond, misfit = _affine_fit("pv", w, samples, row_of, 3)
+    return PVFit(a, b, c, cond, misfit)
 
 
 def pointwise_deviation(

@@ -234,3 +234,51 @@ def test_catalog_certificate_rejects_wrong_parameters():
     valid = sorted(r for r in rep.rel_residuals if not math.isnan(r))
     p90 = valid[(9 * len(valid)) // 10]
     assert p90 >= 1e-4  # orders above the certificate threshold
+
+
+def test_check_catalog_row_evaluates_the_image_three_times(monkeypatch):
+    # inference, the pointwise match and the target-parameter certificate each
+    # evaluate the transformed state once on the grid; nothing else does
+    import numpy as np
+
+    from susypainleve import backlund
+
+    grid_calls = []
+    make_state = backlund._pv_map_state
+
+    def counting(map_, sol):
+        state = make_state(map_, sol)
+
+        def counted(z, order):
+            if isinstance(z, np.ndarray):
+                grid_calls.append(order)
+            return state(z, order)
+
+        return counted
+
+    monkeypatch.setattr(backlund, "_pv_map_state", counting)
+    row = next(r for r in CATALOG if (r.source, r.target, r.k) == ("w1c", "w2a", (1, -1, 1)))
+    res = check_catalog_row(row, 1.0, Parity.ODD)
+    assert res.passed and not res.degenerate
+    assert 0 < len(grid_calls) <= 3
+
+
+def test_bt_pv_apply_verifies_with_inferred_parameters(monkeypatch):
+    from susypainleve import backlund
+    from susypainleve.painleve import PVSolution
+
+    # the map built from the roots of a wrong parameter tuple: its image
+    # solves no PV equation, so the fitted tuple cannot rescue it
+    src = closed_pv_solution("f", 1.0, Parity.EVEN)
+    wrong = PVSolution(src.w, src.a, src.b - 0.1, src.c, src.d, "wrong roots")
+    res = bt_pv_apply(PVMap(-1, -1, 1), wrong)
+    assert res.inferred is not None
+    assert not res.passed and not res.degenerate
+
+    # a garbage parameter prediction does not matter: the check uses the fit
+    garbage = (9.0, -9.0, 9.0, -0.125)
+    monkeypatch.setattr(backlund, "pv_map_params", lambda *args: garbage)
+    res = bt_pv_apply(PVMap(-1, -1, 1), src)
+    tgt = derived_pv_solution("H2", "d", 1.0, Parity.EVEN)
+    assert res.predicted == garbage
+    assert res.passed and res.inferred == pytest.approx((tgt.a, tgt.b, tgt.c), abs=1e-8)

@@ -134,6 +134,11 @@ def test_catalog_function_checks_run_with_parity():
         (("verify", "g1", "--epsilon", "1", "--parity", "odd", "--grid", "0.1:6.5:30"), 2),
         (("chain", "--epsilon", "2.5", "--parity", "odd", "--grid", "0.2:6.1:40"), 2),
         (("verify", "w1c", "--epsilon", "1", "--parity", "odd", "--grid", "0.1:72.5:30"), 2),
+        # --tol must be finite and positive: inf would certify the negative control
+        (("verify", "g1", "--epsilon", "0.5", "--parity", "even", "--corrupt-b", "--tol", "inf"), 2),
+        (("verify", "g1", "--epsilon", "0.5", "--parity", "even", "--tol", "nan"), 2),
+        (("verify", "g1", "--epsilon", "0.5", "--parity", "even", "--tol", "0"), 2),
+        (("verify", "g1", "--epsilon", "0.5", "--parity", "even", "--tol=-1e-8"), 2),
     ],
 )
 def test_exit_code_contract(args, code):
@@ -171,3 +176,11 @@ def test_negative_exponent_epsilon_as_separate_argument(command):
 def test_epsilon_without_value_is_a_usage_error():
     cp = run_cli("verify", "g1", "--epsilon", "--parity", "odd", expect=2)
     assert "expected one argument" in cp.stderr
+
+
+def test_jet_order_option_is_gone():
+    # verify reads g, g', g'' only, at order 2; `defaults` keeps jet_order 5,
+    # the operator functions' default order (test_defaults_subcommand)
+    run_cli("verify", "g1", "--epsilon", "1.3", "--parity", "odd", "--jet-order", "7", expect=2)
+    cp = run_cli("verify", "g1", "--epsilon", "1.3", "--parity", "odd", "--format", "json")
+    assert "jet_order" not in json.loads(cp.stdout)["config"]

@@ -137,6 +137,8 @@ class BTResult:
     target: str = ""
     target_params: tuple | None = None
     notes: list[str] = field(default_factory=list)
+    tol: float | None = None  # pointwise tolerance a catalog row was checked at
+    certificate_tol: float | None = None  # tolerance of its parameter certificate
 
 
 def bt_piv_apply(
@@ -558,7 +560,9 @@ def check_catalog_row(
     target pointwise AND satisfies the PV equation with the target's own
     parameter tuple (the unambiguous parameter certificate; the least-squares
     inference stays attached as a drift detector, but its conditioning
-    depends on how much the solution varies over the grid).
+    depends on how much the solution varies over the grid).  The result
+    records the tolerances applied: `tol` to the pointwise match and
+    `certificate_tol`, never below 1e-6, to the certificate.
     """
     if grid is None:
         grid = default_z_grid()
@@ -568,6 +572,8 @@ def check_catalog_row(
     result.source = row.source
     result.target = row.target
     result.target_params = (target.a, target.b, target.c, target.d)
+    result.tol = tol
+    result.certificate_tol = max(tol, 1e-6)
     try:
         dev, n_valid, deviations = pointwise_deviation(
             result.transformed.w, target.w, grid, per_point=True
@@ -576,7 +582,7 @@ def check_catalog_row(
             result.transformed.w, target.a, target.b, target.c, target.d,
             provenance=result.transformed.provenance + " @target-params",
         )
-        target_report = verify_on_grid("pv", certified, grid=grid, tol=max(tol, 1e-6))
+        target_report = verify_on_grid("pv", certified, grid=grid, tol=result.certificate_tol)
     except GridDegenerateError:
         result.degenerate = True
         result.passed = False
@@ -590,7 +596,7 @@ def check_catalog_row(
     # discriminator; the pointwise match above already pins the function.
     valid = sorted(r for r in target_report.rel_residuals if not math.isnan(r))
     p90 = valid[min(len(valid) - 1, (9 * len(valid)) // 10)] if valid else math.inf
-    certificate_ok = p90 <= max(tol, 1e-6)
+    certificate_ok = p90 <= result.certificate_tol
     result.passed = dev <= tol and certificate_ok
     if not certificate_ok:
         result.notes.append(f"target-parameter residual profile fails: p90={p90:.2e}")

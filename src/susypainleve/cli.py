@@ -251,6 +251,8 @@ def cmd_catalog(cfg: RunConfig) -> int:
                 row["pass"] = res.passed
                 row["degenerate"] = res.degenerate
                 row["max_deviation"] = res.max_deviation
+                row["tol"] = res.tol
+                row["certificate_tol"] = res.certificate_tol
                 row["notes"] = res.notes
                 if not res.passed and not res.degenerate and not entry.boundary:
                     hard_fail = True

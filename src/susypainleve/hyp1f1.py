@@ -258,5 +258,8 @@ def kummer_jet(params: KummerParams, xjet: Jet) -> Jet:
         sums = iter([kummer(row, y0) for row in rows])
     else:
         sums = iter(_kummer_rows(rows, y0, xjet.mask))
-    outer = tuple(c * next(sums) if c != 0.0 else 0.0 for c in coefs)
+    outer = np.zeros(xjet.block.shape)
+    for m, c in enumerate(coefs):
+        if c != 0.0:
+            outer[m] = c * next(sums)
     return jet_compose(Jet(outer, xjet.mask), jet_mul(xjet, xjet))

@@ -1,43 +1,38 @@
 """Truncated Taylor-jet arithmetic, at one point or along a whole grid.
 
 A jet holds the value and first K derivatives of a scalar function at a
-point: ``d[k] = f^(k)(x0)``.  Jets propagate *exact* derivatives through all
-compositions, so every ODE residual downstream is computed without finite
-differences.
+point, ``d[k] = f^(k)(x0)`` (derivative values, not Taylor coefficients, as
+in the package's formulas), so residuals need no finite differences.
 
-Derivative values (not Taylor coefficients) are stored: that matches the
-prime-notation formulas the package implements; the two conventions differ
-by a factorial rescaling only, applied internally where series composition
-is cheaper in coefficient form.
+Block layout.  A jet is one float64 block of shape (K+1, N), row k holding
+the k-th derivative at N expansion points, next to a bool ``mask`` of
+length N.  A *point jet* is the case N = 1 with ``mask=None``: its ``d`` is
+a tuple of floats and its ``value`` a float.  A *grid jet* answers ``d``
+with the block and ``value`` with its first row.  A state ``f(x, order)``
+takes a float or a grid array for x and answers in kind; `on_grid`
+evaluates a state once on a whole grid.  Both kinds run through the same
+kernels, and a point jet (a constant, say) broadcasts over a grid.
 
-Two kinds of entry.  A *point jet* holds Python floats and describes one
-expansion point.  A *grid jet* holds float64 arrays of one length N and
-describes N expansion points at once (an entry that is the same at every
-point, such as the 1 in the jet of x, may stay a float).  Every state
-``f(x, order)`` accepts a float or a grid array for x and answers with the
-matching kind; `on_grid` evaluates a state once on a whole grid.
+Masks.  ``mask[i]`` is True exactly where the point computation at ``x[i]``
+raises JetError (pole guard, non-finite entry, ln or sqrt domain, or x
+outside (0, X_MAX] for the seeds); every operation ORs its operands' masks,
+and entries at masked points mean nothing.  Errors of no one point (jets of
+different orders, say) raise for both kinds.
 
-Masks.  A grid jet carries ``mask``, a bool array of length N (a point jet
-has ``mask=None``).  ``mask[i]`` is True exactly where the point computation
-at ``x[i]`` raises JetError: a divisor or log-derivative argument inside the
-pole guard, a non-finite entry, ln or sqrt of a non-positive value, or (for
-the oscillator seeds) x outside (0, X_MAX].  Where a point jet raises, a
-grid jet marks the point and goes on; every operation ORs the masks of its
-operands, so a masked point stays masked in everything computed from it.
-Entries at masked points mean nothing.  Errors that do not depend on the
-point (jets of different orders, say) raise for both kinds.
-
-Bit identity.  Both kinds run through the same code, and each element of a
-grid entry undergoes the same IEEE operations, in the same order, as the
-point jet at that point, so grid results equal point results bit for bit.
-numpy rounds +, -, *, / and sqrt correctly, as Python does, but not exp and
-log: np.exp differs from math.exp by one ulp on about 5% of arguments, so
-exp and log (and sqrt, for uniformity) are applied per element with `math`.
-Leibniz sums keep the k, j loop order of the point code rather than one
-einsum against a binomial tensor, because einsum may regroup the additions.
-Where the point code skips a zero coefficient (series composition), grid
-code adds its products, each +0.0 or -0.0; a sum that starts from +0.0 never
-becomes -0.0, so adding them leaves it unchanged to the bit.
+Left-to-right sums.  Each element of a result takes the IEEE steps of the
+scalar Leibniz loop in its order, whatever N is: terms ``(C(k,j) * a[j]) *
+b[k-j]`` added to a head of 0.0 (or a[k]) in ascending j.  A product, and a
+step of series composition, gathers all its terms at once through per-order
+tables and sums them negated with ``np.subtract.reduce`` over a leading
+axis (``s - (-t)`` is ``s + t`` to the bit, signed zeros included).  Pads
+that square up a triangle are +-0.0 at every unmasked (finite) point, and a
+sum that starts from +0.0 never becomes -0.0, so they change nothing.  A
+quotient or exp adds each new coefficient's terms to all later sums at
+once; a square root gathers one sum at a time.  A matmul, einsum or np.sum
+against a binomial tensor regroups the additions, as does np.add.reduceat
+from 9 terms on: last digits move, and with them borderline verdicts.  exp,
+log and sqrt of the value row go through `math` per element: np.exp
+differs from math.exp by one ulp on about 5% of arguments.
 
 Jets are immutable: no operation mutates its operands or their arrays, so
 jets can be cached and shared.
@@ -46,7 +41,8 @@ jets can be cached and shared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,77 +69,89 @@ class DomainError(JetError):
     """Argument outside the domain of the lifted function (ln, sqrt, ...)."""
 
 
-@dataclass(frozen=True)
 class Jet:
-    """Value plus derivatives: d[k] = f^(k)(x0), k = 0..order.
+    """Value plus derivatives, d[k] = f^(k)(x0), k = 0..order (see the module docstring).
 
-    Point jet: float entries, mask None.  Grid jet: array entries and a
-    bool mask of the points lost to a JetError (see the module docstring).
+    Built from a tuple of floats (a point jet), or a (K+1, N) block and a mask (a grid jet).
     """
 
-    d: tuple
-    mask: np.ndarray | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("block", "mask")
 
     # numpy defers to the Jet operators in `array * jet` and the like
     __array_ufunc__ = None
 
+    def __init__(self, d, mask: np.ndarray | None = None) -> None:
+        if not isinstance(d, np.ndarray):
+            d = np.array(d, dtype=float)
+            d = d[:, None] if d.ndim == 1 else d
+        object.__setattr__(self, "block", d)
+        object.__setattr__(self, "mask", mask)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        if not self.d:
+        if not len(self.block):
             raise ValueError("a jet needs at least its value entry")
-        if self.mask is None and not any(isinstance(v, np.ndarray) for v in self.d):
-            for v in self.d:
-                if not math.isfinite(v):
-                    raise DomainError(f"non-finite jet entry in {self.d!r}")
-            return
-        bad = self.mask
-        for v in self.d:
-            if isinstance(v, np.ndarray):
-                lost = ~np.isfinite(v)
-            elif not math.isfinite(v):
-                lost = True
-            else:
-                continue
-            bad = lost if bad is None else bad | lost
-        object.__setattr__(self, "mask", bad)
+        finite = np.logical_and.reduce(np.isfinite(self.block), axis=0)
+        if self.mask is not None:
+            object.__setattr__(self, "mask", self.mask | ~finite)
+        elif not finite[0]:
+            raise DomainError(f"non-finite jet entry in {self.d!r}")
+
+    def _of(self, block: np.ndarray) -> "Jet":
+        """A jet with this mask whose entries are finite wherever this jet's are: no check."""
+        jet = object.__new__(Jet)
+        object.__setattr__(jet, "block", block)
+        object.__setattr__(jet, "mask", self.mask)
+        return jet
+
+    def __setattr__(self, name, value):
+        raise AttributeError("jets are immutable")
+
+    def __repr__(self) -> str:
+        return f"Jet(d={self.d!r})"
+
+    def __eq__(self, other) -> bool:  # point jets compare, and hash, by their entries
+        return type(other) is Jet and self.d == other.d
+
+    def __hash__(self) -> int:
+        return hash(self.d)
 
     @property
     def order(self) -> int:
-        return len(self.d) - 1
+        return len(self.block) - 1
+
+    @property
+    def d(self):
+        """A tuple of floats for a point jet, the (K+1, N) block for a grid jet."""
+        return tuple(self.block[:, 0].tolist()) if self.mask is None else self.block
 
     @property
     def value(self):
-        return self.d[0]
+        return self.block.item(0) if self.mask is None else self.block[0]
 
     def truncate(self, order: int) -> "Jet":
         """Forget derivatives above `order`."""
         if order < 0 or order > self.order:
-            raise OrderMismatchError(
-                f"cannot truncate order-{self.order} jet to order {order}"
-            )
-        return Jet(self.d[: order + 1], self.mask)
+            raise OrderMismatchError(f"cannot truncate order-{self.order} jet to order {order}")
+        return self._of(self.block[: order + 1])
 
     def deriv(self, times: int = 1) -> "Jet":
-        """Jet of the `times`-th derivative (order drops by `times`).
-
-        With derivative-value storage this is a pure shift of entries.
-        """
+        """Jet of the `times`-th derivative: a shift of rows (order drops by `times`)."""
         if times < 0 or times > self.order:
-            raise OrderMismatchError(
-                f"order-{self.order} jet cannot supply derivative {times}"
-            )
-        return Jet(self.d[times:], self.mask)
+            raise OrderMismatchError(f"order-{self.order} jet cannot supply derivative {times}")
+        return self._of(self.block[times:])
 
     # -- operators ---------------------------------------------------------
 
     def __add__(self, other) -> "Jet":
         other = _lift(other, self.order)
         _check_orders(self, other)
-        return Jet(tuple(a + b for a, b in zip(self.d, other.d)), _join(self.mask, other.mask))
+        return Jet(self.block + other.block, _join(self.mask, other.mask))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Jet":
-        return Jet(tuple(-a for a in self.d), self.mask)
+        return self._of(-self.block)
 
     def __sub__(self, other) -> "Jet":
         return self + (-_lift(other, self.order))
@@ -153,14 +161,14 @@ class Jet:
 
     def __mul__(self, other) -> "Jet":
         if isinstance(other, (int, float)):
-            return Jet(tuple(a * other for a in self.d), self.mask)
+            return Jet(self.block * other, self.mask)
         return jet_mul(self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Jet":
         if isinstance(other, (int, float)):
-            return Jet(tuple(a / other for a in self.d), self.mask)
+            return Jet(self.block / other, self.mask)
         return jet_div(self, other)
 
     def __rtruediv__(self, other) -> "Jet":
@@ -182,7 +190,7 @@ def _lift(x, order: int) -> Jet:
 
 
 def _check_orders(a: Jet, b: Jet) -> None:
-    if a.order != b.order:
+    if len(a.block) != len(b.block):
         raise OrderMismatchError(f"jet orders differ: {a.order} vs {b.order}")
 
 
@@ -204,14 +212,29 @@ def _guard(mask: np.ndarray | None, bad, error: type[JetError], message: str, *a
     return mask | bad
 
 
-def _per_point(fn, v, mask: np.ndarray | None):
-    """fn (a math function) at every point that is not masked; nan at the others."""
-    if mask is None:
-        return fn(v)
-    out = np.full(mask.shape, math.nan)
-    keep = ~mask
-    out[keep] = [fn(t) for t in np.broadcast_to(v, mask.shape)[keep].tolist()]
+def _per_point(fn, row: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """fn (a math function) at every point of `row` that is not masked; nan at the others."""
+    out = np.full(row.shape, math.nan)
+    keep = slice(None) if mask is None else ~mask
+    out[keep] = [fn(t) for t in row[keep].tolist()]
     return out
+
+
+class _Tables(NamedTuple):  # the kernels' tables at one order K
+    comb: np.ndarray  # comb[k, j, 0] = C(k, j), 0 for j > k
+    neg: np.ndarray  # neg[j, k, 0] = -C(k, j): column k of a product, term j
+    k_j: np.ndarray  # (j, k) -> k - j, wrapped mod K+1 (a pad) where j > k
+    fact: np.ndarray  # fact[k, 0] = k!
+    m_i: np.ndarray  # column m of a Horner step, term i: (i, m) -> m - i, K+1 (a zero row) if i > m
+
+
+@lru_cache(maxsize=None)
+def _tables(K: int) -> _Tables:
+    comb = np.array([[math.comb(k, j) for j in range(K + 1)] for k in range(K + 1)], float)
+    j, k = np.indices((K + 1, K + 1))
+    fact = np.array([math.factorial(i) for i in range(K + 1)], float)[:, None]
+    return _Tables(comb[:, :, None], -comb.T[:, :, None], (k - j) % (K + 1), fact,
+                   np.where(j <= k, k - j, K + 1))
 
 
 def jet_const(c: float, order: int) -> Jet:
@@ -225,85 +248,78 @@ def jet_var(x0, order: int) -> Jet:
     """Jet of the identity x -> x at x0 (a point or a grid array); requires order >= 1."""
     if order < 1:
         raise ValueError("jet_var needs order >= 1")
-    x0 = np.asarray(x0, dtype=float) if isinstance(x0, np.ndarray) else float(x0)
-    return Jet((x0, 1.0) + (0.0,) * (order - 1))
+    if not isinstance(x0, np.ndarray):
+        return Jet((float(x0), 1.0) + (0.0,) * (order - 1))
+    block = np.zeros((order + 1, x0.size))
+    block[0], block[1] = x0, 1.0
+    return Jet(block, np.zeros(x0.size, bool))
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
     """Leibniz product: d[k] = sum_j C(k,j) a[j] b[k-j]."""
     _check_orders(a, b)
-    ad, bd = a.d, b.d
-    out = []
-    for k in range(len(ad)):
-        s = 0.0
-        for j in range(k + 1):
-            s = s + math.comb(k, j) * ad[j] * bd[k - j]
-        out.append(s)
-    return Jet(tuple(out), _join(a.mask, b.mask))
+    t = _tables(a.order)
+    terms = (t.neg * a.block[:, None]) * b.block[t.k_j]
+    return Jet(np.subtract.reduce(terms, axis=0, initial=0.0), _join(a.mask, b.mask))
 
 
 def jet_div(a: Jet, b: Jet) -> Jet:
     """Quotient jet via recursive Leibniz inversion.
 
-    Raises PoleError (masks the point, on a grid) when |b(x0)| <= POLE_GUARD:
-    the quotient has (or grazes) a pole at the expansion point.
+    Raises PoleError (masks the point, on a grid) where |b(x0)| <= POLE_GUARD.
     """
     _check_orders(a, b)
-    ad, bd = a.d, b.d
-    mask = _guard(_join(a.mask, b.mask), abs(bd[0]) <= POLE_GUARD, PoleError,
-                  "divisor value %r below pole guard %r", bd[0], POLE_GUARD)
-    q: list = []
-    for k in range(len(ad)):
-        s = ad[k]
-        for j in range(k):
-            s = s - math.comb(k, j) * q[j] * bd[k - j]
-        q.append(s / bd[0])
-    return Jet(tuple(q), mask)
+    ad, bd = a.block, b.block
+    mask = _guard(_join(a.mask, b.mask), abs(b.value) <= POLE_GUARD, PoleError,
+                  "divisor value %r below pole guard %r", b.value, POLE_GUARD)
+    comb = _tables(a.order).comb
+    q = np.empty((len(ad), max(ad.shape[1], bd.shape[1])))
+    q[:] = ad  # q[k] holds a[k] minus the terms of q[k] found so far, until it is divided
+    for j in range(len(q) - 1):
+        q[j] /= bd[0]
+        q[j + 1:] -= (comb[j + 1:, j] * q[j]) * bd[1:len(q) - j]
+    q[-1] /= bd[0]
+    return Jet(q, mask)
 
 
 def jet_exp(a: Jet) -> Jet:
     """exp(a): e[k] = sum_{j<k} C(k-1,j) e[j] a[k-j]."""
-    e = [_per_point(math.exp, a.d[0], a.mask)]
-    for k in range(1, len(a.d)):
-        s = 0.0
-        for j in range(k):
-            s = s + math.comb(k - 1, j) * e[j] * a.d[k - j]
-        e.append(s)
-    return Jet(tuple(e), a.mask)
+    comb = _tables(a.order).comb
+    e = np.zeros(a.block.shape)  # e[k] holds the terms of e[k] found so far
+    e[0] = _per_point(math.exp, a.block[0], a.mask)
+    for j in range(len(e) - 1):
+        e[j + 1:] += (comb[j:-1, j] * e[j]) * a.block[1:len(e) - j]
+    return Jet(e, a.mask)
 
 
 def jet_ln(a: Jet) -> Jet:
     """ln(a); requires a(x0) > 0."""
-    mask = _guard(a.mask, a.d[0] <= 0.0, DomainError, "ln of non-positive jet value %r", a.d[0])
-    log0 = _per_point(math.log, a.d[0], mask)
+    mask = _guard(a.mask, a.value <= 0.0, DomainError, "ln of non-positive jet value %r", a.value)
+    log0 = _per_point(math.log, a.block[0], mask)[None]
     if a.order == 0:
-        return Jet((log0,), mask)
+        return Jet(log0, mask)
     m = jet_div(a.deriv(), a.truncate(a.order - 1))  # (ln a)' = a'/a
-    return Jet((log0,) + m.d, _join(mask, m.mask))
+    return Jet(np.concatenate((log0, m.block)), _join(mask, m.mask))
 
 
 def jet_sqrt(a: Jet) -> Jet:
     """sqrt(a); requires a(x0) > 0."""
-    mask = _guard(a.mask, a.d[0] <= 0.0, DomainError, "sqrt of non-positive jet value %r", a.d[0])
-    s = [_per_point(math.sqrt, a.d[0], mask)]
-    for k in range(1, len(a.d)):
-        acc = a.d[k]
-        for j in range(1, k):
-            acc = acc - math.comb(k, j) * s[j] * s[k - j]
-        s.append(acc / (2.0 * s[0]))
-    return Jet(tuple(s), mask)
+    mask = _guard(a.mask, a.value <= 0.0, DomainError, "sqrt of non-positive jet value %r", a.value)
+    comb = _tables(a.order).comb
+    s = np.empty(a.block.shape)
+    s[0] = _per_point(math.sqrt, a.block[0], mask)
+    for k in range(1, len(s)):
+        terms = (comb[k, 1:k] * s[1:k]) * s[k - 1:0:-1]
+        s[k] = np.subtract.reduce(np.concatenate((a.block[k:k + 1], terms))) / (2.0 * s[0])
+    return Jet(s, mask)
 
 
 def log_derivative(a: Jet) -> Jet:
-    """Jet of a'/a (order drops by one); sign of a is irrelevant.
-
-    This is the superpotential workhorse: unlike jet_ln it only needs
-    a(x0) != 0, not positivity.
-    """
+    """Jet of a'/a (order drops by one), the superpotential workhorse: needs a(x0) != 0 only."""
     if a.order < 1:
         raise OrderMismatchError("log_derivative needs order >= 1")
-    if a.mask is None and abs(a.d[0]) <= POLE_GUARD:
-        raise PoleError(f"log-derivative at a zero: value {a.d[0]!r}")
+    if a.mask is None and abs(a.value) <= POLE_GUARD:
+        raise PoleError(f"log-derivative at a zero: value {a.value!r}")
     return jet_div(a.deriv(), a.truncate(a.order - 1))
 
 
@@ -311,48 +327,32 @@ def jet_compose(outer: Jet, inner: Jet) -> Jet:
     """Jet of F(y(x)) from the jet of F at y0 = inner.value and the jet of y.
 
     Both jets must have equal orders; `outer.d[m]` is read as the m-th
-    y-derivative of F at y0.  Implemented by converting to Taylor
-    coefficients and composing truncated polynomials (Horner), then scaling
-    back to derivative values.
+    y-derivative of F at y0.  Horner on Taylor coefficients, then scaled back.
     """
     _check_orders(outer, inner)
     K = outer.order
-    fact = [math.factorial(k) for k in range(K + 1)]
-    A = [outer.d[k] / fact[k] for k in range(K + 1)]
-    B = [0.0] + [inner.d[k] / fact[k] for k in range(1, K + 1)]
-
-    def poly_mul(p: list, q: list) -> list:
-        out = [0.0] * (K + 1)
-        for i, pi in enumerate(p):
-            if not isinstance(pi, np.ndarray) and pi == 0.0:
-                continue
-            for j, qj in enumerate(q):
-                if i + j > K:
-                    break
-                out[i + j] = out[i + j] + pi * qj
-        return out
-
-    comp = [A[K]] + [0.0] * K
+    t = _tables(K)
+    A = outer.block / t.fact
+    # -B (B[0] = 0, B[k] = y^(k)/k!) with a zero row, gathered into every Horner step's terms
+    neg_b = np.zeros((K + 2, inner.block.shape[1]))
+    np.divide(inner.block[1:], -t.fact[1:], out=neg_b[1:K + 1])
+    neg_b = neg_b[t.m_i]
+    comp = np.zeros((K + 1, max(A.shape[1], neg_b.shape[2])))
+    comp[0] = A[K]
     for k in range(K - 1, -1, -1):
-        comp = poly_mul(comp, B)
-        comp[0] = comp[0] + A[k]
-    return Jet(tuple(comp[k] * fact[k] for k in range(K + 1)), _join(outer.mask, inner.mask))
+        np.subtract.reduce(comp[:, None] * neg_b, axis=0, initial=0.0, out=comp)
+        np.add(comp[0], A[k], out=comp[0])
+    return Jet(comp * t.fact, _join(outer.mask, inner.mask))
 
 
 def on_grid(state, grid, order: int) -> Jet:
-    """Evaluate a state once on a whole grid.
-
-    Returns a grid jet whose entries are float64 arrays of the grid's length
-    and whose mask marks the points where state(grid[i], order) raises
-    JetError; at every other point its entries equal the point evaluation
-    to the bit.  A JetError raised by the grid evaluation itself does not
-    depend on the point (an order mismatch, say), so it masks every point.
-    """
+    """Evaluate a state once on a grid; a JetError of no one point (order mismatch) masks all."""
     x = np.asarray(grid, dtype=float)
     with np.errstate(all="ignore"):  # masked points may overflow or divide by zero
         try:
             jet = state(x, order)
         except JetError:
-            return Jet((np.full(x.shape, math.nan),) * (order + 1), np.ones(x.shape, bool))
-    mask = np.zeros(x.shape, bool) if jet.mask is None else jet.mask
-    return Jet(tuple(np.broadcast_to(np.asarray(v, dtype=float), x.shape) for v in jet.d), mask)
+            return Jet(np.full((order + 1, x.size), math.nan), np.ones(x.size, bool))
+    if jet.mask is not None:
+        return jet
+    return Jet(np.broadcast_to(jet.block, (len(jet.block), x.size)), np.zeros(x.size, bool))

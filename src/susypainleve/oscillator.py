@@ -114,14 +114,15 @@ def _seed_jet_cached(eps: float, parity: Parity, x: float | bytes, order: int) -
     A grid jet masks the points outside (0, X_MAX], where seed_u raises for
     a point, and its arrays are read-only: every caller shares them.
     """
-    if not isinstance(x, bytes):
-        return seed_u_jet(SeedSpec(eps, parity), jet_var(x, max(order, 1))).truncate(order)
-    xs = np.frombuffer(x)
-    xjet = Jet(jet_var(xs, max(order, 1)).d, ~((xs > 0.0) & (xs <= X_MAX)))
+    if isinstance(x, bytes):
+        xs = np.frombuffer(x)
+        xjet = Jet(jet_var(xs, max(order, 1)).block, ~((xs > 0.0) & (xs <= X_MAX)))
+    else:
+        xjet = jet_var(x, max(order, 1))
     jet = seed_u_jet(SeedSpec(eps, parity), xjet).truncate(order)
-    for v in jet.d + (jet.mask,):
-        if isinstance(v, np.ndarray):
-            v.flags.writeable = False
+    jet.block.flags.writeable = False
+    if jet.mask is not None:
+        jet.mask.flags.writeable = False
     return jet
 
 

@@ -176,7 +176,7 @@ def verify_on_grid(
         raise ValueError(f"unknown equation kind {kind!r}")
     if grid is None:
         grid = default_x_grid() if kind == "piv" else default_z_grid()
-    if not grid:
+    if len(grid) == 0:
         raise ValueError("empty verification grid")
 
     jet = on_grid(sol.g if kind == "piv" else sol.w, grid, max(order, 2))
@@ -195,7 +195,7 @@ def verify_on_grid(
     valid = [r for r in rel if not math.isnan(r)]
     report = VerificationReport(
         kind=kind,
-        grid=list(grid),
+        grid=np.asarray(grid, dtype=float).tolist(),
         rel_residuals=rel,
         skipped=skipped,
         n_valid=len(valid),

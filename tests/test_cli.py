@@ -184,3 +184,14 @@ def test_jet_order_option_is_gone():
     run_cli("verify", "g1", "--epsilon", "1.3", "--parity", "odd", "--jet-order", "7", expect=2)
     cp = run_cli("verify", "g1", "--epsilon", "1.3", "--parity", "odd", "--format", "json")
     assert "jet_order" not in json.loads(cp.stdout)["config"]
+
+
+def test_catalog_rows_report_the_tolerance_they_were_checked_at():
+    # rows are checked at max(--tol, 1e-7) and certified at max(--tol, 1e-6); each says so
+    cp = run_cli("catalog", "--epsilon", "0", "--parity", "odd", "--tol", "1e-12")
+    checked = [r for r in json.loads(cp.stdout)["rows"] if "pass" in r and not r["degenerate"]]
+    assert checked
+    for row in checked:
+        assert row["tol"] == 1e-7 and row["certificate_tol"] == 1e-6
+        if row["pass"]:
+            assert row["max_deviation"] <= row["tol"]

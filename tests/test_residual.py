@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from susypainleve.jets import jet_var
@@ -175,3 +176,15 @@ def test_jet_order_consistency():
         assert abs(r5 - r6) <= 1e-12 * max(scale, 1e-300)
         checked += 1
     assert checked == 100
+
+
+def test_verify_on_grid_accepts_an_array_grid():
+    # an ndarray grid gives the report of the equal list; emptiness is a length test
+    grid = [0.3 + 0.1 * i for i in range(30)]
+    for kind, sol in (("piv", MINUS_2X), ("pv", rational_pv_solution("w2d"))):
+        want = verify_on_grid(kind, sol, grid=grid)
+        got = verify_on_grid(kind, sol, grid=np.array(grid))
+        assert got == want and got.grid == grid
+        assert all(type(t) is float for t in got.grid)
+    with pytest.raises(ValueError, match="empty"):
+        verify_on_grid("piv", MINUS_2X, grid=np.array([]))

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLERANCE, VALUE_GUARD, default_x_grid, default_z_grid
-from .jets import Jet, jet_var, on_grid
+from .jets import Jet, grid_memo, jet_var, on_grid
 from .oscillator import Parity, SeedSpec, State
 from .painleve import (
     DegenerateClosedFormError,
@@ -118,7 +118,7 @@ def _piv_map_state(map_: PIVMap, sol: PIVSolution) -> State:
         den = gp - s - 2.0 * (xj * gk) - gk * gk
         return (gk + (2.0 * (1.0 + a + 0.5 * s)) * (gk / den)).truncate(order)
 
-    return out
+    return grid_memo(out)
 
 
 @dataclass
@@ -415,7 +415,7 @@ def _pv_map_state(map_: PVMap, sol: PVSolution) -> State:
         )
         return (1.0 - (2.0 * k3 * rd) * (zj * wk) / f1).truncate(order)
 
-    return out
+    return grid_memo(out)
 
 
 def _pv_transform(map_: PVMap, sol: PVSolution, grid: Sequence[float]) -> BTResult:

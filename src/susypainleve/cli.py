@@ -38,6 +38,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
+GRID_MAX_POINTS = 100_000  # a --grid of more points is refused when parsed
 
 ALL_FAMILIES = (
     PIV_FAMILY_NAMES + PV_CLOSED_NAMES + PV_DERIVED_H1_NAMES + PV_DERIVED_H2_NAMES
@@ -79,9 +80,9 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"grid must be lo:hi:n, got {text!r}") from None
-    if not (0 < lo < hi <= config.Z_MAX) or n < 20:
+    if not (0 < lo < hi <= config.Z_MAX) or not 20 <= n <= GRID_MAX_POINTS:
         raise argparse.ArgumentTypeError(
-            f"grid needs 0 < lo < hi <= {config.Z_MAX:g} and n >= 20"
+            f"grid needs 0 < lo < hi <= {config.Z_MAX:g} and 20 <= n <= {GRID_MAX_POINTS}"
         )
     return lo, hi, n
 
@@ -287,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
         if family:
             sp.add_argument("--family", required=False, help=f"one of {', '.join(ALL_FAMILIES)}")
         sp.add_argument("--grid", type=_parse_grid,
-                        help=f"lo:hi:n (n >= 20; hi <= {config.X_MAX:g} for x, "
-                             f"<= {config.Z_MAX:g} for z)")
+                        help=f"lo:hi:n (20 <= n <= {GRID_MAX_POINTS}; "
+                             f"hi <= {config.X_MAX:g} for x, <= {config.Z_MAX:g} for z)")
         sp.add_argument("--tol", type=_parse_number("tol", positive=True),
                         default=config.DEFAULT_TOLERANCE, help="pass threshold, finite and positive")
         sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")

@@ -35,7 +35,9 @@ log and sqrt of the value row go through `math` per element: np.exp
 differs from math.exp by one ulp on about 5% of arguments.
 
 Jets are immutable: no operation mutates its operands or their arrays, so
-jets can be cached and shared.
+jets can be cached and shared.  `grid_memo` makes a state a node that holds
+the jet of its last grid at the highest order asked and serves lower orders
+by truncation (held mask included: masked entries stay unspecified).
 """
 
 from __future__ import annotations
@@ -343,6 +345,30 @@ def jet_compose(outer: Jet, inner: Jet) -> Jet:
         np.subtract.reduce(comp[:, None] * neg_b, axis=0, initial=0.0, out=comp)
         np.add(comp[0], A[k], out=comp[0])
     return Jet(comp * t.fact, _join(outer.mask, inner.mask))
+
+
+def grid_memo(state):
+    """The state as a node, evaluated once per grid at the highest order asked.
+
+    On the held grid (same float64 bytes) a call at or below the held order
+    truncates the held jet; other grid calls evaluate and hold, read-only.
+    """
+    held: list = [None, None]  # grid bytes, jet
+
+    def node(x, order: int) -> Jet:
+        if not isinstance(x, np.ndarray):
+            return state(x, order)
+        key = np.ascontiguousarray(x, dtype=float).tobytes()
+        if held[0] == key and order <= held[1].order:
+            return held[1].truncate(order)
+        jet = state(x, order)
+        jet.block.flags.writeable = False
+        if jet.mask is not None:
+            jet.mask.flags.writeable = False
+        held[:] = key, jet
+        return jet
+
+    return node
 
 
 def on_grid(state, grid, order: int) -> Jet:

@@ -10,7 +10,9 @@ Every state here is *unnormalized*: all downstream formulas consume
 logarithmic derivatives or Wronskian ratios, so overall constants cancel.
 States are represented uniformly as jet-valued functions f(x, order) -> Jet,
 which keeps operator application (ladder, intertwiners) purely algebraic;
-x is a point or a whole grid array (see `jets`).
+x is a point or a whole grid array (see `jets`).  Derived states (ladders,
+intertwiners, maps) are `jets.grid_memo` nodes, evaluated once per grid at
+the highest order asked; seeds come from one LRU shared by all states.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .config import DEFAULT_JET_ORDER, X_MAX
 from .hyp1f1 import KummerParams, kummer_jet
-from .jets import DomainError, Jet, jet_exp, jet_var
+from .jets import DomainError, Jet, grid_memo, jet_exp, jet_var
 
 State = Callable[[float | np.ndarray, int], Jet]  # x: one point or a grid array
 
@@ -101,9 +103,10 @@ def seed_u_jet(spec: SeedSpec, xjet: Jet) -> Jet:
     return gaussian_jet(xjet) * kummer_jet(params, xjet)
 
 
-# A 400-point grid jet of order 7 takes about 26 kB, so this bound keeps the
-# cache under 7 MB while holding every seed jet one operation reuses (a seed
-# at several orders, shared by the states built on it).
+# State nodes hold their own grid jets; this LRU serves seeds that states of
+# different solutions share (a catalog source and its target, chi0 and psi0
+# across operations) and seeds asked for at several orders.  A 400-point grid
+# jet of order 7 takes about 26 kB, so the bound keeps the cache under 7 MB.
 SEED_CACHE_SIZE = 256
 
 
@@ -180,7 +183,7 @@ def ladder(direction: Direction, f: State, x: float, order: int = DEFAULT_JET_OR
 
 
 def ladder_state(direction: Direction, f: State) -> State:
-    return lambda x, order: ladder(direction, f, x, order)
+    return grid_memo(lambda x, order: ladder(direction, f, x, order))
 
 
 def schrodinger_residual(f: State, epsilon: float, x: float) -> float:

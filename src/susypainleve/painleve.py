@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Literal
 
 from .hyp1f1 import KummerParams, kummer_jet
-from .jets import Jet, jet_compose, jet_sqrt, jet_var, log_derivative
+from .jets import Jet, grid_memo, jet_compose, jet_sqrt, jet_var, log_derivative
 from .oscillator import Parity, SeedSpec, State
 from .susy import (
     ExtremalState,
@@ -111,7 +111,7 @@ def piv_from_extremal(
         F = phi.state(x, K + 1)
         return (-jet_var(x, K) - log_derivative(F)).truncate(order)
 
-    return PIVSolution(g, a, b, provenance=f"extremal[{phi.label}]")
+    return PIVSolution(grid_memo(g), a, b, provenance=f"extremal[{phi.label}]")
 
 
 def extremal_piv_solution(
@@ -145,7 +145,7 @@ def _g1_state(epsilon: float, parity: Parity) -> State:
             ratio = kummer_jet(num, xj) / kummer_jet(den, xj)
             return (1.0 / xj - 2.0 * xj + coef * (xj * ratio)).truncate(order)
 
-        return g
+        return grid_memo(g)
 
     num = KummerParams((5.0 - 2.0 * epsilon) / 4.0, 1.5)
     den = KummerParams((1.0 - 2.0 * epsilon) / 4.0, 0.5)
@@ -157,7 +157,7 @@ def _g1_state(epsilon: float, parity: Parity) -> State:
         ratio = kummer_jet(num, xj) / kummer_jet(den, xj)
         return (-2.0 * xj + coef * (xj * ratio)).truncate(order)
 
-    return g
+    return grid_memo(g)
 
 
 def _g2_state(epsilon: float, parity: Parity) -> State:
@@ -172,7 +172,7 @@ def _g2_state(epsilon: float, parity: Parity) -> State:
         den = xj * xj - (2.0 * epsilon + 1.0) - t * t
         return (-G1 - 2.0 * xj - 2.0 * (num / den)).truncate(order)
 
-    return g
+    return grid_memo(g)
 
 
 def _g3_state(epsilon: float, parity: Parity) -> State:
@@ -189,16 +189,16 @@ def _g3_state(epsilon: float, parity: Parity) -> State:
         xj = jet_var(x, K)
         return (-(G1.deriv() + 2.0) / (G1.truncate(K) + 2.0 * xj)).truncate(order)
 
-    return g
+    return grid_memo(g)
 
 
 def _alpha_state(epsilon: float, parity: Parity) -> State:
-    t = FirstOrderTransform(SeedSpec(epsilon, parity))
+    t = FirstOrderTransform(SeedSpec(epsilon, parity))  # alpha is a node of t
     return lambda x, order: superpotential_alpha(t, x, order)
 
 
-def _G1_state(eps1: float, parity: Parity) -> State:
-    al = _alpha_state(eps1, parity)
+def _G1_state(eps1: float, parity: Parity, al: State | None = None) -> State:
+    al = al or _alpha_state(eps1, parity)
 
     def g(x: float, order: int) -> Jet:
         K = max(order, 1)
@@ -207,12 +207,12 @@ def _G1_state(eps1: float, parity: Parity) -> State:
         den = xj * xj + (1.0 - 2.0 * eps1) - a * a
         return (-xj - a + 2.0 * ((xj + a) / den)).truncate(order)
 
-    return g
+    return grid_memo(g)
 
 
 def _G2_state(eps1: float, parity: Parity) -> State:
     al = _alpha_state(eps1, parity)
-    G1 = _G1_state(eps1, parity)
+    G1 = _G1_state(eps1, parity, al)
 
     def g(x: float, order: int) -> Jet:
         K = max(order, 1)
@@ -222,12 +222,12 @@ def _G2_state(eps1: float, parity: Parity) -> State:
         num = 2.0 * (a * a) - 2.0 * (xj * xj) + 2.0 * (2.0 * eps1 + 1.0)
         return (G + num / (a - G - xj)).truncate(order)
 
-    return g
+    return grid_memo(g)
 
 
 def _G3_state(eps1: float, parity: Parity) -> State:
     al = _alpha_state(eps1, parity)
-    G1 = _G1_state(eps1, parity)
+    G1 = _G1_state(eps1, parity, al)
 
     def g(x: float, order: int) -> Jet:
         K = max(order, 1)
@@ -239,7 +239,7 @@ def _G3_state(eps1: float, parity: Parity) -> State:
         den = t * t + t * G + (2.0 * eps1 - 1.0)
         return (num / den).truncate(order)
 
-    return g
+    return grid_memo(g)
 
 
 _PIV_CLOSED: dict[str, tuple[Callable[[float, Parity], State], Callable[[float], tuple[float, float]]]] = {
@@ -292,7 +292,7 @@ def _pair_w_state(phi3: ExtremalState, phi4: ExtremalState, prefactor: int) -> S
         g_z = jet_compose(g_x, X)
         return (1.0 + (2.0 * X) / g_z).truncate(order)
 
-    return w
+    return grid_memo(w)
 
 
 def pv_from_pair(
@@ -408,7 +408,7 @@ def _w1_state(case: str, epsilon: float, parity: Parity) -> State:
             out = -(num / den)
         return out.truncate(order)
 
-    return w
+    return grid_memo(w)
 
 
 def closed_pv_solution(case: str, epsilon: float, parity: Parity) -> PVSolution:
@@ -436,7 +436,7 @@ def _rational_state(num_coeffs: tuple[float, ...], den_coeffs: tuple[float, ...]
         den = sum((c * zj**i for i, c in enumerate(den_coeffs) if c), 0.0 * zj)
         return (num / den).truncate(order)
 
-    return w
+    return grid_memo(w)
 
 
 _RATIONALS = {

@@ -28,12 +28,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
 
 from .config import DEFAULT_JET_ORDER
-from .jets import Jet, JetError, jet_const, jet_var, log_derivative, on_grid
+from .jets import Jet, JetError, grid_memo, jet_const, jet_var, log_derivative, on_grid
 from .oscillator import (
     Direction,
     Parity,
@@ -63,6 +64,11 @@ class FirstOrderTransform:
 
     def u_state(self) -> State:
         return seed_state(self.seed)
+
+    @cached_property
+    def _alpha(self) -> State:  # the node of alpha = u'/u, shared by all A+ and A built on t
+        seed = self.seed  # the node must not hold the transform, which holds the node
+        return grid_memo(lambda x, order: log_derivative(seed_u(seed, x, order + 1)))
 
 
 class Mode(enum.Enum):
@@ -99,14 +105,26 @@ class SecondOrderTransform:
         return cls(seed1, seed2, Mode.REDUCED_STEP2)
 
     def u1_state(self) -> State:
-        return seed_state(self.seed1)
+        return self._u1
 
     def u2_state(self) -> State:
+        return self._u2
+
+    @cached_property
+    def _u1(self) -> State:  # sub-states are built once: all states built on t share them
+        return seed_state(self.seed1)
+
+    @cached_property
+    def _u2(self) -> State:
         if self.mode is Mode.REDUCED_STEP1:
-            return ladder_state(Direction.LOWER, self.u1_state())
+            return ladder_state(Direction.LOWER, self._u1)
         if self.mode is Mode.REDUCED_STEP2:
-            return ladder_state(Direction.LOWER, ladder_state(Direction.LOWER, self.u1_state()))
+            return ladder_state(Direction.LOWER, ladder_state(Direction.LOWER, self._u1))
         return seed_state(self.seed2)
+
+    @cached_property
+    def _w(self) -> State:  # the Wronskian node
+        return grid_memo(partial(_wronskian_jet, self._u1, self._u2))
 
 
 @dataclass(frozen=True)
@@ -123,7 +141,7 @@ class ExtremalState:
 
 def superpotential_alpha(t: FirstOrderTransform, x: float, order: int = DEFAULT_JET_ORDER) -> Jet:
     """Jet of alpha = u'/u; satisfies the Riccati relation alpha' = x^2 - 2 eps - alpha^2."""
-    return log_derivative(seed_u(t.seed, x, order + 1))
+    return t._alpha(x, order)
 
 
 def potential_v1(t: FirstOrderTransform, x: float) -> float:
@@ -140,7 +158,7 @@ def apply_aplus(t: FirstOrderTransform, f: State, x: float, order: int = DEFAULT
 
 
 def aplus_state(t: FirstOrderTransform, f: State) -> State:
-    return lambda x, order: apply_aplus(t, f, x, order)
+    return grid_memo(lambda x, order: apply_aplus(t, f, x, order))
 
 
 def apply_a(t: FirstOrderTransform, f: State, x: float, order: int = DEFAULT_JET_ORDER) -> Jet:
@@ -151,7 +169,7 @@ def apply_a(t: FirstOrderTransform, f: State, x: float, order: int = DEFAULT_JET
 
 
 def a_state(t: FirstOrderTransform, f: State) -> State:
-    return lambda x, order: apply_a(t, f, x, order)
+    return grid_memo(lambda x, order: apply_a(t, f, x, order))
 
 
 def apply_lminus(t: FirstOrderTransform, f: State, x: float, order: int = DEFAULT_JET_ORDER) -> Jet:
@@ -164,9 +182,12 @@ def apply_lminus(t: FirstOrderTransform, f: State, x: float, order: int = DEFAUL
 
 def wronskian(t: SecondOrderTransform, x: float, order: int = DEFAULT_JET_ORDER) -> Jet:
     """Jet of W(u1, u2) = u1 u2' - u1' u2."""
-    u1 = t.u1_state()(x, order + 1)
-    u2 = t.u2_state()(x, order + 1)
-    return u1.truncate(order) * u2.deriv() - u1.deriv() * u2.truncate(order)
+    return t._w(x, order)
+
+
+def _wronskian_jet(u1: State, u2: State, x, order: int) -> Jet:
+    U1, U2 = u1(x, order + 1), u2(x, order + 1)
+    return U1.truncate(order) * U2.deriv() - U1.deriv() * U2.truncate(order)
 
 
 def potential_v2(t: SecondOrderTransform, x: float) -> float:
@@ -197,7 +218,7 @@ def apply_bplus(t: SecondOrderTransform, f: State, x: float, order: int = DEFAUL
 
 
 def bplus_state(t: SecondOrderTransform, f: State) -> State:
-    return lambda x, order: apply_bplus(t, f, x, order)
+    return grid_memo(lambda x, order: apply_bplus(t, f, x, order))
 
 
 # -- admissibility ------------------------------------------------------------
@@ -263,11 +284,11 @@ class Target(enum.Enum):
 
 
 def _inverse_state(f: State) -> State:
-    return lambda x, order: 1.0 / f(x, order)
+    return grid_memo(lambda x, order: 1.0 / f(x, order))
 
 
 def _ratio_state(num: State, den: State) -> State:
-    return lambda x, order: num(x, order) / den(x, order)
+    return grid_memo(lambda x, order: num(x, order) / den(x, order))
 
 
 def extremal_states(target: Target, t) -> list[ExtremalState]:
@@ -304,8 +325,7 @@ def extremal_states(target: Target, t) -> list[ExtremalState]:
         raise ModeMismatchError(f"{target.value} needs a SecondOrderTransform")
     eps1 = t.seed1.epsilon
     u1 = t.u1_state()
-    w_state: State = lambda x, order: wronskian(t, x, order)
-    u1_over_w = _ratio_state(u1, w_state)
+    u1_over_w = _ratio_state(u1, t._w)
     if target is Target.H2_PIV:
         if t.mode is not Mode.REDUCED_STEP1:
             raise ModeMismatchError("H2 PIV extremal states need a step-one reduced transform")

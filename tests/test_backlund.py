@@ -263,6 +263,32 @@ def test_check_catalog_row_evaluates_the_image_three_times(monkeypatch):
     assert 0 < len(grid_calls) <= 3
 
 
+def test_check_catalog_row_runs_the_image_body_once(monkeypatch):
+    # the image is a node: inference asks it at order 2 first, so the
+    # pointwise match (order 0) and the certificate (order 2) are served
+    # from its held jet and its body runs once on the grid
+    import numpy as np
+
+    from susypainleve import backlund
+
+    body_runs = []
+    memo = backlund.grid_memo
+
+    def counting_memo(body):
+        def counted(z, order):
+            if isinstance(z, np.ndarray):
+                body_runs.append(order)
+            return body(z, order)
+
+        return memo(counted)
+
+    monkeypatch.setattr(backlund, "grid_memo", counting_memo)
+    row = next(r for r in CATALOG if (r.source, r.target, r.k) == ("w1c", "w2a", (1, -1, 1)))
+    res = check_catalog_row(row, 1.0, Parity.ODD)
+    assert res.passed and not res.degenerate
+    assert body_runs == [2]
+
+
 def test_bt_pv_apply_verifies_with_inferred_parameters(monkeypatch):
     from susypainleve import backlund
     from susypainleve.painleve import PVSolution

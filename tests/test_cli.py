@@ -195,3 +195,25 @@ def test_catalog_rows_report_the_tolerance_they_were_checked_at():
         assert row["tol"] == 1e-7 and row["certificate_tol"] == 1e-6
         if row["pass"]:
             assert row["max_deviation"] <= row["tol"]
+
+
+def test_grid_point_cap_is_checked_when_parsed(monkeypatch, capsys):
+    import argparse
+
+    from susypainleve import cli, config
+
+    assert cli._parse_grid(f"0.2:4:{cli.GRID_MAX_POINTS}") == (0.2, 4.0, cli.GRID_MAX_POINTS)
+    for n in (cli.GRID_MAX_POINTS + 1, 10**9):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._parse_grid(f"0.2:4:{n}")
+
+    # through main: refused before any grid is built
+    def never(*args):
+        raise AssertionError("an over-cap grid reached evaluation")
+
+    monkeypatch.setattr(config, "linear_grid", never)
+    for command in ("sample", "verify"):
+        code = cli.main([command, "g1", "--epsilon", "1.3", "--parity", "odd",
+                         "--grid", "0.2:4:1000000000"])
+        assert code == cli.EXIT_USAGE
+        assert "20 <= n <= 100000" in capsys.readouterr().err

@@ -1,0 +1,161 @@
+"""State nodes evaluated once per grid (`jets.grid_memo`), against fresh builds, to the bit.
+
+A node holds the jet of the last grid at the highest order asked and serves
+lower orders by truncation.  Whatever order sequence a node sees, its mask
+and its unmasked entries must equal those of a freshly built state asked
+once at that order; entries at masked points mean nothing.
+"""
+
+import numpy as np
+import pytest
+
+from susypainleve.config import default_x_grid, default_z_grid, linear_grid
+from susypainleve.jets import DomainError, grid_memo, jet_var, on_grid
+from susypainleve.oscillator import Direction, Parity, SeedSpec, ladder_state, seed_state
+from susypainleve.painleve import (
+    PIV_FAMILY_NAMES,
+    PV_CLOSED_NAMES,
+    PV_DERIVED_H1_NAMES,
+    PV_DERIVED_H2_NAMES,
+    PV_RATIONAL_NAMES,
+    closed_piv_solution,
+    extremal_piv_solution,
+    family_solution,
+)
+from susypainleve.susy import (
+    FirstOrderTransform,
+    SecondOrderTransform,
+    aplus_state,
+    superpotential_alpha,
+    wronskian,
+)
+
+ODD, EVEN = Parity.ODD, Parity.EVEN
+SEEDS = ((1.3, ODD), (-0.7, EVEN), (2.5, ODD), (0.5, EVEN))
+# seeds whose grids mask points or collapse the state: pole-guarded pairs,
+# identically vanishing closed forms
+DEGENERATE = {
+    "pv1c": ((-0.5, ODD),),
+    "pv1e": ((0.5, ODD), (0.5, EVEN)),
+    "pv1b": ((0.5, EVEN),),
+    "pv2c": ((-0.5, ODD),),
+}
+FAMILIES = (PIV_FAMILY_NAMES + PV_CLOSED_NAMES + PV_DERIVED_H1_NAMES + PV_DERIVED_H2_NAMES
+            + PV_RATIONAL_NAMES)
+EXTREMAL = tuple(f"{family}:{which}" for family in ("H1", "H2") for which in range(3))
+
+
+def _cases():
+    out = []
+    for name in FAMILIES + EXTREMAL:
+        seeds = SEEDS[:1] if name in PV_RATIONAL_NAMES else SEEDS + DEGENERATE.get(name, ())
+        for eps, parity in seeds:
+            if (name, eps, parity) != ("g3", 0.5, EVEN):  # 0/0 there: refused at build
+                out.append((name, eps, parity))
+    return out
+
+
+def _state_and_grid(name, eps, parity):
+    """A freshly built state of the family (or extremal PIV slot) with its default grid."""
+    if name in EXTREMAL:
+        family, which = name.split(":")
+        return extremal_piv_solution(family, int(which), eps, parity).g, default_x_grid()
+    sol = family_solution(name, eps, parity)
+    if name in PIV_FAMILY_NAMES:
+        return sol.g, default_x_grid()
+    return sol.w, default_z_grid()
+
+
+def _assert_same(jet, fresh):
+    """Equal masks, and equal entries to the bit wherever the point is not masked."""
+    assert jet.order == fresh.order
+    np.testing.assert_array_equal(jet.mask, fresh.mask)
+    keep = ~fresh.mask
+    np.testing.assert_array_equal(jet.block[:, keep].view(np.int64),
+                                  fresh.block[:, keep].view(np.int64))
+
+
+@pytest.mark.parametrize("name, eps, parity", _cases())
+def test_served_orders_equal_fresh_builds(name, eps, parity):
+    state, grid = _state_and_grid(name, eps, parity)
+    for order in (5, 2, 0, 3):
+        fresh, _ = _state_and_grid(name, eps, parity)
+        _assert_same(on_grid(state, grid, order), on_grid(fresh, grid, order))
+
+
+def test_degenerate_seeds_mask_points():
+    # the cases above include masked points, so masks are compared, not just entries
+    for name, seeds in DEGENERATE.items():
+        for eps, parity in seeds:
+            state, grid = _state_and_grid(name, eps, parity)
+            assert on_grid(state, grid, 2).mask.any(), (name, eps, parity)
+
+
+def test_a_node_runs_once_per_grid_at_its_highest_order():
+    runs = []
+
+    def body(x, order):
+        runs.append(order)
+        return jet_var(x, max(order, 1)).truncate(order)
+
+    node = grid_memo(body)
+    a, b = np.array(linear_grid(0.2, 4.0, 30)), np.array(linear_grid(0.3, 5.0, 30))
+    for order in (5, 2, 0, 3):
+        assert node(a, order).order == order
+    assert runs == [5]
+    node(a, 6)  # a higher order computes fresh and is held instead
+    node(a, 4)
+    assert runs == [5, 6]
+    node(b, 2)
+    node(a, 2)  # one entry per node: grid b replaced grid a
+    assert runs == [5, 6, 2, 2]
+    node(1.5, 2)  # points pass straight through
+    node(1.5, 2)
+    assert runs == [5, 6, 2, 2, 2, 2]
+
+
+def test_grid_a_then_b_then_a_returns_a_result():
+    state = closed_piv_solution("G2", 1.3, ODD).g
+    a, b = default_x_grid(), linear_grid(0.3, 5.5, 40)
+    first = on_grid(state, a, 3)
+    for grid, expected in ((b, None), (a, first)):
+        fresh = on_grid(closed_piv_solution("G2", 1.3, ODD).g, grid, 3)
+        jet = on_grid(state, grid, 3)
+        _assert_same(jet, fresh)
+        if expected is not None:
+            _assert_same(jet, expected)
+
+
+def test_point_calls_at_zero_still_raise():
+    seed = SeedSpec(1.3, ODD)
+    states = [
+        ladder_state(Direction.RAISE, seed_state(seed)),
+        aplus_state(FirstOrderTransform(seed), seed_state(SeedSpec(0.5, EVEN))),
+        closed_piv_solution("G1", 1.3, ODD).g,
+        extremal_piv_solution("H1", 1, 1.3, ODD).g,
+    ]
+    for state in states:
+        on_grid(state, default_x_grid(), 2)  # a held grid jet changes nothing for points
+        with pytest.raises(DomainError):
+            state(0.0, 2)
+
+
+def test_held_blocks_and_masks_refuse_writes():
+    state = family_solution("pv2a", 1.3, ODD).w
+    grid = np.array(default_z_grid())
+    for jet in (state(grid, 3), state(grid, 1)):  # the held jet, then a truncation of it
+        with pytest.raises(ValueError):
+            jet.block[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            jet.mask[0] = True
+
+
+def test_transform_sub_states_are_built_once():
+    t = SecondOrderTransform.reduced_step1(SeedSpec(1.3, ODD))
+    assert t.u1_state() is t.u1_state()
+    assert t.u2_state() is t.u2_state()
+    t1 = FirstOrderTransform(SeedSpec(1.3, ODD))
+    grid = np.array(default_x_grid())
+    assert np.shares_memory(wronskian(t, grid, 2).block, wronskian(t, grid, 1).block)
+    assert np.shares_memory(superpotential_alpha(t1, grid, 2).block,
+                            superpotential_alpha(t1, grid, 0).block)

@@ -104,19 +104,18 @@ def _piv_map_state(map_: PIVMap, sol: PIVSolution) -> State:
     g = sol.g
 
     def out(x: float, order: int) -> Jet:
-        K = max(order, 1)
-        G = g(x, K + 1)
-        gk = G.truncate(K)
+        G = g(x, order + 1)
+        gk = G.truncate(order)
         gp = G.deriv()
-        xj = jet_var(x, K)
+        xj = jet_var(x, order)
         if map_.kind is PIVMapKind.WTILDE_PLUS:
             num = gp - gk * gk - 2.0 * (xj * gk) - s
-            return (num / (2.0 * gk)).truncate(order)
+            return num / (2.0 * gk)
         if map_.kind is PIVMapKind.WDAGGER_PLUS:
             den = gp + s + 2.0 * (xj * gk) + gk * gk
-            return (gk + (2.0 * (1.0 - a - 0.5 * s)) * (gk / den)).truncate(order)
+            return gk + (2.0 * (1.0 - a - 0.5 * s)) * (gk / den)
         den = gp - s - 2.0 * (xj * gk) - gk * gk
-        return (gk + (2.0 * (1.0 + a + 0.5 * s)) * (gk / den)).truncate(order)
+        return gk + (2.0 * (1.0 + a + 0.5 * s)) * (gk / den)
 
     return grid_memo(out)
 
@@ -401,11 +400,10 @@ def _pv_map_state(map_: PVMap, sol: PVSolution) -> State:
     k1, k2, k3 = map_.triple
 
     def out(z: float, order: int) -> Jet:
-        K = max(order, 1)
-        W = sol.w(z, K + 1)
-        wk = W.truncate(K)
+        W = sol.w(z, order + 1)
+        wk = W.truncate(order)
         wp = W.deriv()
-        zj = jet_var(z, K)
+        zj = jet_var(z, order)
         f1 = (
             zj * wp
             - (k1 * ra) * (wk * wk)
@@ -413,7 +411,7 @@ def _pv_map_state(map_: PVMap, sol: PVSolution) -> State:
             + (k3 * rd) * (zj * wk)
             + k2 * rb
         )
-        return (1.0 - (2.0 * k3 * rd) * (zj * wk) / f1).truncate(order)
+        return 1.0 - (2.0 * k3 * rd) * (zj * wk) / f1
 
     return grid_memo(out)
 

@@ -22,14 +22,15 @@ keyed by the bytes of the grid's y array and of its mask, then by (p, q).
 Jets of one seed at orders K and K+1, the seed's rows p+m, and the
 numerator and denominator of a Kummer ratio all read one ladder of rows,
 so each row is summed once per grid and later calls sum only the rows they
-lack.  Each element of a row takes the same IEEE steps whatever else is
-summed beside it, so cached and fresh rows agree to the bit.  Rows are
-read-only arrays shared by every caller.  A grid keeps at most _GRID_ROWS
-rows, the oldest dropped first, and the tables of _GRIDS grids are held in
-an lru_cache, so `cache_clear` empties them with the package's other caches.
-The seed-jet cache in `oscillator` stays on top: it also saves the jet
-arithmetic (products with the Gaussian, composition with x^2), not just the
-series.  The one-point path (`kummer`) is not cached.
+lack.  It is the package's only series cache: a seed node in `oscillator`
+holds one grid at one order, and the table serves the rows it sums again
+when it is asked one order higher or on a grid it held before.  Each
+element of a row takes the same IEEE steps whatever else is summed beside
+it, so cached and fresh rows agree to the bit.  Rows are read-only arrays
+shared by every caller.  A grid keeps at most _GRID_ROWS rows, the oldest
+dropped first, and the tables of _GRIDS grids are held in an lru_cache, so
+`cache_clear` empties them with the package's other caches.  The one-point
+path (`kummer`) is not cached.
 """
 
 from __future__ import annotations

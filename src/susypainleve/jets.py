@@ -37,7 +37,8 @@ differs from math.exp by one ulp on about 5% of arguments.
 Jets are immutable: no operation mutates its operands or their arrays, so
 jets can be cached and shared.  `grid_memo` makes a state a node that holds
 the jet of its last grid at the highest order asked and serves lower orders
-by truncation (held mask included: masked entries stay unspecified).
+by truncation (held mask included: masked entries stay unspecified).  A
+state body computes at the order it is asked, 0 (values alone) included.
 """
 
 from __future__ import annotations
@@ -247,13 +248,13 @@ def jet_const(c: float, order: int) -> Jet:
 
 
 def jet_var(x0, order: int) -> Jet:
-    """Jet of the identity x -> x at x0 (a point or a grid array); requires order >= 1."""
-    if order < 1:
-        raise ValueError("jet_var needs order >= 1")
+    """Jet of the identity x -> x at x0 (a point or a grid array); order 0 is the value alone."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
     if not isinstance(x0, np.ndarray):
-        return Jet((float(x0), 1.0) + (0.0,) * (order - 1))
+        return Jet(((float(x0), 1.0) + (0.0,) * order)[: order + 1])
     block = np.zeros((order + 1, x0.size))
-    block[0], block[1] = x0, 1.0
+    block[0], block[1:2] = x0, 1.0
     return Jet(block, np.zeros(x0.size, bool))
 
 

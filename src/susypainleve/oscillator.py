@@ -10,9 +10,10 @@ Every state here is *unnormalized*: all downstream formulas consume
 logarithmic derivatives or Wronskian ratios, so overall constants cancel.
 States are represented uniformly as jet-valued functions f(x, order) -> Jet,
 which keeps operator application (ladder, intertwiners) purely algebraic;
-x is a point or a whole grid array (see `jets`).  Derived states (ladders,
-intertwiners, maps) are `jets.grid_memo` nodes, evaluated once per grid at
-the highest order asked; seeds come from one LRU shared by all states.
+x is a point or a whole grid array (see `jets`).  Every state (seeds,
+ladders, intertwiners, maps) is a `jets.grid_memo` node, evaluated once per
+grid at the highest order asked; `seed_state` interns one node per seed, so
+all solutions built on a seed share its jets.
 """
 
 from __future__ import annotations
@@ -103,65 +104,56 @@ def seed_u_jet(spec: SeedSpec, xjet: Jet) -> Jet:
     return gaussian_jet(xjet) * kummer_jet(params, xjet)
 
 
-# State nodes hold their own grid jets; this LRU serves seeds that states of
-# different solutions share (a catalog source and its target, chi0 and psi0
-# across operations) and seeds asked for at several orders.  A 400-point grid
-# jet of order 7 takes about 26 kB, so the bound keeps the cache under 7 MB.
-SEED_CACHE_SIZE = 256
+# Seeds are the states that solutions share (a catalog source and its target,
+# chi0 and psi0 across operations), so each spec has one node: seed_state
+# interns it.  Those shares are a few specs apart, and a node holds one grid
+# jet (about 26 kB for 400 points at order 7), so 64 nodes hold under 2 MB.
+SEED_CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=SEED_CACHE_SIZE)
-def _seed_jet_cached(eps: float, parity: Parity, x: float | bytes, order: int) -> Jet:
-    """Seed jet at a point x, or on a grid when x holds the grid's float64 bytes.
+def seed_state(spec: SeedSpec) -> State:
+    """The seed's node: one per spec, evaluated once per grid at the highest order asked.
 
-    A grid jet masks the points outside (0, X_MAX], where seed_u raises for
-    a point, and its arrays are read-only: every caller shares them.
+    A grid jet masks the points outside (0, X_MAX], where a point raises DomainError.
     """
-    if isinstance(x, bytes):
-        xs = np.frombuffer(x)
-        xjet = Jet(jet_var(xs, max(order, 1)).block, ~((xs > 0.0) & (xs <= X_MAX)))
-    else:
-        xjet = jet_var(x, max(order, 1))
-    jet = seed_u_jet(SeedSpec(eps, parity), xjet).truncate(order)
-    jet.block.flags.writeable = False
-    if jet.mask is not None:
-        jet.mask.flags.writeable = False
-    return jet
+
+    def u(x, order: int) -> Jet:
+        if isinstance(x, np.ndarray):
+            xjet = Jet(jet_var(x, order).block, ~((x > 0.0) & (x <= X_MAX)))
+        else:
+            _check_x(x)
+            xjet = jet_var(x, order)
+        return seed_u_jet(spec, xjet)
+
+    return grid_memo(u)
 
 
 def seed_u(spec: SeedSpec, x, order: int = DEFAULT_JET_ORDER) -> Jet:
     """Seed jet at a point x > 0, or on a grid array of points."""
-    if isinstance(x, np.ndarray):
-        key = np.ascontiguousarray(x, dtype=float).tobytes()
-        return _seed_jet_cached(spec.epsilon, spec.parity, key, order)
-    _check_x(x)
-    return _seed_jet_cached(spec.epsilon, spec.parity, x, order)
+    return seed_state(spec)(x, order)
 
 
-def seed_state(spec: SeedSpec) -> State:
-    return lambda x, order: seed_u(spec, x, order)
+def psi_state(n: int) -> State:
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return seed_state(SeedSpec(2 * n + 1.5, Parity.ODD))
+
+
+def chi_state(n: int) -> State:
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return seed_state(SeedSpec(2 * n + 0.5, Parity.EVEN))
 
 
 def eigenfunction_psi(n: int, x, order: int = DEFAULT_JET_ORDER) -> Jet:
     """Physical eigenfunction psi_n at E_n = 2n + 3/2 (the odd seed there)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return seed_u(SeedSpec(2 * n + 1.5, Parity.ODD), x, order)
+    return psi_state(n)(x, order)
 
 
 def formal_chi(n: int, x, order: int = DEFAULT_JET_ORDER) -> Jet:
     """Formal even solution chi_n at 2n + 1/2; finite at x = 0, so no boundary zero."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return seed_u(SeedSpec(2 * n + 0.5, Parity.EVEN), x, order)
-
-
-def psi_state(n: int) -> State:
-    return lambda x, order: eigenfunction_psi(n, x, order)
-
-
-def chi_state(n: int) -> State:
-    return lambda x, order: formal_chi(n, x, order)
+    return chi_state(n)(x, order)
 
 
 class Direction(enum.Enum):
@@ -177,7 +169,7 @@ def ladder(direction: Direction, f: State, x: float, order: int = DEFAULT_JET_OR
     parity.
     """
     F = f(x, order + 1)
-    xj = jet_var(x, max(order, 1)).truncate(order)
+    xj = jet_var(x, order)
     sign = -1.0 if direction is Direction.RAISE else 1.0
     return (sign * F.deriv() + xj * F.truncate(order)) * (1.0 / _SQRT2)
 

@@ -107,9 +107,8 @@ def piv_from_extremal(
     a, b = piv_parameters(triplet[which], *rest)
 
     def g(x: float, order: int) -> Jet:
-        K = max(order, 1)
-        F = phi.state(x, K + 1)
-        return (-jet_var(x, K) - log_derivative(F)).truncate(order)
+        F = phi.state(x, order + 1)
+        return -jet_var(x, order) - log_derivative(F)
 
     return PIVSolution(grid_memo(g), a, b, provenance=f"extremal[{phi.label}]")
 
@@ -140,10 +139,9 @@ def _g1_state(epsilon: float, parity: Parity) -> State:
         coef = 1.0 - (2.0 / 3.0) * epsilon
 
         def g(x: float, order: int) -> Jet:
-            K = max(order, 1)
-            xj = jet_var(x, K)
+            xj = jet_var(x, order)
             ratio = kummer_jet(num, xj) / kummer_jet(den, xj)
-            return (1.0 / xj - 2.0 * xj + coef * (xj * ratio)).truncate(order)
+            return 1.0 / xj - 2.0 * xj + coef * (xj * ratio)
 
         return grid_memo(g)
 
@@ -152,10 +150,9 @@ def _g1_state(epsilon: float, parity: Parity) -> State:
     coef = 1.0 - 2.0 * epsilon
 
     def g(x: float, order: int) -> Jet:
-        K = max(order, 1)
-        xj = jet_var(x, K)
+        xj = jet_var(x, order)
         ratio = kummer_jet(num, xj) / kummer_jet(den, xj)
-        return (-2.0 * xj + coef * (xj * ratio)).truncate(order)
+        return -2.0 * xj + coef * (xj * ratio)
 
     return grid_memo(g)
 
@@ -164,13 +161,12 @@ def _g2_state(epsilon: float, parity: Parity) -> State:
     g1 = _g1_state(epsilon, parity)
 
     def g(x: float, order: int) -> Jet:
-        K = max(order, 1)
-        xj = jet_var(x, K)
-        G1 = g1(x, K)
+        xj = jet_var(x, order)
+        G1 = g1(x, order)
         t = G1 + xj
         num = xj + (2.0 * epsilon - xj * xj) * t + t**3
         den = xj * xj - (2.0 * epsilon + 1.0) - t * t
-        return (-G1 - 2.0 * xj - 2.0 * (num / den)).truncate(order)
+        return -G1 - 2.0 * xj - 2.0 * (num / den)
 
     return grid_memo(g)
 
@@ -184,10 +180,9 @@ def _g3_state(epsilon: float, parity: Parity) -> State:
     g1 = _g1_state(epsilon, parity)
 
     def g(x: float, order: int) -> Jet:
-        K = max(order, 1)
-        G1 = g1(x, K + 1)
-        xj = jet_var(x, K)
-        return (-(G1.deriv() + 2.0) / (G1.truncate(K) + 2.0 * xj)).truncate(order)
+        G1 = g1(x, order + 1)
+        xj = jet_var(x, order)
+        return -(G1.deriv() + 2.0) / (G1.truncate(order) + 2.0 * xj)
 
     return grid_memo(g)
 
@@ -201,11 +196,10 @@ def _G1_state(eps1: float, parity: Parity, al: State | None = None) -> State:
     al = al or _alpha_state(eps1, parity)
 
     def g(x: float, order: int) -> Jet:
-        K = max(order, 1)
-        xj = jet_var(x, K)
-        a = al(x, K)
+        xj = jet_var(x, order)
+        a = al(x, order)
         den = xj * xj + (1.0 - 2.0 * eps1) - a * a
-        return (-xj - a + 2.0 * ((xj + a) / den)).truncate(order)
+        return -xj - a + 2.0 * ((xj + a) / den)
 
     return grid_memo(g)
 
@@ -215,12 +209,11 @@ def _G2_state(eps1: float, parity: Parity) -> State:
     G1 = _G1_state(eps1, parity, al)
 
     def g(x: float, order: int) -> Jet:
-        K = max(order, 1)
-        xj = jet_var(x, K)
-        a = al(x, K)
-        G = G1(x, K)
+        xj = jet_var(x, order)
+        a = al(x, order)
+        G = G1(x, order)
         num = 2.0 * (a * a) - 2.0 * (xj * xj) + 2.0 * (2.0 * eps1 + 1.0)
-        return (G + num / (a - G - xj)).truncate(order)
+        return G + num / (a - G - xj)
 
     return grid_memo(g)
 
@@ -230,14 +223,13 @@ def _G3_state(eps1: float, parity: Parity) -> State:
     G1 = _G1_state(eps1, parity, al)
 
     def g(x: float, order: int) -> Jet:
-        K = max(order, 1)
-        xj = jet_var(x, K)
-        a = al(x, K)
-        G = G1(x, K)
+        xj = jet_var(x, order)
+        a = al(x, order)
+        G = G1(x, order)
         t = xj + a
         num = t * (G * G) + (2.0 * eps1 - 1.0 + t * t) * G + (2.0 * eps1 - 3.0) * t
         den = t * t + t * G + (2.0 * eps1 - 1.0)
-        return (num / den).truncate(order)
+        return num / den
 
     return grid_memo(g)
 
@@ -282,15 +274,14 @@ _REFERENCE_PREFACTOR = {"H1": -1, "H2": -2}
 
 def _pair_w_state(phi3: ExtremalState, phi4: ExtremalState, prefactor: int) -> State:
     def w(z: float, order: int) -> Jet:
-        K = max(order, 1)
-        X = jet_sqrt(jet_var(z, K) * 0.5)
+        X = jet_sqrt(jet_var(z, order) * 0.5)
         x0 = X.value
-        f3 = phi3.state(x0, K + 2)
-        f4 = phi4.state(x0, K + 2)
-        wr = f3.truncate(K + 1) * f4.deriv() - f3.deriv() * f4.truncate(K + 1)
-        g_x = float(prefactor) * jet_var(x0, K) - log_derivative(wr)
+        f3 = phi3.state(x0, order + 2)
+        f4 = phi4.state(x0, order + 2)
+        wr = f3.truncate(order + 1) * f4.deriv() - f3.deriv() * f4.truncate(order + 1)
+        g_x = float(prefactor) * jet_var(x0, order) - log_derivative(wr)
         g_z = jet_compose(g_x, X)
-        return (1.0 + (2.0 * X) / g_z).truncate(order)
+        return 1.0 + (2.0 * X) / g_z
 
     return grid_memo(w)
 
@@ -375,10 +366,9 @@ def _w1_state(case: str, epsilon: float, parity: Parity) -> State:
     e = epsilon
 
     def w(z: float, order: int) -> Jet:
-        K = max(order, 1)
-        zj = jet_var(z, K)
+        zj = jet_var(z, order)
         X = jet_sqrt(zj * 0.5)
-        al = jet_compose(superpotential_alpha(t1, X.value, K), X)
+        al = jet_compose(superpotential_alpha(t1, X.value, order), X)
         s = 2.0 * X  # sqrt(2z)
         if case == "a":
             num = 2.0 * s * (1.0 + 2.0 * e - zj + s * al)
@@ -406,7 +396,7 @@ def _w1_state(case: str, epsilon: float, parity: Parity) -> State:
             num = -4.0 * al + zj * s + 2.0 * (al * al - 1.0) * s + 4.0 * al * zj
             den = 4.0 * al - 2.0 * s * (al * al + 2.0 * e - 2.0) + zj * s
             out = -(num / den)
-        return out.truncate(order)
+        return out
 
     return grid_memo(w)
 
@@ -430,11 +420,10 @@ def _rational_state(num_coeffs: tuple[float, ...], den_coeffs: tuple[float, ...]
     """State of a rational function of z; coefficients ascending."""
 
     def w(z: float, order: int) -> Jet:
-        K = max(order, 1)
-        zj = jet_var(z, K)
+        zj = jet_var(z, order)
         num = sum((c * zj**i for i, c in enumerate(num_coeffs) if c), 0.0 * zj)
         den = sum((c * zj**i for i, c in enumerate(den_coeffs) if c), 0.0 * zj)
-        return (num / den).truncate(order)
+        return num / den
 
     return grid_memo(w)
 

@@ -44,7 +44,6 @@ from .oscillator import (
     ladder_state,
     psi_state,
     seed_state,
-    seed_u,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -67,8 +66,8 @@ class FirstOrderTransform:
 
     @cached_property
     def _alpha(self) -> State:  # the node of alpha = u'/u, shared by all A+ and A built on t
-        seed = self.seed  # the node must not hold the transform, which holds the node
-        return grid_memo(lambda x, order: log_derivative(seed_u(seed, x, order + 1)))
+        u = self.u_state()  # the node must not hold the transform, which holds the node
+        return grid_memo(lambda x, order: log_derivative(u(x, order + 1)))
 
 
 class Mode(enum.Enum):
@@ -105,26 +104,22 @@ class SecondOrderTransform:
         return cls(seed1, seed2, Mode.REDUCED_STEP2)
 
     def u1_state(self) -> State:
-        return self._u1
+        return seed_state(self.seed1)
 
     def u2_state(self) -> State:
         return self._u2
 
     @cached_property
-    def _u1(self) -> State:  # sub-states are built once: all states built on t share them
-        return seed_state(self.seed1)
-
-    @cached_property
-    def _u2(self) -> State:
+    def _u2(self) -> State:  # sub-states are built once: all states built on t share them
         if self.mode is Mode.REDUCED_STEP1:
-            return ladder_state(Direction.LOWER, self._u1)
+            return ladder_state(Direction.LOWER, self.u1_state())
         if self.mode is Mode.REDUCED_STEP2:
-            return ladder_state(Direction.LOWER, ladder_state(Direction.LOWER, self._u1))
+            return ladder_state(Direction.LOWER, ladder_state(Direction.LOWER, self.u1_state()))
         return seed_state(self.seed2)
 
     @cached_property
     def _w(self) -> State:  # the Wronskian node
-        return grid_memo(partial(_wronskian_jet, self._u1, self._u2))
+        return grid_memo(partial(_wronskian_jet, self.u1_state(), self._u2))
 
 
 @dataclass(frozen=True)
@@ -211,7 +206,7 @@ def apply_bplus(t: SecondOrderTransform, f: State, x: float, order: int = DEFAUL
     lw = _log_wronskian_jet(t, x, order + 1)  # (ln W)' at order+1
     lw1 = lw.truncate(order)
     lw2 = lw.deriv()
-    xj = jet_var(x, max(order, 1)).truncate(order)
+    xj = jet_var(x, order)
     eps_sum = t.seed1.epsilon + t.seed2.epsilon
     gamma = 0.5 * (lw2 + lw1 * lw1) - xj * xj + jet_const(eps_sum, order)
     return (F.deriv(2) - lw1 * F.deriv().truncate(order) + gamma * F.truncate(order)) * 0.5

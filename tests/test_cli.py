@@ -10,7 +10,8 @@ PKG_ROOT = Path(__file__).resolve().parents[1]
 
 def run_cli(*args, expect: int = 0):
     cmd = [sys.executable, "-m", "susypainleve", *args]
-    env = {"PYTHONPATH": str(PKG_ROOT / "src"), "PATH": "/usr/bin:/bin"}
+    env = {"PYTHONPATH": str(PKG_ROOT / "src"), "PATH": "/usr/bin:/bin",
+           "PYTHONDONTWRITEBYTECODE": "1"}
     cp = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=600)
     assert cp.returncode == expect, (cp.returncode, cp.stdout[-500:], cp.stderr[-500:])
     return cp

@@ -5,16 +5,14 @@ floats the same state gives when called with that point alone, and its mask
 must mark exactly the points where the point call raises JetError.
 """
 
-import importlib
 import math
-import pkgutil
 import random
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-import susypainleve
+from package_caches import clear_package_caches
 from susypainleve import hyp1f1
 from susypainleve.backlund import (
     CATALOG,
@@ -212,18 +210,6 @@ def test_lockstep_kummer_against_mpmath():
 
 
 # -- the per-grid row table ---------------------------------------------------------
-
-
-def clear_package_caches():
-    """cache_clear() on every module-level cache of the package, as the benchmark does per pass."""
-    modules = [susypainleve] + [
-        importlib.import_module(info.name)
-        for info in pkgutil.walk_packages(susypainleve.__path__, "susypainleve.")
-    ]
-    for module in modules:
-        for value in vars(module).values():
-            if callable(getattr(value, "cache_clear", None)):
-                value.cache_clear()
 
 
 # 40 points; the last five are masked, as a seed masks points outside its domain

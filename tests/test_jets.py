@@ -28,8 +28,9 @@ def test_const_and_var():
     assert jet_var(2.0, 3).d == (2.0, 1.0, 0.0, 0.0)
     assert jet_var(0.0, 1).d == (0.0, 1.0)
     assert jet_var(0.5, 4).d == (0.5, 1.0, 0.0, 0.0, 0.0)
+    assert jet_var(1.0, 0).d == (1.0,)
     with pytest.raises(ValueError):
-        jet_var(1.0, 0)
+        jet_var(1.0, -1)
 
 
 def test_mul_examples():

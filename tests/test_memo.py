@@ -3,13 +3,18 @@
 A node holds the jet of the last grid at the highest order asked and serves
 lower orders by truncation.  Whatever order sequence a node sees, its mask
 and its unmasked entries must equal those of a freshly built state asked
-once at that order; entries at masked points mean nothing.
+once at that order; entries at masked points mean nothing.  Seeds are nodes
+that `seed_state` interns, so a fresh build is made only after the package
+caches are emptied: otherwise it would share the warm seed nodes.
 """
 
 import numpy as np
 import pytest
 
-from susypainleve.config import default_x_grid, default_z_grid, linear_grid
+from package_caches import clear_package_caches
+from susypainleve import oscillator
+from susypainleve.backlund import catalog_family_solution
+from susypainleve.config import X_MAX, default_x_grid, default_z_grid, linear_grid
 from susypainleve.jets import DomainError, grid_memo, jet_var, on_grid
 from susypainleve.oscillator import Direction, Parity, SeedSpec, ladder_state, seed_state
 from susypainleve.painleve import (
@@ -56,7 +61,7 @@ def _cases():
 
 
 def _state_and_grid(name, eps, parity):
-    """A freshly built state of the family (or extremal PIV slot) with its default grid."""
+    """A state of the family (or extremal PIV slot) with its default grid; fresh on cold caches."""
     if name in EXTREMAL:
         family, which = name.split(":")
         return extremal_piv_solution(family, int(which), eps, parity).g, default_x_grid()
@@ -79,8 +84,10 @@ def _assert_same(jet, fresh):
 def test_served_orders_equal_fresh_builds(name, eps, parity):
     state, grid = _state_and_grid(name, eps, parity)
     for order in (5, 2, 0, 3):
+        jet = on_grid(state, grid, order)
+        clear_package_caches()
         fresh, _ = _state_and_grid(name, eps, parity)
-        _assert_same(on_grid(state, grid, order), on_grid(fresh, grid, order))
+        _assert_same(jet, on_grid(fresh, grid, order))
 
 
 def test_degenerate_seeds_mask_points():
@@ -96,7 +103,7 @@ def test_a_node_runs_once_per_grid_at_its_highest_order():
 
     def body(x, order):
         runs.append(order)
-        return jet_var(x, max(order, 1)).truncate(order)
+        return jet_var(x, order)
 
     node = grid_memo(body)
     a, b = np.array(linear_grid(0.2, 4.0, 30)), np.array(linear_grid(0.3, 5.0, 30))
@@ -119,8 +126,9 @@ def test_grid_a_then_b_then_a_returns_a_result():
     a, b = default_x_grid(), linear_grid(0.3, 5.5, 40)
     first = on_grid(state, a, 3)
     for grid, expected in ((b, None), (a, first)):
-        fresh = on_grid(closed_piv_solution("G2", 1.3, ODD).g, grid, 3)
         jet = on_grid(state, grid, 3)
+        clear_package_caches()
+        fresh = on_grid(closed_piv_solution("G2", 1.3, ODD).g, grid, 3)
         _assert_same(jet, fresh)
         if expected is not None:
             _assert_same(jet, expected)
@@ -159,3 +167,51 @@ def test_transform_sub_states_are_built_once():
     assert np.shares_memory(wronskian(t, grid, 2).block, wronskian(t, grid, 1).block)
     assert np.shares_memory(superpotential_alpha(t1, grid, 2).block,
                             superpotential_alpha(t1, grid, 0).block)
+
+
+# -- seed nodes -------------------------------------------------------------------
+
+
+def test_seed_state_interns_one_node_per_spec():
+    spec = SeedSpec(1.3, ODD)
+    assert seed_state(spec) is seed_state(spec)
+    assert seed_state(spec) is seed_state(SeedSpec(1.3, ODD))
+    assert seed_state(spec) is not seed_state(SeedSpec(1.3, EVEN))
+
+
+def test_a_catalog_source_and_target_run_their_shared_seed_once_per_grid(monkeypatch):
+    clear_package_caches()
+    spec = SeedSpec(1.3, ODD)
+    runs = []
+    body = oscillator.seed_u_jet
+
+    def counted(s, xjet):
+        runs.append((s, xjet.order, xjet.value.tobytes()))
+        return body(s, xjet)
+
+    monkeypatch.setattr(oscillator, "seed_u_jet", counted)
+    grid = default_z_grid()
+    source = catalog_family_solution("w1a", 1.3, ODD)
+    target = catalog_family_solution("w1b", 1.3, ODD)
+    on_grid(source.w, grid, 3)
+    on_grid(target.w, grid, 3)
+    assert [order for s, order, _ in runs if s == spec] == [4]  # alpha asks u at order + 1
+    on_grid(source.w, linear_grid(0.5, 20.0, 30), 3)
+    assert len({key for s, _, key in runs if s == spec}) == 2  # a new grid runs it again
+
+
+def test_seed_grids_mask_points_outside_the_domain_where_points_raise():
+    u = seed_state(SeedSpec(1.3, ODD))
+    jet = u(np.array([0.0, 1.0, X_MAX, 6.5]), 2)
+    np.testing.assert_array_equal(jet.mask, [True, False, False, True])
+    for x in (0.0, 6.5):
+        with pytest.raises(DomainError):
+            u(x, 2)
+
+
+def test_clearing_the_package_caches_builds_new_seed_nodes():
+    spec = SeedSpec(1.3, ODD)
+    node = seed_state(spec)
+    clear_package_caches()
+    assert seed_state(spec) is not node
+    assert seed_state(spec) is seed_state(spec)

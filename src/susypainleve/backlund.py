@@ -117,7 +117,7 @@ def _piv_map_state(map_: PIVMap, sol: PIVSolution) -> State:
         den = gp - s - 2.0 * (xj * gk) - gk * gk
         return gk + (2.0 * (1.0 + a + 0.5 * s)) * (gk / den)
 
-    return grid_memo(out)
+    return grid_memo(out, (g, 1))
 
 
 @dataclass
@@ -413,7 +413,7 @@ def _pv_map_state(map_: PVMap, sol: PVSolution) -> State:
         )
         return 1.0 - (2.0 * k3 * rd) * (zj * wk) / f1
 
-    return grid_memo(out)
+    return grid_memo(out, (sol.w, 1))
 
 
 def _pv_transform(map_: PVMap, sol: PVSolution, grid: Sequence[float]) -> BTResult:

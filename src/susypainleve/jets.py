@@ -35,10 +35,27 @@ log and sqrt of the value row go through `math` per element: np.exp
 differs from math.exp by one ulp on about 5% of arguments.
 
 Jets are immutable: no operation mutates its operands or their arrays, so
-jets can be cached and shared.  `grid_memo` makes a state a node that holds
-the jet of its last grid at the highest order asked and serves lower orders
-by truncation (held mask included: masked entries stay unspecified).  A
-state body computes at the order it is asked, 0 (values alone) included.
+jets can be cached and shared.  A state body computes at the order it is
+asked, 0 (values alone) included.
+
+Nodes.  `grid_memo(body, (child, offset), ...)` makes a state a node: it
+holds the jet of its last grid (keyed by the grid's float64 bytes,
+read-only) and serves any order up to the held one by truncation, held mask
+included (masked entries stay unspecified).  Each (child, offset) pair
+declares that the body asks `child` at order + offset, so the nodes form a
+graph with order offsets on its edges.  `on_grid` is the top-level entry:
+before it evaluates, a demand pass walks the graph from the root and raises
+every reachable node's `need` to the highest order + offset any consumer
+asks.  A node asked above what it holds then
+evaluates once at max(order, need) and serves all its consumers by
+truncation, so within one call each node runs at most once per grid, at
+the highest order asked (Griewank & Walther, *Evaluating Derivatives*,
+chs. 6 and 13).  Needs are reset when the call ends, so no later call or
+direct node call inherits them.  A child that is not declared, or a plain
+callable, is evaluated at the orders it is asked: that may run a node twice,
+which costs time, never correctness: entry k of every kernel's result reads
+entries 0..k alone, so a jet evaluated at a higher order truncates to the
+bits of one evaluated at the lower order.
 """
 
 from __future__ import annotations
@@ -348,38 +365,68 @@ def jet_compose(outer: Jet, inner: Jet) -> Jet:
     return Jet(comp * t.fact, _join(outer.mask, inner.mask))
 
 
-def grid_memo(state):
-    """The state as a node, evaluated once per grid at the highest order asked.
+class GridNode:
+    """A state that holds the jet of its last grid; see the module docstring, Nodes."""
 
-    On the held grid (same float64 bytes) a call at or below the held order
-    truncates the held jet; other grid calls evaluate and hold, read-only.
-    """
-    held: list = [None, None]  # grid bytes, jet
+    __slots__ = ("body", "deps", "key", "jet", "need")
 
-    def node(x, order: int) -> Jet:
+    def __init__(self, body, deps) -> None:
+        self.body, self.deps = body, deps
+        self.key = self.jet = None
+        self.need = -1  # the demand of the on_grid call in progress; -1 outside one
+
+    def __call__(self, x, order: int) -> Jet:
         if not isinstance(x, np.ndarray):
-            return state(x, order)
+            return self.body(x, order)
         key = np.ascontiguousarray(x, dtype=float).tobytes()
-        if held[0] == key and order <= held[1].order:
-            return held[1].truncate(order)
-        jet = state(x, order)
+        if self.key == key and order <= self.jet.order:
+            return self.jet.truncate(order)
+        top = max(order, self.need)
+        jet = self.body(x, top)
         jet.block.flags.writeable = False
         if jet.mask is not None:
             jet.mask.flags.writeable = False
-        held[:] = key, jet
-        return jet
+        self.key, self.jet = key, jet
+        return jet if top == order else jet.truncate(order)
 
-    return node
+
+def grid_memo(state, *deps) -> GridNode:
+    """The state as a node whose body asks each (child, offset) of deps at order + offset."""
+    return GridNode(state, deps)
+
+
+def _demand(root, order: int) -> list[GridNode]:
+    """Raise the need of every node reachable from root to the highest order asked of it.
+
+    Returns the nodes reached, whose needs the caller resets when its call ends.
+    """
+    reached, work = [], [(root, order)]
+    while work:
+        node, need = work.pop()
+        if not isinstance(node, GridNode) or node.need >= need:
+            continue
+        if node.need < 0:
+            reached.append(node)
+        node.need = need
+        work.extend((child, need + offset) for child, offset in node.deps)
+    return reached
 
 
 def on_grid(state, grid, order: int) -> Jet:
-    """Evaluate a state once on a grid; a JetError of no one point (order mismatch) masks all."""
+    """Evaluate a state once on a grid; a JetError of no one point (order mismatch) masks all.
+
+    A demand pass first tells every node below the state the order to evaluate at.
+    """
     x = np.asarray(grid, dtype=float)
-    with np.errstate(all="ignore"):  # masked points may overflow or divide by zero
-        try:
+    reached = _demand(state, order)
+    try:
+        with np.errstate(all="ignore"):  # masked points may overflow or divide by zero
             jet = state(x, order)
-        except JetError:
-            return Jet(np.full((order + 1, x.size), math.nan), np.ones(x.size, bool))
+    except JetError:
+        return Jet(np.full((order + 1, x.size), math.nan), np.ones(x.size, bool))
+    finally:
+        for node in reached:
+            node.need = -1
     if jet.mask is not None:
         return jet
     return Jet(np.broadcast_to(jet.block, (len(jet.block), x.size)), np.zeros(x.size, bool))

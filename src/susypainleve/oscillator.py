@@ -175,7 +175,7 @@ def ladder(direction: Direction, f: State, x: float, order: int = DEFAULT_JET_OR
 
 
 def ladder_state(direction: Direction, f: State) -> State:
-    return grid_memo(lambda x, order: ladder(direction, f, x, order))
+    return grid_memo(lambda x, order: ladder(direction, f, x, order), (f, 1))
 
 
 def schrodinger_residual(f: State, epsilon: float, x: float) -> float:

@@ -32,6 +32,7 @@ Constructors never run the verifier.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Literal
 
 from .hyp1f1 import KummerParams, kummer_jet
@@ -110,7 +111,7 @@ def piv_from_extremal(
         F = phi.state(x, order + 1)
         return -jet_var(x, order) - log_derivative(F)
 
-    return PIVSolution(grid_memo(g), a, b, provenance=f"extremal[{phi.label}]")
+    return PIVSolution(grid_memo(g, (phi.state, 1)), a, b, provenance=f"extremal[{phi.label}]")
 
 
 def extremal_piv_solution(
@@ -131,7 +132,15 @@ def extremal_piv_solution(
 
 # -- PIV: tabulated closed forms ----------------------------------------------------
 
+# A Backlund chain builds the closed forms of one seed link after link; g2
+# and g3 are built on g1, and the G-states on alpha and G1.  Those sub-states
+# are interned per seed, so every link of a chain reads the same jets.  A
+# chain asks one seed at a time, and each held node keeps a grid jet (up to
+# 400 points), so the caches stay small.
+SUB_STATE_CACHE_SIZE = 2
 
+
+@lru_cache(maxsize=SUB_STATE_CACHE_SIZE)
 def _g1_state(epsilon: float, parity: Parity) -> State:
     if parity is Parity.ODD:
         num = KummerParams((7.0 - 2.0 * epsilon) / 4.0, 2.5)
@@ -168,7 +177,7 @@ def _g2_state(epsilon: float, parity: Parity) -> State:
         den = xj * xj - (2.0 * epsilon + 1.0) - t * t
         return -G1 - 2.0 * xj - 2.0 * (num / den)
 
-    return grid_memo(g)
+    return grid_memo(g, (g1, 0))
 
 
 def _g3_state(epsilon: float, parity: Parity) -> State:
@@ -184,16 +193,17 @@ def _g3_state(epsilon: float, parity: Parity) -> State:
         xj = jet_var(x, order)
         return -(G1.deriv() + 2.0) / (G1.truncate(order) + 2.0 * xj)
 
-    return grid_memo(g)
+    return grid_memo(g, (g1, 1))
 
 
+@lru_cache(maxsize=SUB_STATE_CACHE_SIZE)
 def _alpha_state(epsilon: float, parity: Parity) -> State:
-    t = FirstOrderTransform(SeedSpec(epsilon, parity))  # alpha is a node of t
-    return lambda x, order: superpotential_alpha(t, x, order)
+    return FirstOrderTransform(SeedSpec(epsilon, parity))._alpha
 
 
-def _G1_state(eps1: float, parity: Parity, al: State | None = None) -> State:
-    al = al or _alpha_state(eps1, parity)
+@lru_cache(maxsize=SUB_STATE_CACHE_SIZE)
+def _G1_state(eps1: float, parity: Parity) -> State:
+    al = _alpha_state(eps1, parity)
 
     def g(x: float, order: int) -> Jet:
         xj = jet_var(x, order)
@@ -201,12 +211,12 @@ def _G1_state(eps1: float, parity: Parity, al: State | None = None) -> State:
         den = xj * xj + (1.0 - 2.0 * eps1) - a * a
         return -xj - a + 2.0 * ((xj + a) / den)
 
-    return grid_memo(g)
+    return grid_memo(g, (al, 0))
 
 
 def _G2_state(eps1: float, parity: Parity) -> State:
     al = _alpha_state(eps1, parity)
-    G1 = _G1_state(eps1, parity, al)
+    G1 = _G1_state(eps1, parity)
 
     def g(x: float, order: int) -> Jet:
         xj = jet_var(x, order)
@@ -215,12 +225,12 @@ def _G2_state(eps1: float, parity: Parity) -> State:
         num = 2.0 * (a * a) - 2.0 * (xj * xj) + 2.0 * (2.0 * eps1 + 1.0)
         return G + num / (a - G - xj)
 
-    return grid_memo(g)
+    return grid_memo(g, (al, 0), (G1, 0))
 
 
 def _G3_state(eps1: float, parity: Parity) -> State:
     al = _alpha_state(eps1, parity)
-    G1 = _G1_state(eps1, parity, al)
+    G1 = _G1_state(eps1, parity)
 
     def g(x: float, order: int) -> Jet:
         xj = jet_var(x, order)
@@ -231,7 +241,7 @@ def _G3_state(eps1: float, parity: Parity) -> State:
         den = t * t + t * G + (2.0 * eps1 - 1.0)
         return num / den
 
-    return grid_memo(g)
+    return grid_memo(g, (al, 0), (G1, 0))
 
 
 _PIV_CLOSED: dict[str, tuple[Callable[[float, Parity], State], Callable[[float], tuple[float, float]]]] = {
@@ -283,7 +293,7 @@ def _pair_w_state(phi3: ExtremalState, phi4: ExtremalState, prefactor: int) -> S
         g_z = jet_compose(g_x, X)
         return 1.0 + (2.0 * X) / g_z
 
-    return grid_memo(w)
+    return grid_memo(w, (phi3.state, 2), (phi4.state, 2))
 
 
 def pv_from_pair(
@@ -398,7 +408,7 @@ def _w1_state(case: str, epsilon: float, parity: Parity) -> State:
             out = -(num / den)
         return out
 
-    return grid_memo(w)
+    return grid_memo(w, (t1._alpha, 0))
 
 
 def closed_pv_solution(case: str, epsilon: float, parity: Parity) -> PVSolution:

@@ -67,7 +67,7 @@ class FirstOrderTransform:
     @cached_property
     def _alpha(self) -> State:  # the node of alpha = u'/u, shared by all A+ and A built on t
         u = self.u_state()  # the node must not hold the transform, which holds the node
-        return grid_memo(lambda x, order: log_derivative(u(x, order + 1)))
+        return grid_memo(lambda x, order: log_derivative(u(x, order + 1)), (u, 1))
 
 
 class Mode(enum.Enum):
@@ -119,7 +119,8 @@ class SecondOrderTransform:
 
     @cached_property
     def _w(self) -> State:  # the Wronskian node
-        return grid_memo(partial(_wronskian_jet, self.u1_state(), self._u2))
+        u1, u2 = self.u1_state(), self._u2
+        return grid_memo(partial(_wronskian_jet, u1, u2), (u1, 1), (u2, 1))
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ def apply_aplus(t: FirstOrderTransform, f: State, x: float, order: int = DEFAULT
 
 
 def aplus_state(t: FirstOrderTransform, f: State) -> State:
-    return grid_memo(lambda x, order: apply_aplus(t, f, x, order))
+    return grid_memo(lambda x, order: apply_aplus(t, f, x, order), (f, 1), (t._alpha, 0))
 
 
 def apply_a(t: FirstOrderTransform, f: State, x: float, order: int = DEFAULT_JET_ORDER) -> Jet:
@@ -164,7 +165,7 @@ def apply_a(t: FirstOrderTransform, f: State, x: float, order: int = DEFAULT_JET
 
 
 def a_state(t: FirstOrderTransform, f: State) -> State:
-    return grid_memo(lambda x, order: apply_a(t, f, x, order))
+    return grid_memo(lambda x, order: apply_a(t, f, x, order), (f, 1), (t._alpha, 0))
 
 
 def apply_lminus(t: FirstOrderTransform, f: State, x: float, order: int = DEFAULT_JET_ORDER) -> Jet:
@@ -213,7 +214,7 @@ def apply_bplus(t: SecondOrderTransform, f: State, x: float, order: int = DEFAUL
 
 
 def bplus_state(t: SecondOrderTransform, f: State) -> State:
-    return grid_memo(lambda x, order: apply_bplus(t, f, x, order))
+    return grid_memo(lambda x, order: apply_bplus(t, f, x, order), (f, 2), (t._w, 2))
 
 
 # -- admissibility ------------------------------------------------------------
@@ -279,11 +280,11 @@ class Target(enum.Enum):
 
 
 def _inverse_state(f: State) -> State:
-    return grid_memo(lambda x, order: 1.0 / f(x, order))
+    return grid_memo(lambda x, order: 1.0 / f(x, order), (f, 0))
 
 
 def _ratio_state(num: State, den: State) -> State:
-    return grid_memo(lambda x, order: num(x, order) / den(x, order))
+    return grid_memo(lambda x, order: num(x, order) / den(x, order), (num, 0), (den, 0))
 
 
 def extremal_states(target: Target, t) -> list[ExtremalState]:

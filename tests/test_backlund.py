@@ -274,13 +274,13 @@ def test_check_catalog_row_runs_the_image_body_once(monkeypatch):
     body_runs = []
     memo = backlund.grid_memo
 
-    def counting_memo(body):
+    def counting_memo(body, *deps):
         def counted(z, order):
             if isinstance(z, np.ndarray):
                 body_runs.append(order)
             return body(z, order)
 
-        return memo(counted)
+        return memo(counted, *deps)
 
     monkeypatch.setattr(backlund, "grid_memo", counting_memo)
     row = next(r for r in CATALOG if (r.source, r.target, r.k) == ("w1c", "w2a", (1, -1, 1)))

@@ -6,16 +6,30 @@ and its unmasked entries must equal those of a freshly built state asked
 once at that order; entries at masked points mean nothing.  Seeds are nodes
 that `seed_state` interns, so a fresh build is made only after the package
 caches are emptied: otherwise it would share the warm seed nodes.
+
+The demand pass of `on_grid` gives each node the highest order any of its
+consumers asks, through the (child, offset) pairs the node declares; the
+counting tests below pin those offsets to what the bodies really ask.
 """
+
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from package_caches import clear_package_caches
 from susypainleve import oscillator
-from susypainleve.backlund import catalog_family_solution
+from susypainleve.backlund import (
+    CATALOG,
+    PIVMapKind,
+    PVMap,
+    RootBranch,
+    _compose_maps,
+    _pv_map_state,
+    catalog_family_solution,
+)
 from susypainleve.config import X_MAX, default_x_grid, default_z_grid, linear_grid
-from susypainleve.jets import DomainError, grid_memo, jet_var, on_grid
+from susypainleve.jets import DomainError, GridNode, grid_memo, jet_var, on_grid
 from susypainleve.oscillator import Direction, Parity, SeedSpec, ladder_state, seed_state
 from susypainleve.painleve import (
     PIV_FAMILY_NAMES,
@@ -23,10 +37,12 @@ from susypainleve.painleve import (
     PV_DERIVED_H1_NAMES,
     PV_DERIVED_H2_NAMES,
     PV_RATIONAL_NAMES,
+    PVSolution,
     closed_piv_solution,
     extremal_piv_solution,
     family_solution,
 )
+from susypainleve.residual import GridDegenerateError, verify_on_grid
 from susypainleve.susy import (
     FirstOrderTransform,
     SecondOrderTransform,
@@ -215,3 +231,158 @@ def test_clearing_the_package_caches_builds_new_seed_nodes():
     clear_package_caches()
     assert seed_state(spec) is not node
     assert seed_state(spec) is seed_state(spec)
+
+
+# -- demand-driven evaluation -------------------------------------------------------
+
+
+@pytest.fixture
+def node_calls(monkeypatch):
+    """Record every grid call of every node: the orders asked and the orders its body ran at.
+
+    Returns (asks, runs, needs): asks and runs map (node, grid bytes) to lists of
+    orders; needs maps a node to the need the demand pass gave it (-1: none).
+    """
+    asks, runs, needs = defaultdict(list), defaultdict(list), {}
+    call = GridNode.__call__
+
+    def recorded(node, x, order):
+        if not isinstance(x, np.ndarray):
+            return call(node, x, order)
+        key = (node, x.tobytes())
+        asks[key].append(order)
+        needs[node] = node.need
+        held = node.jet
+        out = call(node, x, order)
+        if node.jet is not held:  # the body ran and its jet is held now
+            runs[key].append(node.jet.order)
+        return out
+
+    monkeypatch.setattr(GridNode, "__call__", recorded)
+    return asks, runs, needs
+
+
+def _verify_states():
+    """(label, kind, solution builder, grid): every CLI family at two cells, the extremal
+    PIV slots, the image of a catalog row and two Backlund chain links."""
+    out = []
+    for name in FAMILIES + EXTREMAL:
+        cells = SEEDS[:1] if name in PV_RATIONAL_NAMES else SEEDS[:2]
+        for eps, parity in cells:
+            if name in EXTREMAL or name in PIV_FAMILY_NAMES:
+                kind, grid = "piv", default_x_grid()
+            else:
+                kind, grid = "pv", default_z_grid()
+
+            def build(name=name, eps=eps, parity=parity):
+                if name in EXTREMAL:
+                    family, which = name.split(":")
+                    return extremal_piv_solution(family, int(which), eps, parity)
+                return family_solution(name, eps, parity)
+
+            out.append((f"{name} {eps} {parity.value}", kind, build, grid))
+
+    def row_image():  # w1c -> w2a, k = (1, -1, 1), checked with the target's parameters
+        row = next(r for r in CATALOG if (r.source, r.target, r.k) == ("w1c", "w2a", (1, -1, 1)))
+        source = catalog_family_solution(row.source, 1.0, ODD)
+        target = catalog_family_solution(row.target, 1.0, ODD)
+        return PVSolution(_pv_map_state(PVMap(*row.k), source), target.a, target.b, target.c)
+
+    def chain_link(source, kinds):
+        def build():
+            branches = (RootBranch.PRINCIPAL,) * len(kinds)
+            return _compose_maps(kinds, branches, closed_piv_solution(source, 0.7, ODD))
+        return build
+
+    out.append(("catalog row w1c -> w2a", "pv", row_image, default_z_grid()))
+    out.append(("chain link g1 -> g2", "piv",
+                chain_link("g1", (PIVMapKind.WDAGGER_PLUS, PIVMapKind.WDDAG_PLUS)),
+                default_x_grid()))
+    out.append(("chain link G3 -> G2", "piv", chain_link("G3", (PIVMapKind.WDDAG_PLUS,)),
+                default_x_grid()))
+    return out
+
+
+VERIFY_STATES = _verify_states()
+
+
+@pytest.mark.parametrize("label, kind, build, grid", VERIFY_STATES,
+                         ids=[case[0] for case in VERIFY_STATES])
+def test_one_verify_runs_each_node_once_per_grid_at_its_highest_order(
+    node_calls, label, kind, build, grid
+):
+    asks, runs, needs = node_calls
+    clear_package_caches()
+    sol = build()
+    try:
+        verify_on_grid(kind, sol, grid=grid)
+    except GridDegenerateError:
+        pass  # the node counts are what is checked here
+    assert asks
+    # each node body ran once per grid, at the highest order its consumers asked there
+    assert dict(runs) == {key: [max(orders)] for key, orders in asks.items()}
+    # the demand pass reached every node asked, with exactly that order: the
+    # declared offsets are the ones the bodies ask, neither more nor less
+    highest = defaultdict(int)
+    for (node, _), orders in asks.items():
+        highest[node] = max(highest[node], *orders)
+    assert {node: needs[node] for node in highest} == highest
+
+
+def test_demand_reaches_a_shared_child_once_and_ignores_stale_needs():
+    """A diamond: left asks `shared` at +1, right asks it at +3 (both declared);
+    left and right also ask `loose` at +0 and +2 without declaring it."""
+    runs = defaultdict(list)
+
+    def build(memo):
+        def counted(name, body):
+            def run(x, order):
+                runs[name, memo].append(order)
+                return body(x, order)
+            return run
+
+        def shared_body(x, order):  # a pole at x = 1, masked on a grid
+            return 1.0 / (jet_var(x, order) - 1.0)
+
+        shared = memo(counted("shared", shared_body))
+        loose = memo(counted("loose", lambda x, order: jet_var(x, order) * jet_var(x, order)))
+        left = memo(counted("left", lambda x, order: shared(x, order + 1).deriv()
+                            + loose(x, order)), (shared, 1))
+        right = memo(counted("right", lambda x, order: shared(x, order + 3).deriv(3)
+                             * loose(x, order + 2).truncate(order)), (shared, 3))
+        top = memo(counted("top", lambda x, order: left(x, order) * right(x, order)),
+                   (left, 0), (right, 0))
+        return top, left, shared
+
+    def plain(body, *deps):
+        return body
+
+    grid_a = np.array(linear_grid(0.5, 3.0, 26))  # holds x = 1.0
+    grid_b = np.array(linear_grid(0.6, 2.2, 17))
+    top, left, shared = build(grid_memo)
+    reference, _, _ = build(plain)
+    for order in (2, 5, 0, 3):
+        jet, want = on_grid(top, grid_a, order), on_grid(reference, grid_a, order)
+        assert jet.mask.any()
+        _assert_same(jet, want)
+    assert runs["shared", grid_memo] == [5, 8]  # once per call that asked above what it held
+    assert runs["loose", grid_memo] == [2, 4, 5, 7]  # undeclared: it runs twice per such call
+
+    # the needs of the calls on grid a (8 at most for `shared`) do not carry over to grid b
+    del runs["shared", grid_memo][:]
+    on_grid(lambda x, order: left(x, order), grid_b, 0)  # a plain root declares nothing
+    assert runs["shared", grid_memo] == [1]
+    on_grid(left, grid_b, 2)  # a need of 3 for `shared`, which runs at 3
+    left(grid_a[:5], 0)  # outside any on_grid call that need is stale too
+    assert runs["shared", grid_memo] == [1, 3, 1]
+
+
+def test_closed_forms_of_one_seed_share_g1_alpha_and_G1():
+    g1, g2, g3, G1, G2, G3 = (closed_piv_solution(name, 1.3, ODD).g for name in PIV_FAMILY_NAMES)
+    assert g2.deps == ((g1, 0),) and g3.deps == ((g1, 1),)
+    alpha = G1.deps[0][0]
+    assert G2.deps == G3.deps == ((alpha, 0), (G1, 0))
+    assert alpha.deps == ((seed_state(SeedSpec(1.3, ODD)), 1),)
+    assert closed_piv_solution("G1", 1.3, EVEN).g is not G1
+    clear_package_caches()
+    assert closed_piv_solution("g1", 1.3, ODD).g is not g1

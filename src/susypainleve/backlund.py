@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLERANCE, VALUE_GUARD, default_x_grid, default_z_grid
-from .jets import Jet, grid_memo, jet_var, on_grid
+from .jets import Jet, demand, grid_memo, jet_var, on_grid
 from .oscillator import Parity, SeedSpec, State
 from .painleve import (
     DegenerateClosedFormError,
@@ -276,64 +276,89 @@ def bt_piv_chain(
     branches are searched and the successful combination recorded.  Links
     whose construction or comparison collapses (identically vanishing
     denominators, all-pole grids) are flagged degenerate, not failed.
+
+    All five links' solutions are built first, then verified in one demand
+    block: the branch search asks each target at order 0, and the winner's
+    parameter inference asks the image at order 2, so its source through
+    len(kinds) maps, each one order up.  One link's target is the next
+    link's source node, so each closed form and the nodes below it run once
+    on the grid; only the map images run twice (order 0, then 2 for the
+    winner).
     """
     if grid is None:
         grid = default_x_grid()
     eps, parity = seed.epsilon, seed.parity
-    results: list[BTResult] = []
+    links: list[BTResult | tuple] = []  # a refused link's result, or what _verify_link takes
     for src_name, kinds, tgt_name in CHAIN_LINKS:
         try:
             source = closed_piv_solution(src_name, eps, parity)
             target = closed_piv_solution(tgt_name, eps, parity)
         except DegenerateClosedFormError as exc:
-            results.append(BTResult(
+            links.append(BTResult(
                 None, (), None, passed=False, degenerate=True,
                 source=src_name, target=tgt_name, notes=[str(exc)],
             ))
             continue
+        links.append((src_name, kinds, tgt_name, source, target))
+    built = [link for link in links if isinstance(link, tuple)]
+    roots = [(source.g, 2 + len(kinds)) for _, kinds, _, source, _ in built]
+    roots += [(target.g, 0) for *_, target in built]
+    with demand(*roots):
+        return [link if isinstance(link, BTResult) else _verify_link(*link, grid, tol)
+                for link in links]
 
-        best = _best_branch_match(kinds, source, target, grid, tol, src_name, tgt_name)
-        if (best is None or not best.passed) and len(kinds) > 1:
-            # Multi-map link whose literal composition is singular: the first
-            # map's denominator vanishes identically on this family (its own
-            # first-order identity), so its function action degenerates while
-            # its parameter action is a fixed point.  Apply the composite
-            # form instead: parameter action of every map (both root branches
-            # searched), function action of the remaining ones.
-            head, tail = kinds[0], kinds[1:]
-            for head_branch in (RootBranch.PRINCIPAL, RootBranch.NEGATIVE):
-                a1, b1 = piv_map_params(PIVMap(head, head_branch), source.a, source.b)
-                reduced = PIVSolution(source.g, a1, b1, provenance=source.provenance)
-                fallback = _best_branch_match(tail, reduced, target, grid, tol, src_name, tgt_name)
-                if fallback is None:
-                    continue
-                fallback.branches = (head_branch.value,) + fallback.branches
-                fallback.notes.append(
-                    f"{head.value} intermediate singular on this family; "
-                    "used the composite map (parameter action only)"
-                )
-                if fallback.passed:
-                    best = fallback
-                    break
-                if best is None or (best.max_deviation or math.inf) > (
-                    fallback.max_deviation or math.inf
-                ):
-                    best = fallback
-        if best is None:
-            best = BTResult(
-                None, (), None, passed=False, degenerate=True,
-                source=src_name, target=tgt_name,
-                notes=["all branch combinations degenerate"],
+
+def _verify_link(
+    src_name: str,
+    kinds: Sequence[PIVMapKind],
+    tgt_name: str,
+    source: PIVSolution,
+    target: PIVSolution,
+    grid: Sequence[float],
+    tol: float,
+) -> BTResult:
+    """One chain link: branch search, composite-map fallback, then parameter inference."""
+    best = _best_branch_match(kinds, source, target, grid, tol, src_name, tgt_name)
+    if (best is None or not best.passed) and len(kinds) > 1:
+        # Multi-map link whose literal composition is singular: the first
+        # map's denominator vanishes identically on this family (its own
+        # first-order identity), so its function action degenerates while
+        # its parameter action is a fixed point.  Apply the composite
+        # form instead: parameter action of every map (both root branches
+        # searched), function action of the remaining ones.
+        head, tail = kinds[0], kinds[1:]
+        for head_branch in (RootBranch.PRINCIPAL, RootBranch.NEGATIVE):
+            a1, b1 = piv_map_params(PIVMap(head, head_branch), source.a, source.b)
+            reduced = PIVSolution(source.g, a1, b1, provenance=source.provenance)
+            fallback = _best_branch_match(tail, reduced, target, grid, tol, src_name, tgt_name)
+            if fallback is None:
+                continue
+            fallback.branches = (head_branch.value,) + fallback.branches
+            fallback.notes.append(
+                f"{head.value} intermediate singular on this family; "
+                "used the composite map (parameter action only)"
             )
-        if best.transformed is not None and not best.degenerate:
-            try:
-                fit = infer_piv_params(best.transformed.g, samples=grid)
-                best.inferred = (fit.a, fit.b)
-                _note_param_winner(best)
-            except (SingularSystemError, GridDegenerateError):
-                best.notes.append("parameter inference degenerate")
-        results.append(best)
-    return results
+            if fallback.passed:
+                best = fallback
+                break
+            if best is None or (best.max_deviation or math.inf) > (
+                fallback.max_deviation or math.inf
+            ):
+                best = fallback
+    if best is None:
+        best = BTResult(
+            None, (), None, passed=False, degenerate=True,
+            source=src_name, target=tgt_name,
+            notes=["all branch combinations degenerate"],
+        )
+    if best.transformed is not None and not best.degenerate:
+        try:
+            fit = infer_piv_params(best.transformed.g, samples=grid)
+            best.inferred = (fit.a, fit.b)
+            _note_param_winner(best)
+        except (SingularSystemError, GridDegenerateError):
+            best.notes.append("parameter inference degenerate")
+    return best
 
 
 def _note_param_winner(link: BTResult) -> None:
@@ -560,31 +585,36 @@ def check_catalog_row(
     inference stays attached as a drift detector, but its conditioning
     depends on how much the solution varies over the grid).  The result
     records the tolerances applied: `tol` to the pointwise match and
-    `certificate_tol`, never below 1e-6, to the certificate.
+    `certificate_tol`, never below 1e-6, to the certificate.  The row's
+    calls run in one demand block, so a seed that the source and target
+    share, and every other node below them, runs once on the grid.
     """
     if grid is None:
         grid = default_z_grid()
     source = catalog_family_solution(row.source, epsilon, parity)
     target = catalog_family_solution(row.target, epsilon, parity)
-    result = _pv_transform(PVMap(*row.k), source, grid)
-    result.source = row.source
-    result.target = row.target
-    result.target_params = (target.a, target.b, target.c, target.d)
-    result.tol = tol
-    result.certificate_tol = max(tol, 1e-6)
-    try:
-        dev, n_valid, deviations = pointwise_deviation(
-            result.transformed.w, target.w, grid, per_point=True
-        )
-        certified = PVSolution(
-            result.transformed.w, target.a, target.b, target.c, target.d,
-            provenance=result.transformed.provenance + " @target-params",
-        )
-        target_report = verify_on_grid("pv", certified, grid=grid, tol=result.certificate_tol)
-    except GridDegenerateError:
-        result.degenerate = True
-        result.passed = False
-        return result
+    # inference and the certificate ask the image at order 2, so the source
+    # at 3; the pointwise match asks the target at 0
+    with demand((source.w, 3), (target.w, 0)):
+        result = _pv_transform(PVMap(*row.k), source, grid)
+        result.source = row.source
+        result.target = row.target
+        result.target_params = (target.a, target.b, target.c, target.d)
+        result.tol = tol
+        result.certificate_tol = max(tol, 1e-6)
+        try:
+            dev, n_valid, deviations = pointwise_deviation(
+                result.transformed.w, target.w, grid, per_point=True
+            )
+            certified = PVSolution(
+                result.transformed.w, target.a, target.b, target.c, target.d,
+                provenance=result.transformed.provenance + " @target-params",
+            )
+            target_report = verify_on_grid("pv", certified, grid=grid, tol=result.certificate_tol)
+        except GridDegenerateError:
+            result.degenerate = True
+            result.passed = False
+            return result
     result.max_deviation = dev
     result.n_valid = n_valid
     # Parameter certificate: wrong parameters push the residual to O(0.1) at

@@ -43,24 +43,29 @@ holds the jet of its last grid (keyed by the grid's float64 bytes,
 read-only) and serves any order up to the held one by truncation, held mask
 included (masked entries stay unspecified).  Each (child, offset) pair
 declares that the body asks `child` at order + offset, so the nodes form a
-graph with order offsets on its edges.  `on_grid` is the top-level entry:
-before it evaluates, a demand pass walks the graph from the root and raises
+graph with order offsets on its edges.  `demand((state, order), ...)` is a
+block: on entry a demand pass walks the graph from each root and raises
 every reachable node's `need` to the highest order + offset any consumer
-asks.  A node asked above what it holds then
-evaluates once at max(order, need) and serves all its consumers by
-truncation, so within one call each node runs at most once per grid, at
-the highest order asked (Griewank & Walther, *Evaluating Derivatives*,
-chs. 6 and 13).  Needs are reset when the call ends, so no later call or
-direct node call inherits them.  A child that is not declared, or a plain
-callable, is evaluated at the orders it is asked: that may run a node twice,
-which costs time, never correctness: entry k of every kernel's result reads
-entries 0..k alone, so a jet evaluated at a higher order truncates to the
-bits of one evaluated at the lower order.
+asks.  A node asked above what it holds then evaluates once at
+max(order, need) and serves all its consumers by truncation, so within one
+block each node runs at most once per grid, at the highest order asked
+(Griewank & Walther, *Evaluating Derivatives*, chs. 6 and 13).  `on_grid`
+is the one-root case.  An op that makes several calls on one grid (a
+Backlund chain link, a catalog row) declares every order it will ask in one
+`demand` block around them.  On exit each need is restored to its value
+before the block, so an `on_grid` nested in an op's block keeps the op's
+needs, and no later call or direct node call inherits them.  A child that
+is not declared, or a plain callable, is evaluated at the orders it is
+asked: that may run a node twice, which costs time, never correctness:
+entry k of every kernel's result reads entries 0..k alone, so a jet
+evaluated at a higher order truncates to the bits of one evaluated at the
+lower order.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -373,7 +378,7 @@ class GridNode:
     def __init__(self, body, deps) -> None:
         self.body, self.deps = body, deps
         self.key = self.jet = None
-        self.need = -1  # the demand of the on_grid call in progress; -1 outside one
+        self.need = -1  # the demand of the blocks in progress; -1 outside any
 
     def __call__(self, x, order: int) -> Jet:
         if not isinstance(x, np.ndarray):
@@ -395,38 +400,55 @@ def grid_memo(state, *deps) -> GridNode:
     return GridNode(state, deps)
 
 
-def _demand(root, order: int) -> list[GridNode]:
+def _demand(root, order: int, raised: list) -> None:
     """Raise the need of every node reachable from root to the highest order asked of it.
 
-    Returns the nodes reached, whose needs the caller resets when its call ends.
+    Appends (node, need before) to `raised` at every raise, so that undoing
+    them in reverse order restores every need.
     """
-    reached, work = [], [(root, order)]
+    work = [(root, order)]
     while work:
         node, need = work.pop()
         if not isinstance(node, GridNode) or node.need >= need:
             continue
-        if node.need < 0:
-            reached.append(node)
+        raised.append((node, node.need))
         node.need = need
         work.extend((child, need + offset) for child, offset in node.deps)
-    return reached
+
+
+@contextmanager
+def demand(*roots):
+    """Hold the demand of every (state, order) root until the block exits.
+
+    An op that makes several calls on one grid declares up front every order
+    it will ask, so each node below the roots runs once per grid in the
+    block.  On exit each need goes back to what it was before, so a block
+    nested in another (an `on_grid` call in an op's block) keeps the outer
+    demand.
+    """
+    raised: list = []
+    try:
+        for state, order in roots:
+            _demand(state, order, raised)
+        yield
+    finally:
+        for node, need in reversed(raised):
+            node.need = need
 
 
 def on_grid(state, grid, order: int) -> Jet:
     """Evaluate a state once on a grid; a JetError of no one point (order mismatch) masks all.
 
-    A demand pass first tells every node below the state the order to evaluate at.
+    The state is the one root of a demand block, which tells every node below
+    it the order to evaluate at.
     """
     x = np.asarray(grid, dtype=float)
-    reached = _demand(state, order)
-    try:
-        with np.errstate(all="ignore"):  # masked points may overflow or divide by zero
-            jet = state(x, order)
-    except JetError:
-        return Jet(np.full((order + 1, x.size), math.nan), np.ones(x.size, bool))
-    finally:
-        for node in reached:
-            node.need = -1
+    with demand((state, order)):
+        try:
+            with np.errstate(all="ignore"):  # masked points may overflow or divide by zero
+                jet = state(x, order)
+        except JetError:
+            return Jet(np.full((order + 1, x.size), math.nan), np.ones(x.size, bool))
     if jet.mask is not None:
         return jet
     return Jet(np.broadcast_to(jet.block, (len(jet.block), x.size)), np.zeros(x.size, bool))

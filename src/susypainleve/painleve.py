@@ -133,10 +133,11 @@ def extremal_piv_solution(
 # -- PIV: tabulated closed forms ----------------------------------------------------
 
 # A Backlund chain builds the closed forms of one seed link after link; g2
-# and g3 are built on g1, and the G-states on alpha and G1.  Those sub-states
-# are interned per seed, so every link of a chain reads the same jets.  A
-# chain asks one seed at a time, and each held node keeps a grid jet (up to
-# 400 points), so the caches stay small.
+# and g3 are built on g1, and the G-states on alpha and G1.  All six closed
+# forms and alpha are interned per seed, so every link of a chain reads the
+# same jets, and one link's target is the next link's source node.  A chain
+# asks one seed at a time, and each held node keeps a grid jet (up to 400
+# points), so the caches stay small.
 SUB_STATE_CACHE_SIZE = 2
 
 
@@ -166,6 +167,7 @@ def _g1_state(epsilon: float, parity: Parity) -> State:
     return grid_memo(g)
 
 
+@lru_cache(maxsize=SUB_STATE_CACHE_SIZE)
 def _g2_state(epsilon: float, parity: Parity) -> State:
     g1 = _g1_state(epsilon, parity)
 
@@ -180,6 +182,7 @@ def _g2_state(epsilon: float, parity: Parity) -> State:
     return grid_memo(g, (g1, 0))
 
 
+@lru_cache(maxsize=SUB_STATE_CACHE_SIZE)
 def _g3_state(epsilon: float, parity: Parity) -> State:
     if parity is Parity.EVEN and epsilon == 0.5:
         # g1 = -2x makes numerator and denominator vanish identically.
@@ -214,6 +217,7 @@ def _G1_state(eps1: float, parity: Parity) -> State:
     return grid_memo(g, (al, 0))
 
 
+@lru_cache(maxsize=SUB_STATE_CACHE_SIZE)
 def _G2_state(eps1: float, parity: Parity) -> State:
     al = _alpha_state(eps1, parity)
     G1 = _G1_state(eps1, parity)
@@ -228,6 +232,7 @@ def _G2_state(eps1: float, parity: Parity) -> State:
     return grid_memo(g, (al, 0), (G1, 0))
 
 
+@lru_cache(maxsize=SUB_STATE_CACHE_SIZE)
 def _G3_state(eps1: float, parity: Parity) -> State:
     al = _alpha_state(eps1, parity)
     G1 = _G1_state(eps1, parity)

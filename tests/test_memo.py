@@ -9,7 +9,9 @@ caches are emptied: otherwise it would share the warm seed nodes.
 
 The demand pass of `on_grid` gives each node the highest order any of its
 consumers asks, through the (child, offset) pairs the node declares; the
-counting tests below pin those offsets to what the bodies really ask.
+counting tests below pin those offsets to what the bodies really ask.  A
+Backlund chain or catalog row declares every order it will ask in one
+`demand` block, and the Backlund tests at the end count node runs per op.
 """
 
 from collections import defaultdict
@@ -26,10 +28,12 @@ from susypainleve.backlund import (
     RootBranch,
     _compose_maps,
     _pv_map_state,
+    bt_piv_chain,
     catalog_family_solution,
+    check_catalog_row,
 )
 from susypainleve.config import X_MAX, default_x_grid, default_z_grid, linear_grid
-from susypainleve.jets import DomainError, GridNode, grid_memo, jet_var, on_grid
+from susypainleve.jets import DomainError, GridNode, demand, grid_memo, jet_var, on_grid
 from susypainleve.oscillator import Direction, Parity, SeedSpec, ladder_state, seed_state
 from susypainleve.painleve import (
     PIV_FAMILY_NAMES,
@@ -386,3 +390,126 @@ def test_closed_forms_of_one_seed_share_g1_alpha_and_G1():
     assert closed_piv_solution("G1", 1.3, EVEN).g is not G1
     clear_package_caches()
     assert closed_piv_solution("g1", 1.3, ODD).g is not g1
+
+
+def _row(source, target, k):
+    return next(r for r in CATALOG if (r.source, r.target, r.k) == (source, target, k))
+
+
+BACKLUND_OPS = {
+    # the first link of this chain takes the composite-map fallback
+    "chain 0.7 odd": lambda: bt_piv_chain(SeedSpec(0.7, ODD)),
+    # g3 is refused at build here, so two links are degenerate before any evaluation
+    "chain 0.5 even": lambda: bt_piv_chain(SeedSpec(0.5, EVEN)),
+    "row w1c -> w2a": lambda: [check_catalog_row(_row("w1c", "w2a", (1, -1, 1)), 1.0, ODD)],
+}
+
+
+@pytest.mark.parametrize("op", BACKLUND_OPS)
+def test_one_backlund_op_runs_each_node_once_per_grid(node_calls, op):
+    asks, runs, _ = node_calls
+    clear_package_caches()
+    results = BACKLUND_OPS[op]()
+    notes = [note for result in results for note in result.notes]
+    if op == "chain 0.7 odd":
+        assert any("composite map" in note for note in notes)
+    if op == "chain 0.5 even":
+        assert any("g3 is 0/0" in note for note in notes)
+    assert runs
+    for (node, _), orders in runs.items():
+        body = getattr(node.body, "__qualname__", repr(node.body))
+        if body == "_piv_map_state.<locals>.out":
+            # a branch image is compared at order 0, and only the winner is
+            # fitted at order 2: its map nodes may run once more
+            assert len(orders) <= 2 and orders == sorted(orders), orders
+        else:
+            assert len(orders) == 1, (body, orders)
+
+
+def _diamond(memo, counted):
+    """top -> left, right; left asks `shared` at +1, right at +3 (a pole at x = 1)."""
+    shared = memo(counted("shared", lambda x, order: 1.0 / (jet_var(x, order) - 1.0)))
+    left = memo(counted("left", lambda x, order: shared(x, order + 1).deriv()), (shared, 1))
+    right = memo(counted("right", lambda x, order: shared(x, order + 3).deriv(3)), (shared, 3))
+    top = memo(counted("top", lambda x, order: left(x, order) * right(x, order)),
+               (left, 0), (right, 0))
+    return top, left, right, shared
+
+
+def test_demand_blocks_nest_restore_needs_and_match_plain_states():
+    runs = defaultdict(list)
+
+    def counted(name, body):
+        def run(x, order):
+            runs[name].append(order)
+            return body(x, order)
+        return run
+
+    nodes = _diamond(grid_memo, counted)
+    top, left, right, shared = nodes
+    reference = _diamond(lambda body, *deps: body, lambda name, body: body)[0]
+    grid_a = np.array(linear_grid(0.5, 3.0, 26))  # holds x = 1.0
+    grid_b = np.array(linear_grid(0.6, 2.2, 17))
+
+    def needs():
+        return [node.need for node in nodes]
+
+    with demand((top, 2), (left, 5)):
+        assert needs() == [2, 5, 2, 6]
+        jet = on_grid(left, grid_a, 0)  # a nested block raises nothing here ...
+        assert needs() == [2, 5, 2, 6]  # ... and leaves the outer needs as they were
+        for order in (2, 0, 1):
+            jet = on_grid(top, grid_a, order)
+            assert jet.mask.any()
+            _assert_same(jet, on_grid(reference, grid_a, order))
+        on_grid(right, grid_a, 4)  # a nested block above the outer need ...
+        assert needs() == [2, 5, 2, 6]  # ... restores it on exit
+    assert runs["shared"] == [6, 7]  # once for the block, once for the order-4 ask
+    assert needs() == [-1] * 4
+
+    def boom(x, order):
+        raise RuntimeError("body failed")
+
+    failing = grid_memo(boom, (shared, 5))
+    with demand((top, 1)):
+        with pytest.raises(RuntimeError):
+            on_grid(failing, grid_a, 0)
+        assert needs() == [1, 1, 1, 4]
+    with pytest.raises(RuntimeError):
+        with demand((top, 2)):
+            failing(grid_a, 0)
+    assert needs() == [-1] * 4
+
+    # no need of the blocks on grid a reaches a later call on grid b
+    del runs["shared"][:]
+    on_grid(left, grid_b, 0)
+    assert runs["shared"] == [1]
+    _assert_same(on_grid(top, grid_b, 2), on_grid(reference, grid_b, 2))
+
+
+def _bt_fields(result):
+    """Every field of a BTResult, floats as hex; a solution by its parameters and provenance."""
+    def exact(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, (tuple, list)):
+            return [exact(v) for v in value]
+        return value
+
+    out = {name: exact(getattr(result, name)) for name in vars(result) if name != "transformed"}
+    sol = result.transformed
+    if sol is not None:
+        out["transformed"] = exact((sol.a, sol.b, sol.provenance))
+    return out
+
+
+def test_closed_forms_are_interned_and_a_warm_chain_equals_a_cold_one():
+    for name in PIV_FAMILY_NAMES:
+        assert closed_piv_solution(name, 1.3, ODD).g is closed_piv_solution(name, 1.3, ODD).g
+    for eps, parity in ((0.7, ODD), (-0.7, EVEN)):
+        clear_package_caches()
+        bt_piv_chain(SeedSpec(eps, parity))
+        warm = bt_piv_chain(SeedSpec(eps, parity))  # every closed-form node holds the grid
+        clear_package_caches()
+        cold = bt_piv_chain(SeedSpec(eps, parity))
+        assert [_bt_fields(link) for link in warm] == [_bt_fields(link) for link in cold]

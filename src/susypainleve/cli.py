@@ -105,11 +105,14 @@ def _parse_number(name: str, positive: bool = False):
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:  # a missing directory, a directory, no permission
+        raise UsageError(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
 
 
 def _solution(cfg: RunConfig):

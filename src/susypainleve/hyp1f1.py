@@ -14,8 +14,15 @@ differentiation:
 
 so every y-derivative is itself a certified series evaluation, and the
 composition with y = x^2 is exact jet algebra.  Along a grid, the K+1
-contiguity series of every point are summed together in one lockstep loop
-that repeats each series' scalar steps exactly.
+contiguity series of every point, for every params of one `kummer_jet`
+call (the numerator and denominator of a Kummer ratio go in one call), are
+summed together in one lockstep loop that repeats each series' scalar steps
+exactly.  The loop's cost is mostly fixed per pass and per block of terms,
+not per series: seven ufunc calls per term on the live series, and about
+thirty more per block for the ratios, the stopping rule and compaction.  So
+a g1 node, whose ratio asks K+2 distinct rows, pays for one pass, not two.
+The jet of y = x^2 depends on the grid alone, so `_square` holds it per
+grid (`jets.grid_factor`), as `oscillator` holds the seed prefactors.
 
 Row table.  A summed series over a grid (a row) is kept in a per-grid table,
 keyed by the bytes of the grid's y array and of its mask, then by (p, q).
@@ -29,8 +36,8 @@ element of a row takes the same IEEE steps whatever else is summed beside
 it, so cached and fresh rows agree to the bit.  Rows are read-only arrays
 shared by every caller.  A grid keeps at most _GRID_ROWS rows, the oldest
 dropped first, and the tables of _GRIDS grids are held in an lru_cache, so
-`cache_clear` empties them with the package's other caches.  The one-point
-path (`kummer`) is not cached.
+`cache_clear` empties them with the package's other caches, the grid
+factors' included.  The one-point path (`kummer`) is not cached.
 """
 
 from __future__ import annotations
@@ -42,11 +49,13 @@ from functools import lru_cache
 import numpy as np
 
 from .config import KUMMER_MAX_TERMS, KUMMER_Y_MAX
-from .jets import Jet, jet_compose, jet_mul
+from .jets import Jet, grid_factor, jet_compose, jet_mul
 
 
-# Series terms per block of the grid (lockstep) summation.
-_BLOCK = 8
+# Series terms per block of the grid (lockstep) summation, and the index n
+# of each term as a float column.
+_BLOCK = 16
+_STEPS = np.arange(KUMMER_MAX_TERMS, dtype=float)[:, None]
 
 # Row table: grids kept (an op list uses two, its x and its z grid), and rows
 # kept per grid, the oldest dropped first.  A 400-point row takes 3.2 kB.
@@ -146,54 +155,88 @@ def _kummer_lockstep(p: np.ndarray, q: np.ndarray, y: np.ndarray) -> np.ndarray:
     Every element takes the steps of `kummer` in the same order (term
     update, then Kahan update) and stops at the same n by the same rule, so
     its sum equals `kummer`'s to the bit.  The loop runs in blocks of
-    _BLOCK terms and applies the stopping rule to a whole block at once: an
-    element that stops inside a block takes the partial sum of its stopping
-    term and ignores the terms after it.  Finished elements leave the
-    working arrays between blocks.
+    _BLOCK terms, writing every step into buffers allocated once per call,
+    and applies the stopping rule to a whole block at once: an element that
+    stops inside a block takes the partial sum of its stopping term and
+    ignores the terms after it.  Finished elements leave the working arrays
+    between blocks.  Consecutive elements with equal (p, q), a row of the
+    row table, form a run, and a block's ratios (p+n)/(q+n) are computed
+    once per run.
     """
-    out = np.empty(y.shape)
-    at = np.arange(y.size)  # positions in `out` of the elements still summing
-    term = np.ones(y.shape)
-    comp = np.zeros(y.shape)
-    total = np.ones(y.shape)
-    small = np.zeros(y.shape, dtype=bool)  # was the last term below the quiet threshold?
-    n = 0
-    while at.size and n < KUMMER_MAX_TERMS:
-        b = min(_BLOCK, KUMMER_MAX_TERMS - n)
-        ns = np.arange(n, n + b, dtype=float)[:, None]
-        ratios = (p + ns) / (q + ns)
-        terms = np.empty((b, at.size))
-        totals = np.empty((b + 1, at.size))  # totals[k]: the sum before term n + k
-        totals[0] = total
-        for k in range(b):
-            term = np.multiply(term, ratios[k], out=terms[k])
-            np.multiply(term, y, out=term)
-            np.divide(term, n + k + 1, out=term)
-            t = term - comp
-            np.add(totals[k], t, out=totals[k + 1])
-            comp = totals[k + 1] - totals[k]
-            np.subtract(comp, t, out=comp)
-        zero = terms == 0.0
-        quiet = np.abs(terms) <= 1e-17 * np.abs(totals[1:])
-        settled = quiet.copy()  # two quiet terms in a row
-        settled[0] &= small
-        settled[1:] &= quiet[:-1]
-        stop = zero | settled
-        small = quiet[-1]
-        total = totals[-1]
+    size = y.size
+    out = np.empty(size)
+    if not size:
+        return out
+    starts = np.flatnonzero(np.r_[True, (p[1:] != p[:-1]) | (q[1:] != q[:-1])])
+    run_p, run_q = p[starts], q[starts]
+    run = np.repeat(np.arange(starts.size), np.diff(np.r_[starts, size]))
+    # one column per element still summing: y, term, Kahan compensation, total, index in out
+    live = np.empty((5, size))
+    live[0], live[1], live[2], live[3], live[4] = y, 1.0, 0.0, 1.0, np.arange(size)
+    small = np.zeros(size, dtype=bool)  # was the element's last term quiet?
+    B = _BLOCK
+    # buffers, each viewed as a C-contiguous (rows, live columns) block
+    work = np.empty((2, B * size))  # terms; ratios, then the quiet thresholds
+    sums = np.empty((B + 1) * size)  # sums[k]: the total before term n + k
+    flags = np.empty((3, B * size), dtype=bool)  # quiet, zero, stop
+    ranks = np.empty(B * size, dtype=np.uint8)  # so _BLOCK < 256
+    weights = np.arange(B, 0, -1, dtype=np.uint8)[:, None]  # slot k weighs B - k
+    t = np.empty(size)
+    n, m = 0, size
+    while m and n < KUMMER_MAX_TERMS:
+        b = min(B, KUMMER_MAX_TERMS - n)
+        bm = b * m
+        terms, scratch = (w[:bm].reshape(b, m) for w in work)
+        totals = sums[:bm + m].reshape(b + 1, m)
+        steps = _STEPS[n:n + b]
+        ratios = (run_p + steps) / (run_q + steps)  # (b, runs); one run broadcasts
+        if run_p.size > 1:  # mode "clip" writes to out unbuffered; run is in range
+            ratios = np.take(ratios, run, axis=1, out=scratch, mode="clip")
+        ys, term, comp, tm = live[0], live[1], live[2], t[:m]
+        totals[0] = live[3]
+        total = totals[0]
+        for k, (new, ratio, new_total) in enumerate(zip(terms, ratios, totals[1:]), n + 1):
+            np.multiply(term, ratio, new)
+            np.multiply(new, ys, new)
+            np.divide(new, float(k), new)
+            term = new
+            np.subtract(term, comp, tm)
+            np.add(total, tm, new_total)
+            np.subtract(new_total, total, comp)
+            np.subtract(comp, tm, comp)
+            total = new_total
         n += b
-        ended = stop.any(axis=0)
-        if ended.any():
-            cols = np.flatnonzero(ended)
-            first = stop.argmax(axis=0)[cols]
-            # a zero term ends the sum before it is added
-            out[at[cols]] = totals[first + 1 - zero[first, cols], cols]
-            going = ~ended
-            at, p, q, y = at[going], p[going], q[going], y[going]
-            term, comp, total, small = term[going], comp[going], total[going], small[going]
-    if at.size:
+        live[1], live[3] = term, total
+        # a zero term stops, and so does the second of two quiet terms in a row
+        quiet, zero, stop = (f[:bm].reshape(b, m) for f in flags)
+        np.equal(terms, 0.0, zero)
+        np.abs(terms, terms)
+        np.abs(totals[1:], scratch)
+        np.multiply(scratch, 1e-17, scratch)
+        np.less_equal(terms, scratch, quiet)
+        np.logical_and(quiet[1:], quiet[:-1], stop[1:])
+        np.logical_and(quiet[0], small, stop[0])
+        np.logical_or(stop, zero, stop)
+        rank = ranks[:bm].reshape(b, m)
+        np.multiply(stop.view(np.uint8), weights[:b], rank)
+        top = rank.max(axis=0)  # B - the slot of the first stop, 0 where none
+        small = quiet[-1]
+        ended = np.flatnonzero(top)
+        if ended.size:
+            # flat position of the stopping slot, then of its sum: a zero term
+            # ends the sum before it is added
+            at = (B - top[ended]).astype(np.intp) * m + ended
+            at += m * ~flags[1, at]
+            out[live[4, ended].astype(np.intp)] = sums[at]
+            going = np.flatnonzero(top == 0)
+            live, run, small = live.take(going, axis=1), run[going], small[going]
+            m = going.size
+        else:
+            small = small.copy()
+    if m:
+        i = int(live[4, 0])
         raise KummerConvergenceError(
-            f"1F1({float(p[0])}; {float(q[0])}; {float(y[0])}) did not converge "
+            f"1F1({float(p[i])}; {float(q[i])}; {float(y[i])}) did not converge "
             f"within {KUMMER_MAX_TERMS} terms"
         )
     return out
@@ -220,47 +263,64 @@ def _kummer_rows(rows: list[KummerParams], y: np.ndarray, mask: np.ndarray) -> l
             f"|y| = {float(abs(ys[beyond][0]))!r} exceeds working range {KUMMER_Y_MAX!r}"
         )
     table = _grid_rows(y.tobytes(), mask.tobytes())
-    missing = [r for r in rows if (r.p, r.q) not in table]
+    missing = list(dict.fromkeys((r.p, r.q) for r in rows if (r.p, r.q) not in table))
     if missing:
         n = ys.size
         sums = _kummer_lockstep(
-            np.repeat([r.p for r in missing], n), np.repeat([r.q for r in missing], n),
+            np.repeat([p for p, _ in missing], n), np.repeat([q for _, q in missing], n),
             np.tile(ys, len(missing)),
         )
-        for i, r in enumerate(missing):
+        for i, key in enumerate(missing):
             row = np.full(mask.shape, math.nan)
             row[keep] = sums[i * n:(i + 1) * n]
             row.flags.writeable = False
-            table[r.p, r.q] = row
+            table[key] = row
     out = [table[r.p, r.q] for r in rows]
     while len(table) > _GRID_ROWS:
         del table[next(iter(table))]
     return out
 
 
-def kummer_jet(params: KummerParams, xjet: Jet) -> Jet:
-    """Jet of x -> 1F1(p; q; x^2) along an arbitrary x-jet.
+@grid_factor
+def _square(xjet: Jet) -> Jet:
+    """The jet of y = x^2, held per grid."""
+    return jet_mul(xjet, xjet)
+
+
+def kummer_jet(params, xjet: Jet):
+    """Jet of x -> 1F1(p; q; x^2) along an arbitrary x-jet; a tuple of jets for a tuple of params.
 
     The K+1 y-derivatives are evaluated by contiguity at y0 = x0^2, then
     composed with the jet of y = x^2.  Along a grid jet the K+1 contiguity
-    series 1F1(p+m; q+m; y), m = 0..K (DLMF 13.3.15), come from the grid's
-    row table; those it lacks run in one lockstep pass over the unmasked
-    points.
+    series 1F1(p+m; q+m; y), m = 0..K (DLMF 13.3.15), of every params come
+    from the grid's row table; those it lacks run in one lockstep pass over
+    the unmasked points, so the numerator and denominator of a Kummer ratio
+    cost one pass.
     """
-    y0 = xjet.value * xjet.value
-    coefs = []
-    coef = 1.0
-    for m in range(xjet.order + 1):
-        coefs.append(coef)
-        coef *= (params.p + m) / (params.q + m)
+    group = params if isinstance(params, tuple) else (params,)
+    coefs = []  # per params, the contiguity coefficient of each y-derivative
+    for par in group:
+        coef, cs = 1.0, []
+        for m in range(xjet.order + 1):
+            cs.append(coef)
+            coef *= (par.p + m) / (par.q + m)
+        coefs.append(cs)
     # a zero coefficient: the polynomial case differentiated past its degree
-    rows = [KummerParams(params.p + m, params.q + m) for m, c in enumerate(coefs) if c != 0.0]
+    rows = [
+        KummerParams(par.p + m, par.q + m)
+        for par, cs in zip(group, coefs) for m, c in enumerate(cs) if c != 0.0
+    ]
+    y0 = xjet.value * xjet.value
     if xjet.mask is None:
         sums = iter([kummer(row, y0) for row in rows])
     else:
         sums = iter(_kummer_rows(rows, y0, xjet.mask))
-    outer = np.zeros(xjet.block.shape)
-    for m, c in enumerate(coefs):
-        if c != 0.0:
-            outer[m] = c * next(sums)
-    return jet_compose(Jet(outer, xjet.mask), jet_mul(xjet, xjet))
+    y = _square(xjet)
+    jets = []
+    for cs in coefs:
+        outer = np.zeros(xjet.block.shape)
+        for m, c in enumerate(cs):
+            if c != 0.0:
+                outer[m] = c * next(sums)
+        jets.append(jet_compose(Jet(outer, xjet.mask), y))
+    return tuple(jets) if isinstance(params, tuple) else jets[0]

@@ -60,13 +60,19 @@ asked: that may run a node twice, which costs time, never correctness:
 entry k of every kernel's result reads entries 0..k alone, so a jet
 evaluated at a higher order truncates to the bits of one evaluated at the
 lower order.
+
+Grid factors.  `grid_factor(body)` holds the result of a function of the
+x-jet alone (the jet of y = x^2, a seed's Gaussian prefactor) per grid and
+serves lower orders by truncation, as a node does.  Unlike a node it holds
+several grids at once, keyed by the x-jet's value and mask bytes, since it
+does not depend on eps and so serves every seed on a grid.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from functools import lru_cache
+from functools import lru_cache, update_wrapper
 from typing import NamedTuple
 
 import numpy as np
@@ -398,6 +404,45 @@ class GridNode:
 def grid_memo(state, *deps) -> GridNode:
     """The state as a node whose body asks each (child, offset) of deps at order + offset."""
     return GridNode(state, deps)
+
+
+# Grids whose result a grid factor holds (an op list uses a few: x and z,
+# dense and default).
+_FACTOR_GRIDS = 8
+
+
+def grid_factor(body):
+    """body(xjet), a function of the x-jet alone, with its grid results held per grid.
+
+    A grid jet's result is held in an lru_cache keyed by the bytes of the
+    x-jet's value row and mask, next to the x-jet it was built from.  A
+    later x-jet whose block equals the leading rows of the held one gets
+    the held result truncated to its order, the bits of a fresh result
+    (see Nodes); any other x-jet builds afresh and replaces it.  The
+    returned function's `cache_clear` empties the cache.  Point jets pass
+    straight through.
+    """
+
+    @lru_cache(maxsize=_FACTOR_GRIDS)
+    def held(x: bytes, mask: bytes) -> list:
+        return [None, None]  # the x block, and the result built from it
+
+    def factor(xjet: Jet) -> Jet:
+        if xjet.mask is None:
+            return body(xjet)
+        slot = held(xjet.value.tobytes(), xjet.mask.tobytes())
+        xblock, jet = slot
+        order = xjet.order
+        if jet is not None and jet.order >= order and np.array_equal(xblock[:order + 1], xjet.block):
+            return jet.truncate(order)
+        jet = body(xjet)
+        jet.block.flags.writeable = False
+        jet.mask.flags.writeable = False
+        slot[:] = xjet.block, jet
+        return jet
+
+    factor.cache_clear = held.cache_clear
+    return update_wrapper(factor, body)
 
 
 def _demand(root, order: int, raised: list) -> None:

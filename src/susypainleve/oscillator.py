@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import DEFAULT_JET_ORDER, X_MAX
 from .hyp1f1 import KummerParams, kummer_jet
-from .jets import DomainError, Jet, grid_memo, jet_exp, jet_var
+from .jets import DomainError, Jet, grid_factor, grid_memo, jet_exp, jet_var
 
 State = Callable[[float | np.ndarray, int], Jet]  # x: one point or a grid array
 
@@ -90,6 +90,18 @@ def gaussian_jet(xjet: Jet) -> Jet:
     return jet_exp(xjet * xjet * (-0.5))
 
 
+# The prefactors depend on the grid alone, not on eps: each is held per grid
+# and serves lower orders by truncation.
+@grid_factor
+def _odd_prefactor(xjet: Jet) -> Jet:
+    return xjet * gaussian_jet(xjet)
+
+
+@grid_factor
+def _even_prefactor(xjet: Jet) -> Jet:
+    return gaussian_jet(xjet)
+
+
 def seed_u_jet(spec: SeedSpec, xjet: Jet) -> Jet:
     """Seed solution jet along an arbitrary x-jet (unnormalized).
 
@@ -99,9 +111,9 @@ def seed_u_jet(spec: SeedSpec, xjet: Jet) -> Jet:
     eps = spec.epsilon
     if spec.parity is Parity.ODD:
         params = KummerParams((3.0 - 2.0 * eps) / 4.0, 1.5)
-        return xjet * gaussian_jet(xjet) * kummer_jet(params, xjet)
+        return _odd_prefactor(xjet) * kummer_jet(params, xjet)
     params = KummerParams((1.0 - 2.0 * eps) / 4.0, 0.5)
-    return gaussian_jet(xjet) * kummer_jet(params, xjet)
+    return _even_prefactor(xjet) * kummer_jet(params, xjet)
 
 
 # Seeds are the states that solutions share (a catalog source and its target,

@@ -150,8 +150,8 @@ def _g1_state(epsilon: float, parity: Parity) -> State:
 
         def g(x: float, order: int) -> Jet:
             xj = jet_var(x, order)
-            ratio = kummer_jet(num, xj) / kummer_jet(den, xj)
-            return 1.0 / xj - 2.0 * xj + coef * (xj * ratio)
+            top, bottom = kummer_jet((num, den), xj)
+            return 1.0 / xj - 2.0 * xj + coef * (xj * (top / bottom))
 
         return grid_memo(g)
 
@@ -161,8 +161,8 @@ def _g1_state(epsilon: float, parity: Parity) -> State:
 
     def g(x: float, order: int) -> Jet:
         xj = jet_var(x, order)
-        ratio = kummer_jet(num, xj) / kummer_jet(den, xj)
-        return -2.0 * xj + coef * (xj * ratio)
+        top, bottom = kummer_jet((num, den), xj)
+        return -2.0 * xj + coef * (xj * (top / bottom))
 
     return grid_memo(g)
 

@@ -142,8 +142,9 @@ def _relative_residuals(terms: tuple) -> np.ndarray:
     The sum is math.fsum per point, as exact as the point code's; a point
     whose terms all vanish has relative residual 0.
     """
-    scale = np.max(np.abs(np.array(terms)), axis=0)
-    sums = np.array([math.fsum(col) for col in zip(*(t.tolist() for t in terms))])
+    stacked = np.array(terms)
+    scale = np.max(np.abs(stacked), axis=0)
+    sums = np.array(list(map(math.fsum, stacked.T.tolist())))
     vanishing = scale == 0.0
     return np.where(vanishing, 0.0, np.abs(sums) / np.where(vanishing, 1.0, scale))
 
@@ -189,24 +190,25 @@ def verify_on_grid(
         terms = _pv_terms(v0, v1, v2, t, sol.a, sol.b, sol.c, sol.d)
     residuals = np.full(keep.shape, math.nan)
     residuals[keep] = _relative_residuals(terms)
-    rel: list[float] = residuals.tolist()
     skipped = int(keep.size - keep.sum())
 
-    valid = [r for r in rel if not math.isnan(r)]
+    valid = residuals[~np.isnan(residuals)]
+    n_valid = valid.size
+    worst = float(valid.max()) if n_valid else math.inf
     report = VerificationReport(
         kind=kind,
         grid=np.asarray(grid, dtype=float).tolist(),
-        rel_residuals=rel,
+        rel_residuals=residuals.tolist(),
         skipped=skipped,
-        n_valid=len(valid),
-        max_rel_residual=max(valid) if valid else math.inf,
+        n_valid=n_valid,
+        max_rel_residual=worst,
         tolerance=tol,
-        passed=bool(valid) and len(valid) >= min_valid and max(valid) <= tol,
+        passed=bool(n_valid) and n_valid >= min_valid and worst <= tol,
         min_valid=min_valid,
     )
-    if len(valid) < min_valid:
+    if n_valid < min_valid:
         raise GridDegenerateError(
-            f"only {len(valid)} unguarded points (need {min_valid})", report
+            f"only {n_valid} unguarded points (need {min_valid})", report
         )
     return report
 

@@ -166,6 +166,15 @@ def test_exit_code_contract_extremes(args, code):
         assert json.loads(cp.stdout)["report"]["degenerate"] is True
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_out_that_cannot_be_written_is_a_usage_error(tmp_path, where):
+    out = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+    cp = run_cli("verify", "g1", "--epsilon", "1.3", "--parity", "odd", "--out", str(out), expect=2)
+    assert "Traceback" not in cp.stderr
+    assert cp.stderr.startswith("error:") and cp.stderr.count("\n") == 1
+    assert str(out) in cp.stderr
+
+
 @pytest.mark.parametrize("command", ["sample", "verify"])
 def test_negative_exponent_epsilon_as_separate_argument(command):
     # argparse reads a lone -2.5e0 as an option unless it is joined to --epsilon

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from package_caches import clear_package_caches
-from susypainleve import hyp1f1
+from susypainleve import hyp1f1, oscillator
 from susypainleve.backlund import (
     CATALOG,
     PIVMap,
@@ -23,7 +23,7 @@ from susypainleve.backlund import (
     _pv_map_state,
     catalog_family_solution,
 )
-from susypainleve.config import linear_grid
+from susypainleve.config import KUMMER_MAX_TERMS, linear_grid
 from susypainleve.hyp1f1 import (
     KummerConvergenceError,
     KummerParams,
@@ -209,6 +209,60 @@ def test_lockstep_kummer_against_mpmath():
         assert abs(g - float(want)) <= bound, (pi, qi, yi, g, want)
 
 
+def _stopping(p, q, y):
+    """`kummer`'s loop replayed: (n, zero, lone) for the term n it stops at, whether
+    that term is zero, and whether a lone quiet term came before it."""
+    total, comp, term, quiet, lone = 1.0, 0.0, 1.0, 0, False
+    for n in range(KUMMER_MAX_TERMS):
+        term = term * ((p + n) / (q + n)) * y / (n + 1)
+        if term == 0.0:
+            return n, True, lone
+        t = term - comp
+        s = total + t
+        comp = (s - total) - t
+        total = s
+        if abs(term) <= 1e-17 * abs(total):
+            quiet += 1
+            if quiet >= 2:
+                return n, False, lone
+        else:
+            lone = lone or quiet == 1
+            quiet = 0
+    raise AssertionError("no stop within the term budget")
+
+
+# runs of equal (p, q) over a sweep of y, whose quiet stops fall on every slot
+# of a block; polynomials whose zero term falls on every slot; y = 0; and
+# p = 2^-63, whose first term is quiet and whose later terms grow again
+BOUNDARY_CASES = (
+    [(0.3, 1.5, y) for y in linear_grid(0.01, 36.0, 90)]
+    + [(-2.7, 0.5, y) for y in linear_grid(0.5, 30.0, 60)]
+    + [(-float(j), 1.5, 2.0) for j in range(28)]
+    + [(0.3, 1.5, 0.0), (2.0**-63, 0.5, 30.0)]
+)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 8, 13])
+def test_lockstep_blocks_stop_where_scalar_kummer_stops(monkeypatch, block):
+    stops = [_stopping(*case) for case in BOUNDARY_CASES]
+    # the cases reach every kind of stop the block loop must place: quiet
+    # pairs ending on every slot (on slot 0 the pair straddles two blocks),
+    # zero terms on the first and the last slot, y = 0, a lone quiet term
+    assert {n % block for n, zero, _ in stops if not zero} == set(range(block))
+    assert {0, block - 1} <= {n % block for n, zero, _ in stops if zero}
+    assert (0, True, False) in stops
+    assert any(lone and not zero for _, zero, lone in stops)
+    monkeypatch.setattr(hyp1f1, "_BLOCK", block)
+    p, q, y = (np.array(col) for col in zip(*BOUNDARY_CASES))
+    want = [kummer(KummerParams(pi, qi), yi) for pi, qi, yi in BOUNDARY_CASES]
+    assert _kummer_lockstep(p, q, y).tobytes() == bits(want)
+    # and in another order, which splits the runs of equal (p, q)
+    order = random.Random(block).sample(range(len(want)), len(want))
+    assert _kummer_lockstep(p[order], q[order], y[order]).tobytes() == bits([want[i] for i in order])
+    # and none at all, as on a grid whose points are all masked
+    assert _kummer_lockstep(p[:0], q[:0], y[:0]).size == 0
+
+
 # -- the per-grid row table ---------------------------------------------------------
 
 
@@ -320,3 +374,46 @@ def test_clearing_the_package_caches_empties_the_row_table(monkeypatch):
     summed = spy_on_sums(monkeypatch)
     kummer_jet(KummerParams(0.3, 1.5), row_xjet(4))
     assert summed == [5 * UNMASKED]  # all five rows again, in one pass
+
+
+@pytest.mark.parametrize("factor", [oscillator._odd_prefactor, oscillator._even_prefactor,
+                                    hyp1f1._square])
+def test_grid_factors_warm_equal_cold(factor):
+    # two grids, asked alternately: each keeps its own held factor
+    grids = [(ROW_GRID, ROW_MASK), (np.array(linear_grid(0.3, 5.0, 25)), np.zeros(25, bool))]
+
+    def xjet(i, order):
+        grid, mask = grids[i]
+        return Jet(jet_var(grid, order).d, mask)
+
+    cold = {}
+    for i in (0, 1):
+        for order in (2, 5, 3):
+            clear_package_caches()
+            cold[i, order] = factor(xjet(i, order))
+    clear_package_caches()
+    for order in (2, 5, 3):
+        for i in (0, 1):
+            assert_same_jet(factor(xjet(i, order)), cold[i, order])
+    # orders 2 and 3 were served from the order-5 jet held for each grid ...
+    held = factor(xjet(0, 5))
+    assert np.shares_memory(factor(xjet(0, 3)).block, held.block)
+    # ... an x-jet with the same values but other derivatives is built afresh ...
+    other = Jet(np.vstack([ROW_GRID, np.full((2, ROW_GRID.size), 2.0)]), ROW_MASK)
+    assert_same_jet(factor(other), factor.__wrapped__(other))
+    # ... and clearing the package caches empties the factor caches
+    held = factor(xjet(0, 5))
+    clear_package_caches()
+    assert not np.shares_memory(factor(xjet(0, 3)).block, held.block)
+
+
+@pytest.mark.parametrize("parity", [Parity.ODD, Parity.EVEN])
+def test_a_cold_g1_node_sums_its_ratio_in_one_lockstep_pass(monkeypatch, parity):
+    # at eps = 1.25 the numerator's rows (p+1+m, q+1+m) are the denominator's
+    # rows m+1 to the bit, so order K asks K+2 distinct rows
+    clear_package_caches()
+    g = closed_piv_solution("g1", 1.25, parity).g
+    summed = spy_on_sums(monkeypatch)
+    order = 2
+    on_grid(g, linear_grid(0.2, 4.0, 40), order)
+    assert summed == [(order + 2) * 40]

@@ -392,6 +392,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # A finite but huge |epsilon| puts the Kummer series past its term budget.
         print(f"error: outside the Kummer series' working range: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OverflowError as exc:
+        # The parameter formulas square epsilon: a huge finite |epsilon| overflows them.
+        print(f"error: outside the floating-point range: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (GridDegenerateError, DegenerateClosedFormError) as exc:
         print(f"error: degenerate configuration: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

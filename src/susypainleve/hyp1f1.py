@@ -33,11 +33,13 @@ lack.  It is the package's only series cache: a seed node in `oscillator`
 holds one grid at one order, and the table serves the rows it sums again
 when it is asked one order higher or on a grid it held before.  Each
 element of a row takes the same IEEE steps whatever else is summed beside
-it, so cached and fresh rows agree to the bit.  Rows are read-only arrays
-shared by every caller.  A grid keeps at most _GRID_ROWS rows, the oldest
-dropped first, and the tables of _GRIDS grids are held in an lru_cache, so
-`cache_clear` empties them with the package's other caches, the grid
-factors' included.  The one-point path (`kummer`) is not cached.
+it, so cached and fresh rows agree to the bit.  The rows one pass sums are
+written into one read-only (rows, N) block, nan at masked points, by one
+masked assignment, and the table stores views of its rows: read-only
+arrays shared by every caller.  A grid keeps at most _GRID_ROWS rows, the
+oldest dropped first, and the tables of _GRIDS grids are held in an
+lru_cache, so `cache_clear` empties them with the package's other caches,
+the grid factors' included.  The one-point path (`kummer`) is not cached.
 """
 
 from __future__ import annotations
@@ -167,9 +169,9 @@ def _kummer_lockstep(p: np.ndarray, q: np.ndarray, y: np.ndarray) -> np.ndarray:
     out = np.empty(size)
     if not size:
         return out
-    starts = np.flatnonzero(np.r_[True, (p[1:] != p[:-1]) | (q[1:] != q[:-1])])
+    starts = np.flatnonzero(np.concatenate(([True], (p[1:] != p[:-1]) | (q[1:] != q[:-1]))))
     run_p, run_q = p[starts], q[starts]
-    run = np.repeat(np.arange(starts.size), np.diff(np.r_[starts, size]))
+    run = np.repeat(np.arange(starts.size), np.diff(np.append(starts, size)))
     # one column per element still summing: y, term, Kahan compensation, total, index in out
     live = np.empty((5, size))
     live[0], live[1], live[2], live[3], live[4] = y, 1.0, 0.0, 1.0, np.arange(size)
@@ -270,11 +272,10 @@ def _kummer_rows(rows: list[KummerParams], y: np.ndarray, mask: np.ndarray) -> l
             np.repeat([p for p, _ in missing], n), np.repeat([q for _, q in missing], n),
             np.tile(ys, len(missing)),
         )
-        for i, key in enumerate(missing):
-            row = np.full(mask.shape, math.nan)
-            row[keep] = sums[i * n:(i + 1) * n]
-            row.flags.writeable = False
-            table[key] = row
+        block = np.full((len(missing), mask.size), math.nan)
+        block[:, keep] = sums.reshape(len(missing), n)
+        block.flags.writeable = False  # and so is every row, a view of it
+        table.update(zip(missing, block))
     out = [table[r.p, r.q] for r in rows]
     while len(table) > _GRID_ROWS:
         del table[next(iter(table))]

@@ -17,7 +17,19 @@ Masks.  ``mask[i]`` is True exactly where the point computation at ``x[i]``
 raises JetError (pole guard, non-finite entry, ln or sqrt domain, or x
 outside (0, X_MAX] for the seeds); every operation ORs its operands' masks,
 and entries at masked points mean nothing.  Errors of no one point (jets of
-different orders, say) raise for both kinds.
+different orders, say) raise for both kinds.  No code writes a mask in
+place, so results share them: every ``Jet(...)`` runs one finiteness check,
+which returns at once, keeping the mask it was given, when the whole block
+is finite; a guard that masks no point keeps its input mask; and
+`jet_var` gives every grid of one size the same read-only all-False mask
+(`_clear_mask`), as the seeds do on grids inside (0, X_MAX].  So most joins
+of two masks are the ``a is b`` shortcut, not an OR.
+
+Scalar operands.  ``jet + c``, ``jet - c``, ``c - jet`` and ``c / jet`` add
+(or divide) the (K+1, 1) column of the constant jet, ``[c, 0.0, ...]``, or
+``[-c, -0.0, ...]`` when c is subtracted, without building that jet: the
+bits, signed zeros included, are those of ``jet + jet_const(c, K)`` and the
+like, and a non-finite c raises as ``jet_const`` would.
 
 Left-to-right sums.  Each element of a result takes the IEEE steps of the
 scalar Leibniz loop in its order, whatever N is: terms ``(C(k,j) * a[j]) *
@@ -122,7 +134,10 @@ class Jet:
     def __post_init__(self) -> None:
         if not len(self.block):
             raise ValueError("a jet needs at least its value entry")
-        finite = np.logical_and.reduce(np.isfinite(self.block), axis=0)
+        finite = np.isfinite(self.block)
+        if np.count_nonzero(finite) == finite.size:
+            return  # the mask stands as given, shared with the operands'
+        finite = np.logical_and.reduce(finite, axis=0)
         if self.mask is not None:
             object.__setattr__(self, "mask", self.mask | ~finite)
         elif not finite[0]:
@@ -175,7 +190,8 @@ class Jet:
     # -- operators ---------------------------------------------------------
 
     def __add__(self, other) -> "Jet":
-        other = _lift(other, self.order)
+        if not isinstance(other, Jet):
+            return Jet(self.block + _column(other, self.order), self.mask)
         _check_orders(self, other)
         return Jet(self.block + other.block, _join(self.mask, other.mask))
 
@@ -185,10 +201,12 @@ class Jet:
         return self._of(-self.block)
 
     def __sub__(self, other) -> "Jet":
-        return self + (-_lift(other, self.order))
+        if not isinstance(other, Jet):
+            return Jet(self.block + _column(other, self.order, -1.0), self.mask)
+        return self + (-other)
 
     def __rsub__(self, other) -> "Jet":
-        return (-self) + _lift(other, self.order)
+        return Jet(-self.block + _column(other, self.order), self.mask)
 
     def __mul__(self, other) -> "Jet":
         if isinstance(other, (int, float)):
@@ -203,7 +221,7 @@ class Jet:
         return jet_div(self, other)
 
     def __rtruediv__(self, other) -> "Jet":
-        return jet_div(_lift(other, self.order), self)
+        return _quotient(_column(other, self.order), None, self)
 
     def __pow__(self, n: int) -> "Jet":
         if not isinstance(n, int) or n < 0:
@@ -214,10 +232,19 @@ class Jet:
         return out
 
 
-def _lift(x, order: int) -> Jet:
-    if isinstance(x, Jet):
-        return x
-    return jet_const(float(x), order)
+def _column(c, order: int, sign: float = 1.0) -> np.ndarray:
+    """The block of the constant jet c, times sign: the (order+1, 1) column [sign*c, sign*0.0, ...].
+
+    A scalar operand adds (or divides) it as that jet's block would, without
+    building the jet: -1.0 gives the zeros of a negated constant their -0.0.
+    A non-finite c raises as jet_const would.
+    """
+    c = float(c)
+    if not math.isfinite(c):
+        raise DomainError(f"non-finite jet entry in {(c,) + (0.0,) * order!r}")
+    column = np.full((order + 1, 1), sign * 0.0)
+    column[0, 0] = sign * c
+    return column
 
 
 def _check_orders(a: Jet, b: Jet) -> None:
@@ -240,7 +267,7 @@ def _guard(mask: np.ndarray | None, bad, error: type[JetError], message: str, *a
         if bad:
             raise error(message % args)
         return None
-    return mask | bad
+    return mask | bad if np.count_nonzero(bad) else mask  # an unchanged mask stays shared
 
 
 def _per_point(fn, row: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
@@ -283,14 +310,14 @@ def jet_var(x0, order: int) -> Jet:
         return Jet(((float(x0), 1.0) + (0.0,) * order)[: order + 1])
     block = np.zeros((order + 1, x0.size))
     block[0], block[1:2] = x0, 1.0
-    return Jet(block, np.zeros(x0.size, bool))
+    return Jet(block, _clear_mask(x0.size))
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
     """Leibniz product: d[k] = sum_j C(k,j) a[j] b[k-j]."""
     _check_orders(a, b)
     t = _tables(a.order)
-    terms = (t.neg * a.block[:, None]) * b.block[t.k_j]
+    terms = (t.neg * a.block[:, None]) * b.block.take(t.k_j, axis=0)
     return Jet(np.subtract.reduce(terms, axis=0, initial=0.0), _join(a.mask, b.mask))
 
 
@@ -300,10 +327,15 @@ def jet_div(a: Jet, b: Jet) -> Jet:
     Raises PoleError (masks the point, on a grid) where |b(x0)| <= POLE_GUARD.
     """
     _check_orders(a, b)
-    ad, bd = a.block, b.block
-    mask = _guard(_join(a.mask, b.mask), abs(b.value) <= POLE_GUARD, PoleError,
+    return _quotient(a.block, a.mask, b)
+
+
+def _quotient(ad: np.ndarray, amask: np.ndarray | None, b: Jet) -> Jet:
+    """jet_div of a numerator given by its block and mask (a jet's, or a constant's column)."""
+    bd = b.block
+    mask = _guard(_join(amask, b.mask), abs(b.value) <= POLE_GUARD, PoleError,
                   "divisor value %r below pole guard %r", b.value, POLE_GUARD)
-    comb = _tables(a.order).comb
+    comb = _tables(b.order).comb
     q = np.empty((len(ad), max(ad.shape[1], bd.shape[1])))
     q[:] = ad  # q[k] holds a[k] minus the terms of q[k] found so far, until it is divided
     for j in range(len(q) - 1):
@@ -406,9 +438,17 @@ def grid_memo(state, *deps) -> GridNode:
     return GridNode(state, deps)
 
 
-# Grids whose result a grid factor holds (an op list uses a few: x and z,
-# dense and default).
+# Grids whose result a grid factor holds, and grid sizes whose all-False
+# mask is held (an op list uses a few: x and z, dense and default).
 _FACTOR_GRIDS = 8
+
+
+@lru_cache(maxsize=_FACTOR_GRIDS)
+def _clear_mask(size: int) -> np.ndarray:
+    """The all-False mask of a grid of `size` points: one read-only array per size, shared."""
+    mask = np.zeros(size, bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def grid_factor(body):
@@ -496,4 +536,4 @@ def on_grid(state, grid, order: int) -> Jet:
             return Jet(np.full((order + 1, x.size), math.nan), np.ones(x.size, bool))
     if jet.mask is not None:
         return jet
-    return Jet(np.broadcast_to(jet.block, (len(jet.block), x.size)), np.zeros(x.size, bool))
+    return Jet(np.broadcast_to(jet.block, (len(jet.block), x.size)), _clear_mask(x.size))

@@ -132,7 +132,10 @@ def seed_state(spec: SeedSpec) -> State:
 
     def u(x, order: int) -> Jet:
         if isinstance(x, np.ndarray):
-            xjet = Jet(jet_var(x, order).block, ~((x > 0.0) & (x <= X_MAX)))
+            xjet = jet_var(x, order)  # its mask is the grid's shared all-False one
+            outside = ~((x > 0.0) & (x <= X_MAX))
+            if outside.any():
+                xjet = Jet(xjet.block, outside)
         else:
             _check_x(x)
             xjet = jet_var(x, order)

@@ -236,38 +236,39 @@ class PVFit:
 _COND_LIMIT = 1e10
 
 
-def _affine_fit(kind: str, state: State, samples: Sequence[float] | None, row_of, n_params: int):
+def _affine_fit(kind: str, state: State, samples: Sequence[float] | None, columns_of, n_params: int):
     """Least-squares parameters making the residual of `state` vanish.
 
-    row_of(v0, v1, v2, t) gives one usable sample's coefficient row and
-    right-hand side.  Samples that are masked or inside the value guard are
-    skipped, each row is equilibrated, and the system is refused when it
-    has too few rows or is ill-conditioned.  Returns (theta, cond, misfit).
+    columns_of(v0, v1, v2, t) gives, from arrays over the usable samples,
+    the n_params coefficient columns and the right-hand side.  Samples that
+    are masked or inside the value guard are skipped, each row is
+    equilibrated, and the system is refused when it has too few rows or is
+    ill-conditioned.  Returns (theta, cond, misfit).
     """
     if samples is None:
         samples = (default_x_grid() if kind == "piv" else default_z_grid())[1::3]
     jet = on_grid(state, samples, 2)
-    masked = jet.mask.tolist()
-    v0, v1, v2 = (v.tolist() for v in jet.d[:3])
-    rows, rhs = [], []
-    for i, t in enumerate(samples):
-        if masked[i] or _value_guarded(kind, v0[i]):
-            continue
-        row, right = row_of(v0[i], v1[i], v2[i], t)
+    keep = ~(jet.mask | _value_guarded(kind, jet.value))
+    v0, v1, v2 = (v[keep] for v in jet.d[:3])
+    with np.errstate(all="ignore"):  # Python's float arithmetic, which this replays, never warns
+        cols = np.array(columns_of(v0, v1, v2, np.asarray(samples, dtype=float)[keep]))
         # row-equilibration: keeps near-pole samples from dominating the fit
-        s = max(*(abs(r) for r in row), abs(right))
-        rows.append([r / s for r in row])
-        rhs.append(right / s)
-    if len(rows) < n_params:
-        raise SingularSystemError(f"only {len(rows)} usable samples for a {n_params}-parameter fit")
-    A = np.asarray(rows)
-    y = np.asarray(rhs)
+        cols /= np.abs(cols).max(axis=0)
+    if v0.size < n_params:
+        raise SingularSystemError(f"only {v0.size} usable samples for a {n_params}-parameter fit")
+    A = np.ascontiguousarray(cols[:n_params].T)
+    y = cols[n_params]
     cond = float(np.linalg.cond(A))
     if not math.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularSystemError(f"{kind.upper()} inference system condition number {cond:.3g}")
     theta, *_ = np.linalg.lstsq(A, y, rcond=None)
     misfit = float(np.sqrt(np.mean((A @ theta - y) ** 2)))
     return [float(v) for v in theta], cond, misfit
+
+
+def _fsums(terms: tuple) -> np.ndarray:
+    """math.fsum of the terms per sample; terms are arrays over the samples."""
+    return np.array(list(map(math.fsum, np.array(terms).T.tolist())))
 
 
 def infer_piv_params(g: State, samples: Sequence[float] | None = None) -> PIVFit:
@@ -277,23 +278,24 @@ def infer_piv_params(g: State, samples: Sequence[float] | None = None) -> PIVFit
     usable sample contributes one linear equation.
     """
 
-    def row_of(g0, g1, g2, x):
-        base = math.fsum(_piv_terms(g0, g1, g2, x, 0.0, 0.0))
-        return [2.0 * g0, -1.0 / g0], -base
+    def columns_of(g0, g1, g2, x):
+        base = _fsums(_piv_terms(g0, g1, g2, x, 0.0, 0.0))
+        return 2.0 * g0, -1.0 / g0, -base
 
-    (a, b), cond, misfit = _affine_fit("piv", g, samples, row_of, 2)
+    (a, b), cond, misfit = _affine_fit("piv", g, samples, columns_of, 2)
     return PIVFit(a, b, cond, misfit)
 
 
 def infer_pv_params(w: State, samples: Sequence[float] | None = None) -> PVFit:
     """Least-squares (a, b, c) making the PV residual of w vanish (d = -1/8)."""
 
-    def row_of(w0, w1, w2, z):
-        base = math.fsum(_pv_terms(w0, w1, w2, z, 0.0, 0.0, 0.0, -0.125))
-        wm1sq = (w0 - 1.0) ** 2
-        return [wm1sq * w0 / (z * z), wm1sq / (w0 * z * z), w0 / z], base
+    def columns_of(w0, w1, w2, z):
+        base = _fsums(_pv_terms(w0, w1, w2, z, 0.0, 0.0, 0.0, -0.125))
+        # Python's float ** 2 per element, as the squares of one sample
+        wm1sq = np.array([t**2 for t in (w0 - 1.0).tolist()])
+        return wm1sq * w0 / (z * z), wm1sq / (w0 * z * z), w0 / z, base
 
-    (a, b, c), cond, misfit = _affine_fit("pv", w, samples, row_of, 3)
+    (a, b, c), cond, misfit = _affine_fit("pv", w, samples, columns_of, 3)
     return PVFit(a, b, c, cond, misfit)
 
 

@@ -155,6 +155,12 @@ def test_exit_code_contract(args, code):
         (("verify", "pv1a", "--epsilon", "1e6", "--parity", "odd"), 2),
         # every grid point of this pair state is pole-guarded: a degeneracy
         (("verify", "pv2b", "--epsilon", "3.5", "--parity", "odd"), 3),
+        # the parameter formulas square epsilon, which overflows a float
+        (("verify", "g1", "--epsilon", "1e300", "--parity", "odd"), 2),
+        (("verify", "w1b", "--epsilon", "1e300", "--parity", "even"), 2),
+        (("sample", "w1b", "--epsilon", "1e200", "--parity", "odd"), 2),
+        (("chain", "--epsilon", "1e160", "--parity", "even"), 2),
+        (("catalog", "--epsilon", "1e300", "--parity", "odd"), 2),
     ],
 )
 def test_exit_code_contract_extremes(args, code):

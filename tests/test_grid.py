@@ -32,7 +32,7 @@ from susypainleve.hyp1f1 import (
     kummer,
     kummer_jet,
 )
-from susypainleve.jets import Jet, JetError, jet_var, on_grid
+from susypainleve.jets import Jet, JetError, _clear_mask, jet_var, on_grid
 from susypainleve.oscillator import Parity, SeedSpec, seed_u
 from susypainleve.painleve import (
     PIV_FAMILY_NAMES,
@@ -405,6 +405,37 @@ def test_grid_factors_warm_equal_cold(factor):
     held = factor(xjet(0, 5))
     clear_package_caches()
     assert not np.shares_memory(factor(xjet(0, 3)).block, held.block)
+
+
+def test_grid_jets_share_one_read_only_all_false_mask():
+    clear_package_caches()
+    grid = np.array(linear_grid(0.2, 4.0, 40))
+    shared = jet_var(grid, 3).mask
+    assert shared is jet_var(grid, 1).mask is _clear_mask(grid.size)
+    assert not shared.any() and not shared.flags.writeable
+    with pytest.raises(ValueError):
+        shared[0] = True
+    # a seed on a grid inside (0, X_MAX] keeps it, so joins take their `a is b` shortcut
+    assert seed_u(SeedSpec(2.5, Parity.ODD), grid, 3).mask is shared
+    # a seed on a grid that leaves the domain, and a jet that gains a non-finite
+    # entry, get fresh masks; the shared one stays all False
+    wide = np.concatenate(([-1.0], grid[1:]))
+    assert seed_u(SeedSpec(2.5, Parity.ODD), wide, 3).mask.tolist() == [True] + [False] * 39
+    block = jet_var(grid, 3).block.copy()
+    block[2, 7] = math.inf
+    assert Jet(block, shared).mask.tolist() == [i == 7 for i in range(40)]
+    xjet = jet_var(grid, 3)
+    with np.errstate(all="ignore"):  # masked points overflow or divide by zero
+        big = xjet / 1e-308  # the value row overflows from x = 1.8 on
+        assert big.mask.tolist() == (~np.isfinite(grid / 1e-308)).tolist()
+        pole = 1.0 / (xjet - grid[5])
+    assert big.mask.any() and not big.mask.all()
+    assert pole.mask.tolist() == [i == 5 for i in range(40)]
+    assert not shared.any()
+    # clearing the package caches empties the cache that holds the masks
+    clear_package_caches()
+    assert _clear_mask.cache_info().currsize == 0
+    assert jet_var(grid, 3).mask is not shared
 
 
 @pytest.mark.parametrize("parity", [Parity.ODD, Parity.EVEN])

@@ -6,10 +6,12 @@ grid size: a kernel that regroups a sum (a matmul, einsum or reduceat)
 fails here even where it agrees to 1e-15.  Entries have random signs,
 magnitudes from 1e-8 to 1e8, and some are +0.0 or -0.0, whose sign survives
 only an exact replay of the loop.  A first operand may be a point jet,
-which broadcasts over the grid as constants do.
+which broadcasts over the grid as constants do.  A scalar operand (jet + c,
+c - jet, c / jet, ...) must give the bits of the constant jet it stands for.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +20,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from jet_reference import ref_compose, ref_div, ref_exp, ref_ln, ref_mul, ref_sqrt  # noqa: E402
-from susypainleve.jets import Jet, jet_compose, jet_div, jet_exp, jet_ln, jet_mul, jet_sqrt  # noqa: E402
+from susypainleve.jets import (  # noqa: E402
+    DomainError, Jet, JetError, jet_compose, jet_const, jet_div, jet_exp, jet_ln, jet_mul, jet_sqrt,
+)
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
 CASES = dict(
@@ -122,3 +126,58 @@ def test_point_jets_answer_in_floats():
     b = jet_mul(a, a)
     assert b.mask is None and b.d == ref_mul(a.d, a.d)
     assert isinstance(b.value, float) and all(isinstance(v, float) for v in b.d)
+
+
+def outcome(fn):
+    """The result's block bytes, shape and mask bytes, or the JetError it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            jet = fn()
+    except JetError as exc:
+        return type(exc), str(exc)
+    mask = None if jet.mask is None else jet.mask.tobytes()
+    return jet.block.tobytes(), jet.block.shape, mask
+
+
+@SETTINGS
+@given(**CASES, c=st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e308, -1e-310]),
+    st.floats(allow_nan=False, allow_infinity=False),
+))
+@example(K=3, N=40, seed=9, point=False, c=-0.0)
+@example(K=0, N=1, seed=10, point=True, c=0.0)
+def test_scalar_operands_match_constant_jets(K, N, seed, point, c):
+    rng = np.random.default_rng(seed)
+    jet = as_jet(entries(rng, K, 1 if point else N), point)
+    const = jet_const(c, K)
+    pairs = [
+        (lambda: jet + c, lambda: jet + const),
+        (lambda: c + jet, lambda: jet + const),
+        (lambda: jet - c, lambda: jet + (-const)),
+        (lambda: c - jet, lambda: (-jet) + const),
+        (lambda: c / jet, lambda: jet_div(const, jet)),
+    ]
+    for scalar, lifted in pairs:
+        assert outcome(scalar) == outcome(lifted)
+
+
+@pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("point", [True, False])
+def test_non_finite_scalar_operand_raises_as_its_constant_jet(c, point):
+    jet = as_jet(np.ones((3, 1 if point else 4)), point)
+    for scalar in (lambda: jet + c, lambda: c + jet, lambda: jet - c, lambda: c - jet, lambda: c / jet):
+        with pytest.raises(DomainError) as got:
+            scalar()
+        with pytest.raises(DomainError) as want:
+            jet_const(c, 2)
+        assert str(got.value) == str(want.value)
+
+
+def test_finiteness_check_raises_domain_error_and_never_warns():
+    with pytest.raises(DomainError):
+        Jet((math.inf, -math.inf))  # a sum of these entries would be nan, with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Jet((1e308, 1e308)).d == (1e308, 1e308)
+        grid = Jet(np.array([[1e308, math.inf], [1e308, -math.inf]]), np.zeros(2, bool))
+    assert grid.mask.tolist() == [False, True]

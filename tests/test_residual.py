@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from susypainleve.jets import jet_var
+from fit_reference import ref_infer_piv, ref_infer_pv
+from susypainleve.jets import jet_var, on_grid
 from susypainleve.oscillator import Parity
 from susypainleve.painleve import (
     PIVSolution,
@@ -16,6 +17,7 @@ from susypainleve.painleve import (
 from susypainleve.residual import (
     GridDegenerateError,
     SingularSystemError,
+    _value_guarded,
     infer_piv_params,
     infer_pv_params,
     piv_residual,
@@ -188,3 +190,85 @@ def test_verify_on_grid_accepts_an_array_grid():
         assert all(type(t) is float for t in got.grid)
     with pytest.raises(ValueError, match="empty"):
         verify_on_grid("piv", MINUS_2X, grid=np.array([]))
+
+
+# -- the vectorized fit against the per-sample reference loop ---------------------
+
+SAMPLES = [0.25 + 0.125 * i for i in range(28)]
+# the synthetic states' pole, their guarded sample, and two usable samples
+FEW_PIV = SAMPLES[5:7] + SAMPLES[11:12]
+FEW_PV = SAMPLES[5:7] + SAMPLES[11:13]
+
+
+def _bits(fit, names):
+    return tuple(float(getattr(fit, n)).hex() for n in names)
+
+
+def _assert_fit_matches(infer, reference, state, samples, names):
+    """The package's fit equals the reference loop's to the bit; returns the reference's answer."""
+    want = reference(state, samples)
+    if want[0] == "singular":
+        with pytest.raises(SingularSystemError) as exc:
+            infer(state, samples)
+        assert str(exc.value) == want[1]
+        return want
+    theta, cond, misfit = want
+    got = infer(state, samples)
+    assert _bits(got, names) == tuple(v.hex() for v in (*theta, cond, misfit))
+    return want
+
+
+def _pole_and_zero_g(pole, zero):
+    """g(x) = (x - zero)(x + 1 + 1/(x - pole)): masked at x = pole, guarded at x = zero."""
+
+    def g(x, order):
+        xj = jet_var(x, order)
+        return (xj - zero) * (xj + 1.0 + 1.0 / (xj - pole))
+
+    return g
+
+
+def _pole_and_one_w(pole, one):
+    """w(z) = 1 + (z - one)/(z - pole)/2: masked at z = pole, w - 1 guarded at z = one."""
+
+    def w(z, order):
+        zj = jet_var(z, order)
+        return 1.0 + (zj - one) / (zj - pole) * 0.5
+
+    return w
+
+
+def _masked_and_guarded(kind, state, samples):
+    jet = on_grid(state, samples, 2)
+    return int(jet.mask.sum()), int((~jet.mask & _value_guarded(kind, jet.value)).sum())
+
+
+@pytest.mark.parametrize("samples", [None, SAMPLES, SAMPLES[:3], FEW_PIV])
+def test_infer_piv_params_matches_the_per_sample_loop(samples):
+    names = ("a", "b", "cond", "misfit")
+    synthetic = _pole_and_zero_g(SAMPLES[5], SAMPLES[11])
+    if samples is SAMPLES:
+        assert min(_masked_and_guarded("piv", synthetic, samples)) >= 1
+    constant = lambda x, order: jet_var(x, order) * 0.0 + 1.5  # noqa: E731
+    states = [synthetic, MINUS_2X.g, linear_g(0.0), constant]
+    states += [closed_piv_solution(n, e, p).g for n in ("g1", "g2", "g3")
+               for e, p in ((2.5, Parity.ODD), (0.7, Parity.EVEN), (-1.3, Parity.ODD))]
+    answers = [_assert_fit_matches(infer_piv_params, ref_infer_piv, s, samples, names) for s in states]
+    if samples is FEW_PIV:  # one usable sample: too few rows
+        assert answers[0] == ("singular", "only 1 usable samples for a 2-parameter fit")
+    assert answers[2][0] == "singular"  # g = 0 everywhere: every sample is guarded
+    assert "condition number" in answers[3][1]  # g = 3/2 everywhere: equal rows
+
+
+@pytest.mark.parametrize("samples", [None, SAMPLES, SAMPLES[:4], FEW_PV])
+def test_infer_pv_params_matches_the_per_sample_loop(samples):
+    names = ("a", "b", "c", "cond", "misfit")
+    synthetic = _pole_and_one_w(SAMPLES[5], SAMPLES[11])
+    if samples is SAMPLES:
+        assert min(_masked_and_guarded("pv", synthetic, samples)) >= 1
+    states = [synthetic, rational_pv_solution("w2a").w, rational_pv_solution("w2f").w]
+    states += [closed_pv_solution(n, e, p).w for n in ("a", "b", "e")
+               for e, p in ((2.5, Parity.ODD), (0.7, Parity.EVEN))]
+    answers = [_assert_fit_matches(infer_pv_params, ref_infer_pv, s, samples, names) for s in states]
+    if samples is FEW_PV:  # two usable samples: too few rows
+        assert answers[0] == ("singular", "only 2 usable samples for a 3-parameter fit")

@@ -3,15 +3,22 @@
 PIV side: the three one-parameter maps (here Wtilde+, Wdagger+, Wddag+-)
 act on a solution g(x; a, b) through its value, derivative and the root
 sqrt(-2b).  The closed-form maps fix no sign for that root; maps take a
-root branch (principal = nonnegative), and the chain verifier searches the
-alternate branch automatically when a function-level match fails, recording
-the branch that worked.
+root branch (principal = nonnegative), and the chain verifier tries every
+combination of branches, principal first, recording the one that matched.
 
 The five-link chain g1 -> g2 -> g3 -> G1 -> G3 -> G2 (operators
 Wddag+ Wdagger+, Wddag-, Wtilde+, Wddag-, Wddag+) is verified pointwise
 against the independently built closed forms with the same seed; the known
 quarter discrepancy between the Wtilde+ parameter map and the G1 family
 parameter is resolved by numeric inference and recorded, never patched.
+
+The first link applies Wdagger+ by its parameter action alone.  Since
+g1 = alpha - x and alpha' = x^2 - 2 eps - alpha^2, g1 satisfies
+g1' + 2x g1 + g1^2 = -(2 eps + 1) identically, so the Wdagger+ denominator
+g' + s + 2x g + g^2 equals s - (2 eps + 1): zero on one root branch (every
+point a pole), and on the other the image g + 2(1 - a - s/2) g/den is
+g - g = 0.  The literal composition never gives a comparable image, and
+CHAIN_LINKS records which maps act by their parameters only.
 
 PV side: the one-parameter family T_{k1,k2,k3} with roots
 ra = sqrt(2a), rb = sqrt(-2b), rd = sqrt(-2d) (= 1/2 here, k3 carrying its
@@ -23,7 +30,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Sequence
 
@@ -120,7 +128,7 @@ def _piv_map_state(map_: PIVMap, sol: PIVSolution) -> State:
     return grid_memo(out, (g, 1))
 
 
-@dataclass
+@dataclass(frozen=True)
 class BTResult:
     """One applied transformation, with parameter drift bookkeeping."""
 
@@ -135,7 +143,7 @@ class BTResult:
     source: str = ""
     target: str = ""
     target_params: tuple | None = None
-    notes: list[str] = field(default_factory=list)
+    notes: tuple[str, ...] = ()
     tol: float | None = None  # pointwise tolerance a catalog row was checked at
     certificate_tol: float | None = None  # tolerance of its parameter certificate
 
@@ -178,26 +186,35 @@ def bt_piv_apply(
 
 # -- the five-link chain --------------------------------------------------------
 
-CHAIN_LINKS: tuple[tuple[str, tuple[PIVMapKind, ...], str], ...] = (
-    ("g1", (PIVMapKind.WDAGGER_PLUS, PIVMapKind.WDDAG_PLUS), "g2"),
-    ("g2", (PIVMapKind.WDDAG_MINUS,), "g3"),
-    ("g3", (PIVMapKind.WTILDE_PLUS,), "G1"),
-    ("G1", (PIVMapKind.WDDAG_MINUS,), "G3"),
-    ("G3", (PIVMapKind.WDDAG_PLUS,), "G2"),
+# (source, maps acting by their parameters alone, maps acting on the function, target)
+CHAIN_LINKS: tuple[tuple[str, tuple[PIVMapKind, ...], tuple[PIVMapKind, ...], str], ...] = (
+    # Wdagger+ acts on g1 by its parameters alone: see the module docstring
+    ("g1", (PIVMapKind.WDAGGER_PLUS,), (PIVMapKind.WDDAG_PLUS,), "g2"),
+    ("g2", (), (PIVMapKind.WDDAG_MINUS,), "g3"),
+    ("g3", (), (PIVMapKind.WTILDE_PLUS,), "G1"),
+    ("G1", (), (PIVMapKind.WDDAG_MINUS,), "G3"),
+    ("G3", (), (PIVMapKind.WDDAG_PLUS,), "G2"),
 )
 
 
 def _compose_maps(
-    kinds: Sequence[PIVMapKind], branches: Sequence[RootBranch], sol: PIVSolution
+    kinds: Sequence[PIVMapKind],
+    branches: Sequence[RootBranch],
+    sol: PIVSolution,
+    params_only: int = 0,
 ) -> PIVSolution:
+    """sol under the maps in turn; the first `params_only` of them act on (a, b) alone."""
     out = sol
-    for kind, branch in zip(kinds, branches):
+    for i, (kind, branch) in enumerate(zip(kinds, branches)):
         map_ = PIVMap(kind, branch)
         a1, b1 = piv_map_params(map_, out.a, out.b)
-        out = PIVSolution(
-            _piv_map_state(map_, out), a1, b1,
-            provenance=f"{kind.value}[{out.provenance}]",
-        )
+        if i < params_only:
+            out = PIVSolution(out.g, a1, b1, provenance=out.provenance)
+        else:
+            out = PIVSolution(
+                _piv_map_state(map_, out), a1, b1,
+                provenance=f"{kind.value}[{out.provenance}]",
+            )
     return out
 
 
@@ -208,49 +225,36 @@ def _identically_small(f, grid: Sequence[float]) -> bool:
 
 
 def _best_branch_match(
+    params_only: Sequence[PIVMapKind],
     kinds: Sequence[PIVMapKind],
     source: PIVSolution,
     target: PIVSolution,
     grid: Sequence[float],
     tol: float,
-    src_name: str,
-    tgt_name: str,
-) -> BTResult | None:
-    """Try all root-branch combinations; first passing one wins, else closest.
+):
+    """Try all root-branch combinations; the first passing one wins, else the first closest.
 
-    Comparisons against an identically vanishing target (a collapsed family
-    member) are meaningless and reported as degenerate.
+    Returns (image, branches, deviation, n_valid, deviations), or None when
+    no combination is comparable.  Comparisons against an identically
+    vanishing target (a collapsed family member) are meaningless, so they
+    give None too.
     """
     if _identically_small(target.g, grid):
         return None
-    best: BTResult | None = None
-    for branches in product((RootBranch.PRINCIPAL, RootBranch.NEGATIVE), repeat=len(kinds)):
+    best = None
+    maps = (*params_only, *kinds)
+    for branches in product((RootBranch.PRINCIPAL, RootBranch.NEGATIVE), repeat=len(maps)):
         try:
-            transformed = _compose_maps(kinds, branches, source)
-            if _identically_small(transformed.g, grid):
+            image = _compose_maps(maps, branches, source, len(params_only))
+            if _identically_small(image.g, grid):
                 continue
-            dev, n_valid, deviations = pointwise_deviation(
-                transformed.g, target.g, grid, per_point=True
-            )
+            dev, n_valid, deviations = pointwise_deviation(image.g, target.g, grid, per_point=True)
         except (GridDegenerateError, MapError):
             continue
-        result = BTResult(
-            transformed,
-            predicted=(transformed.a, transformed.b),
-            inferred=None,
-            passed=dev <= tol,
-            branches=tuple(b.value for b in branches),
-            max_deviation=dev,
-            n_valid=n_valid,
-            source=src_name,
-            target=tgt_name,
-            target_params=(target.a, target.b),
-        )
-        if result.passed:
-            return result
-        result.notes.append(_mismatch_profile(deviations, tol))
-        if best is None or (best.max_deviation or math.inf) > dev:
-            best = result
+        if dev <= tol:
+            return image, branches, dev, n_valid, deviations
+        if best is None or dev < best[2]:
+            best = image, branches, dev, n_valid, deviations
     return best
 
 
@@ -271,37 +275,41 @@ def bt_piv_chain(
 ) -> list[BTResult]:
     """Verify every chain link against the independently built target family.
 
-    The 2-SUSY side uses eps1 = eps with the same parity.  Principal root
-    branches are tried first; on a failed pointwise match the alternate
-    branches are searched and the successful combination recorded.  Links
-    whose construction or comparison collapses (identically vanishing
-    denominators, all-pole grids) are flagged degenerate, not failed.
+    The 2-SUSY side uses eps1 = eps with the same parity.  Every combination
+    of root branches is searched, principal first, and the one that matched
+    is recorded.  Links whose construction or comparison collapses
+    (identically vanishing denominators, all-pole grids) are flagged
+    degenerate, not failed.  The first link is the composite map
+    Wddag+ Wdagger+: g1' + 2x g1 + g1^2 = -(2 eps + 1) holds identically
+    (g1 = alpha - x with the Riccati relation of alpha), so Wdagger+ maps
+    g1 to all poles on one root branch and to 0 on the other.  It acts by
+    its parameters alone, and Wddag+ by its function action.
 
     All five links' solutions are built first, then verified in one demand
     block: the branch search asks each target at order 0, and the winner's
     parameter inference asks the image at order 2, so its source through
-    len(kinds) maps, each one order up.  One link's target is the next
-    link's source node, so each closed form and the nodes below it run once
-    on the grid; only the map images run twice (order 0, then 2 for the
+    the link's function maps, each one order up.  One link's target is the
+    next link's source node, so each closed form and the nodes below it run
+    once on the grid; only the map images run twice (order 0, then 2 for the
     winner).
     """
     if grid is None:
         grid = default_x_grid()
     eps, parity = seed.epsilon, seed.parity
     links: list[BTResult | tuple] = []  # a refused link's result, or what _verify_link takes
-    for src_name, kinds, tgt_name in CHAIN_LINKS:
+    for src_name, params_only, kinds, tgt_name in CHAIN_LINKS:
         try:
             source = closed_piv_solution(src_name, eps, parity)
             target = closed_piv_solution(tgt_name, eps, parity)
         except DegenerateClosedFormError as exc:
             links.append(BTResult(
                 None, (), None, passed=False, degenerate=True,
-                source=src_name, target=tgt_name, notes=[str(exc)],
+                source=src_name, target=tgt_name, notes=(str(exc),),
             ))
             continue
-        links.append((src_name, kinds, tgt_name, source, target))
+        links.append((src_name, params_only, kinds, tgt_name, source, target))
     built = [link for link in links if isinstance(link, tuple)]
-    roots = [(source.g, 2 + len(kinds)) for _, kinds, _, source, _ in built]
+    roots = [(source.g, 2 + len(kinds)) for _, _, kinds, _, source, _ in built]
     roots += [(target.g, 0) for *_, target in built]
     with demand(*roots):
         return [link if isinstance(link, BTResult) else _verify_link(*link, grid, tol)
@@ -310,6 +318,7 @@ def bt_piv_chain(
 
 def _verify_link(
     src_name: str,
+    params_only: Sequence[PIVMapKind],
     kinds: Sequence[PIVMapKind],
     tgt_name: str,
     source: PIVSolution,
@@ -317,66 +326,49 @@ def _verify_link(
     grid: Sequence[float],
     tol: float,
 ) -> BTResult:
-    """One chain link: branch search, composite-map fallback, then parameter inference."""
-    best = _best_branch_match(kinds, source, target, grid, tol, src_name, tgt_name)
-    if (best is None or not best.passed) and len(kinds) > 1:
-        # Multi-map link whose literal composition is singular: the first
-        # map's denominator vanishes identically on this family (its own
-        # first-order identity), so its function action degenerates while
-        # its parameter action is a fixed point.  Apply the composite
-        # form instead: parameter action of every map (both root branches
-        # searched), function action of the remaining ones.
-        head, tail = kinds[0], kinds[1:]
-        for head_branch in (RootBranch.PRINCIPAL, RootBranch.NEGATIVE):
-            a1, b1 = piv_map_params(PIVMap(head, head_branch), source.a, source.b)
-            reduced = PIVSolution(source.g, a1, b1, provenance=source.provenance)
-            fallback = _best_branch_match(tail, reduced, target, grid, tol, src_name, tgt_name)
-            if fallback is None:
-                continue
-            fallback.branches = (head_branch.value,) + fallback.branches
-            fallback.notes.append(
-                f"{head.value} intermediate singular on this family; "
-                "used the composite map (parameter action only)"
-            )
-            if fallback.passed:
-                best = fallback
-                break
-            if best is None or (best.max_deviation or math.inf) > (
-                fallback.max_deviation or math.inf
-            ):
-                best = fallback
-    if best is None:
-        best = BTResult(
+    """One chain link: branch search, then parameter inference of the winner."""
+    match = _best_branch_match(params_only, kinds, source, target, grid, tol)
+    if match is None:
+        return BTResult(
             None, (), None, passed=False, degenerate=True,
             source=src_name, target=tgt_name,
-            notes=["all branch combinations degenerate"],
+            notes=("all branch combinations degenerate",),
         )
-    if best.transformed is not None and not best.degenerate:
-        try:
-            fit = infer_piv_params(best.transformed.g, samples=grid)
-            best.inferred = (fit.a, fit.b)
-            _note_param_winner(best)
-        except (SingularSystemError, GridDegenerateError):
-            best.notes.append("parameter inference degenerate")
-    return best
+    image, branches, dev, n_valid, deviations = match
+    notes = () if dev <= tol else (_mismatch_profile(deviations, tol),)
+    notes += tuple(
+        f"{kind.value} intermediate singular on this family; "
+        "used the composite map (parameter action only)"
+        for kind in params_only
+    )
+    try:
+        fit = infer_piv_params(image.g, samples=grid)
+        inferred = (fit.a, fit.b)
+        notes += (_param_winner_note(image.a, target.a, fit.a),)
+    except (SingularSystemError, GridDegenerateError):
+        inferred = None
+        notes += ("parameter inference degenerate",)
+    return BTResult(
+        image, (image.a, image.b), inferred, passed=dev <= tol,
+        branches=tuple(b.value for b in branches),
+        max_deviation=dev, n_valid=n_valid, source=src_name, target=tgt_name,
+        target_params=(target.a, target.b), notes=notes,
+    )
 
 
-def _note_param_winner(link: BTResult) -> None:
-    """Record which parameter candidate the inference supports, to within 1e-6.
+def _param_winner_note(predicted: float, family: float, inferred: float) -> str:
+    """Which a-candidate the inference supports, to within 1e-6.
 
     Candidates: the composed map prediction and the target family's attached
     value.  When they disagree (the Wtilde+ link), exactly one should win.
     """
-    if link.inferred is None or link.target_params is None:
-        return
-    cand = {"map": link.predicted[0], "family": link.target_params[0]}
-    if abs(cand["map"] - cand["family"]) <= 1e-6:
-        link.notes.append("a-candidates agree")
-        return
-    winners = [name for name, val in cand.items() if abs(link.inferred[0] - val) <= 1e-6]
-    link.notes.append(
-        f"a-discrepancy map={cand['map']:.6g} family={cand['family']:.6g} "
-        f"inferred={link.inferred[0]:.6g} winner={winners[0] if len(winners) == 1 else 'ambiguous'}"
+    if abs(predicted - family) <= 1e-6:
+        return "a-candidates agree"
+    winners = [name for name, val in (("map", predicted), ("family", family))
+               if abs(inferred - val) <= 1e-6]
+    return (
+        f"a-discrepancy map={predicted:.6g} family={family:.6g} "
+        f"inferred={inferred:.6g} winner={winners[0] if len(winners) == 1 else 'ambiguous'}"
     )
 
 
@@ -441,22 +433,21 @@ def _pv_map_state(map_: PVMap, sol: PVSolution) -> State:
     return grid_memo(out, (sol.w, 1))
 
 
-def _pv_transform(map_: PVMap, sol: PVSolution, grid: Sequence[float]) -> BTResult:
-    """T_{k1,k2,k3} applied to sol, with predicted and inferred parameters, not verified.
+def _pv_transform(
+    map_: PVMap, sol: PVSolution, grid: Sequence[float]
+) -> tuple[PVSolution, tuple, tuple | None]:
+    """T_{k1,k2,k3} applied to sol, not verified: (image, predicted, inferred parameters).
 
-    The result is degenerate (and not passed) when inference fails.
+    inferred is None when inference fails.
     """
     predicted = pv_map_params(map_, sol.a, sol.b, sol.c, sol.d)
     state = _pv_map_state(map_, sol)
-    new_sol = PVSolution(
-        state, *predicted,
-        provenance=f"T{map_.triple}[{sol.provenance}]",
-    )
+    image = PVSolution(state, *predicted, provenance=f"T{map_.triple}[{sol.provenance}]")
     try:
         fit = infer_pv_params(state, samples=grid)
     except (SingularSystemError, GridDegenerateError):
-        return BTResult(new_sol, predicted, None, passed=False, degenerate=True)
-    return BTResult(new_sol, predicted, (fit.a, fit.b, fit.c), passed=False)
+        return image, predicted, None
+    return image, predicted, (fit.a, fit.b, fit.c)
 
 
 def bt_pv_apply(
@@ -465,19 +456,21 @@ def bt_pv_apply(
     grid: Sequence[float] | None = None,
     tol: float = DEFAULT_TOLERANCE,
 ) -> BTResult:
-    """Apply T_{k1,k2,k3}; the result is verified with *inferred* parameters."""
+    """Apply T_{k1,k2,k3}; the result is verified with *inferred* parameters.
+
+    It is degenerate (and not passed) when inference or verification degenerates.
+    """
     if grid is None:
         grid = default_z_grid()
-    result = _pv_transform(map_, sol, grid)
-    if result.degenerate:
-        return result
-    new_sol = result.transformed
-    checked = PVSolution(new_sol.w, *result.inferred, sol.d, provenance=new_sol.provenance)
+    image, predicted, inferred = _pv_transform(map_, sol, grid)
+    if inferred is None:
+        return BTResult(image, predicted, None, passed=False, degenerate=True)
+    checked = PVSolution(image.w, *inferred, sol.d, provenance=image.provenance)
     try:
-        result.passed = verify_on_grid("pv", checked, grid=grid, tol=tol).passed
+        passed = verify_on_grid("pv", checked, grid=grid, tol=tol).passed
     except GridDegenerateError:
-        result.degenerate = True
-    return result
+        return BTResult(image, predicted, inferred, passed=False, degenerate=True)
+    return BTResult(image, predicted, inferred, passed=passed)
 
 
 # -- the transformation catalog -------------------------------------------------------------
@@ -593,30 +586,25 @@ def check_catalog_row(
         grid = default_z_grid()
     source = catalog_family_solution(row.source, epsilon, parity)
     target = catalog_family_solution(row.target, epsilon, parity)
+    certificate_tol = max(tol, 1e-6)
     # inference and the certificate ask the image at order 2, so the source
     # at 3; the pointwise match asks the target at 0
     with demand((source.w, 3), (target.w, 0)):
-        result = _pv_transform(PVMap(*row.k), source, grid)
-        result.source = row.source
-        result.target = row.target
-        result.target_params = (target.a, target.b, target.c, target.d)
-        result.tol = tol
-        result.certificate_tol = max(tol, 1e-6)
+        image, predicted, inferred = _pv_transform(PVMap(*row.k), source, grid)
+        result = partial(
+            BTResult, image, predicted, inferred, source=row.source, target=row.target,
+            target_params=(target.a, target.b, target.c, target.d),
+            tol=tol, certificate_tol=certificate_tol,
+        )
         try:
-            dev, n_valid, deviations = pointwise_deviation(
-                result.transformed.w, target.w, grid, per_point=True
-            )
+            dev, n_valid, deviations = pointwise_deviation(image.w, target.w, grid, per_point=True)
             certified = PVSolution(
-                result.transformed.w, target.a, target.b, target.c, target.d,
-                provenance=result.transformed.provenance + " @target-params",
+                image.w, target.a, target.b, target.c, target.d,
+                provenance=image.provenance + " @target-params",
             )
-            target_report = verify_on_grid("pv", certified, grid=grid, tol=result.certificate_tol)
+            target_report = verify_on_grid("pv", certified, grid=grid, tol=certificate_tol)
         except GridDegenerateError:
-            result.degenerate = True
-            result.passed = False
-            return result
-    result.max_deviation = dev
-    result.n_valid = n_valid
+            return result(passed=False, degenerate=True)
     # Parameter certificate: wrong parameters push the residual to O(0.1) at
     # most grid points, while correct ones leave at worst a few isolated
     # conditioning spikes (doubly transformed jets shed digits near poles and
@@ -624,10 +612,10 @@ def check_catalog_row(
     # discriminator; the pointwise match above already pins the function.
     valid = sorted(r for r in target_report.rel_residuals if not math.isnan(r))
     p90 = valid[min(len(valid) - 1, (9 * len(valid)) // 10)] if valid else math.inf
-    certificate_ok = p90 <= result.certificate_tol
-    result.passed = dev <= tol and certificate_ok
-    if not certificate_ok:
-        result.notes.append(f"target-parameter residual profile fails: p90={p90:.2e}")
+    certificate_ok = p90 <= certificate_tol
+    notes = () if certificate_ok else (f"target-parameter residual profile fails: p90={p90:.2e}",)
     if dev > tol:
-        result.notes.append(_mismatch_profile(deviations, tol))
-    return result
+        notes += (_mismatch_profile(deviations, tol),)
+    # a row whose inference degenerates is still compared and certified
+    return result(passed=dev <= tol and certificate_ok, degenerate=inferred is None,
+                  max_deviation=dev, n_valid=n_valid, notes=notes)

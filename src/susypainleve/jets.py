@@ -156,12 +156,6 @@ class Jet:
     def __repr__(self) -> str:
         return f"Jet(d={self.d!r})"
 
-    def __eq__(self, other) -> bool:  # point jets compare, and hash, by their entries
-        return type(other) is Jet and self.d == other.d
-
-    def __hash__(self) -> int:
-        return hash(self.d)
-
     @property
     def order(self) -> int:
         return len(self.block) - 1
@@ -226,8 +220,10 @@ class Jet:
     def __pow__(self, n: int) -> "Jet":
         if not isinstance(n, int) or n < 0:
             raise ValueError("jet powers are nonnegative integers")
-        out = jet_const(1.0, self.order)
-        for _ in range(n):
+        if n == 0:
+            return jet_const(1.0, self.order)
+        out = self + 0.0  # the bits of 1 * self: a -0.0 entry turns +0.0
+        for _ in range(n - 1):
             out = jet_mul(out, self)
         return out
 

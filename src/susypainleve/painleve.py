@@ -43,6 +43,7 @@ from .susy import (
     FirstOrderTransform,
     SecondOrderTransform,
     Target,
+    _wronskian_jet,
     extremal_states,
     superpotential_alpha,
 )
@@ -291,9 +292,7 @@ def _pair_w_state(phi3: ExtremalState, phi4: ExtremalState, prefactor: int) -> S
     def w(z: float, order: int) -> Jet:
         X = jet_sqrt(jet_var(z, order) * 0.5)
         x0 = X.value
-        f3 = phi3.state(x0, order + 2)
-        f4 = phi4.state(x0, order + 2)
-        wr = f3.truncate(order + 1) * f4.deriv() - f3.deriv() * f4.truncate(order + 1)
+        wr = _wronskian_jet(phi3.state, phi4.state, x0, order + 1)
         g_x = float(prefactor) * jet_var(x0, order) - log_derivative(wr)
         g_z = jet_compose(g_x, X)
         return 1.0 + (2.0 * X) / g_z

@@ -144,9 +144,14 @@ def _relative_residuals(terms: tuple) -> np.ndarray:
     """
     stacked = np.array(terms)
     scale = np.max(np.abs(stacked), axis=0)
-    sums = np.array(list(map(math.fsum, stacked.T.tolist())))
+    sums = _fsums(stacked)
     vanishing = scale == 0.0
     return np.where(vanishing, 0.0, np.abs(sums) / np.where(vanishing, 1.0, scale))
+
+
+def _fsums(terms) -> np.ndarray:
+    """math.fsum of the terms per sample; terms are arrays over the samples."""
+    return np.array(list(map(math.fsum, np.asarray(terms).T.tolist())))
 
 
 def _value_guarded(kind: str, value):
@@ -154,6 +159,18 @@ def _value_guarded(kind: str, value):
     if kind == "piv":
         return abs(value) < VALUE_GUARD
     return (abs(value) < VALUE_GUARD) | (abs(value - 1.0) < VALUE_GUARD)
+
+
+def _usable_samples(kind: str, state: State, grid: Sequence[float], order: int):
+    """The state on the grid at `order` (2 or more), cut to its usable samples.
+
+    Returns (keep, (v0, v1, v2), t): keep marks the points neither masked
+    nor inside the value guard, v0..v2 are the value and first two
+    derivatives there and t the points themselves.
+    """
+    jet = on_grid(state, grid, order)
+    keep = ~(jet.mask | _value_guarded(kind, jet.value))
+    return keep, tuple(v[keep] for v in jet.d[:3]), np.asarray(grid, dtype=float)[keep]
 
 
 def verify_on_grid(
@@ -180,10 +197,9 @@ def verify_on_grid(
     if len(grid) == 0:
         raise ValueError("empty verification grid")
 
-    jet = on_grid(sol.g if kind == "piv" else sol.w, grid, max(order, 2))
-    keep = ~(jet.mask | _value_guarded(kind, jet.value))
-    v0, v1, v2 = (v[keep] for v in jet.d[:3])
-    t = np.asarray(grid, dtype=float)[keep]
+    keep, (v0, v1, v2), t = _usable_samples(
+        kind, sol.g if kind == "piv" else sol.w, grid, max(order, 2)
+    )
     if kind == "piv":
         terms = _piv_terms(v0, v1, v2, t, sol.a, sol.b)
     else:
@@ -247,11 +263,9 @@ def _affine_fit(kind: str, state: State, samples: Sequence[float] | None, column
     """
     if samples is None:
         samples = (default_x_grid() if kind == "piv" else default_z_grid())[1::3]
-    jet = on_grid(state, samples, 2)
-    keep = ~(jet.mask | _value_guarded(kind, jet.value))
-    v0, v1, v2 = (v[keep] for v in jet.d[:3])
+    _, (v0, v1, v2), t = _usable_samples(kind, state, samples, 2)
     with np.errstate(all="ignore"):  # Python's float arithmetic, which this replays, never warns
-        cols = np.array(columns_of(v0, v1, v2, np.asarray(samples, dtype=float)[keep]))
+        cols = np.array(columns_of(v0, v1, v2, t))
         # row-equilibration: keeps near-pole samples from dominating the fit
         cols /= np.abs(cols).max(axis=0)
     if v0.size < n_params:
@@ -264,11 +278,6 @@ def _affine_fit(kind: str, state: State, samples: Sequence[float] | None, column
     theta, *_ = np.linalg.lstsq(A, y, rcond=None)
     misfit = float(np.sqrt(np.mean((A @ theta - y) ** 2)))
     return [float(v) for v in theta], cond, misfit
-
-
-def _fsums(terms: tuple) -> np.ndarray:
-    """math.fsum of the terms per sample; terms are arrays over the samples."""
-    return np.array(list(map(math.fsum, np.array(terms).T.tolist())))
 
 
 def infer_piv_params(g: State, samples: Sequence[float] | None = None) -> PIVFit:

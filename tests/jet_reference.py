@@ -7,7 +7,9 @@ the operand order `(C(k, j) * a[j]) * b[k - j]`, a sum that starts from 0.0
 that skips a zero coefficient.  They share no code with the package, so a
 kernel that regroups its sums (a matmul, `einsum`, `np.add.reduceat`) fails
 a bitwise comparison against them.  Each takes and returns tuples of floats;
-none checks a pole or domain guard.
+none checks a pole or domain guard.  The one exception is `old_pow`, the
+loop that `Jet.__pow__` replaced, kept over the package's jets (masks
+included) and its `jet_mul`, which the loops here pin.
 """
 
 import math
@@ -82,3 +84,13 @@ def ref_compose(outer, inner):
         comp = poly_mul(comp, B)
         comp[0] = comp[0] + A[k]
     return tuple(comp[k] * fact[k] for k in range(K + 1))
+
+
+def old_pow(jet, n):
+    """The constant jet 1 times `jet`, n times over: a -0.0 entry of `jet` comes out +0.0."""
+    from susypainleve.jets import jet_const, jet_mul
+
+    out = jet_const(1.0, jet.order)
+    for _ in range(n):
+        out = jet_mul(out, jet)
+    return out

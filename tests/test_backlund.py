@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -308,3 +309,105 @@ def test_bt_pv_apply_verifies_with_inferred_parameters(monkeypatch):
     tgt = derived_pv_solution("H2", "d", 1.0, Parity.EVEN)
     assert res.predicted == garbage
     assert res.passed and res.inferred == pytest.approx((tgt.a, tgt.b, tgt.c), abs=1e-8)
+
+
+ODD, EVEN = Parity.ODD, Parity.EVEN
+
+# Chains as recorded before the composite-map link replaced its literal
+# composition search: per link (source, target, branches, passed,
+# degenerate, max_deviation as hex, inferred (a, b) as hex, notes).  0.7 odd
+# takes the composite map, 0.5 even refuses g3 at build, 3.571 even fails two
+# links, and -0.7 even and -1.3 odd need negative root branches.
+RECORDED_CHAINS = {
+    (0.7, ODD): [
+        ("g1", "g2", ("principal", "principal"), True, False, "0x1.5ab7aa4094ab8p-43",
+         ("-0x1.9999999999edap+1", "-0x1.47ae147ae293bp-4"),
+         ("Wdagger+ intermediate singular on this family; used the composite map "
+          "(parameter action only)", "a-candidates agree")),
+        ("g2", "g3", ("principal",), True, False, "0x1.623d000000000p-35",
+         ("0x1.99999b94b41b8p-2", "-0x1.0000001ab014ap+1"), ("a-candidates agree",)),
+        ("g3", "G1", ("principal",), True, False, "0x1.6d40000000000p-43",
+         ("0x1.cccccccccd055p+0", "-0x1.70a3d70a3d87ep+1"),
+         ("a-discrepancy map=1.55 family=1.8 inferred=1.8 winner=family",)),
+        ("G1", "G3", ("principal",), True, False, "0x1.c400000000000p-46",
+         ("-0x1.3333333331f15p-1", "-0x1.ffffffffff595p+2"), ("a-candidates agree",)),
+        ("G3", "G2", ("principal",), True, False, "0x1.3533626b13e76p-40",
+         ("-0x1.0ccccccccca03p+2", "-0x1.47ae147ae14fep+0"), ("a-candidates agree",)),
+    ],
+    (-0.7, EVEN): [
+        ("g1", "g2", ("negative", "negative"), True, False, "0x1.6f1e64bb15c3ap-40",
+         ("-0x1.cccccccce186dp+0", "-0x1.70a3d70a4e663p+1"),
+         ("Wdagger+ intermediate singular on this family; used the composite map "
+          "(parameter action only)", "a-candidates agree")),
+        ("g2", "g3", ("negative",), True, False, "0x1.ba250d9dcc1f9p-25",
+         ("-0x1.3360c19bd608ap+1", "-0x1.00124a4911a7cp+1"), ("a-candidates agree",)),
+        ("g3", "G1", ("principal",), True, False, "0x1.5244000000000p-42",
+         ("0x1.9999999994abbp+1", "-0x1.47ae147ae7aa5p-4"),
+         ("a-discrepancy map=2.95 family=3.2 inferred=3.2 winner=family",)),
+        ("G1", "G3", ("negative",), True, False, "0x1.a290000000000p-41",
+         ("-0x1.b3333332776c1p+1", "-0x1.ffffffff56233p+2"), ("a-candidates agree",)),
+        ("G3", "G2", ("principal",), True, False, "0x1.e717b80000000p-32",
+         ("-0x1.66666d941f968p+1", "-0x1.35c2a4e2de71bp+3"), ("a-candidates agree",)),
+    ],
+    (0.5, EVEN): [
+        ("g1", "g2", ("principal",), False, True, None, None,
+         ("all branch combinations degenerate",)),
+        ("g2", "g3", ("principal",), False, True, None, None,
+         ("degenerate closed form: g3 is 0/0 for the even eps = 1/2 seed",)),
+        ("g3", "G1", ("principal",), False, True, None, None,
+         ("degenerate closed form: g3 is 0/0 for the even eps = 1/2 seed",)),
+        ("G1", "G3", ("principal",), False, True, None, None,
+         ("all branch combinations degenerate",)),
+        ("G3", "G2", ("principal",), False, True, None, None,
+         ("all branch combinations degenerate",)),
+    ],
+    (3.571, EVEN): [
+        ("g1", "g2", ("principal", "principal"), True, False, "0x1.1afb4aef8a2dfp-46",
+         ("-0x1.848b43944768dp+2", "-0x1.2dcb167de271ap+4"),
+         ("Wdagger+ intermediate singular on this family; used the composite map "
+          "(parameter action only)", "a-candidates agree")),
+        ("g2", "g3", ("principal",), True, False, "0x1.b47c000000000p-39",
+         ("0x1.8916872e182d8p+2", "-0x1.ffffffff93486p+0"), ("a-candidates agree",)),
+        ("g3", "G1", ("principal",), True, False, "0x1.451143b51af7ep-44",
+         ("-0x1.122d0e800e41cp+0", "-0x1.092b2d1a57bdcp+5"),
+         ("a-discrepancy map=-1.321 family=-1.071 inferred=-1.071 winner=family",)),
+        ("G1", "G3", ("principal",), False, False, "0x1.5a1ac41d3c000p-15",
+         ("0x1.4916c32922e3ep+2", "-0x1.fff97db2dd821p+2"),
+         ("mismatch above 1e-07 at 1 of 40 points", "a-candidates agree")),
+        ("G3", "G2", ("principal",), False, False, "0x1.7dbcbf1023e90p-5",
+         ("-0x1.c48b435fc0d0ap+2", "-0x1.127fa5bb320cap+3"),
+         ("mismatch above 1e-07 at 1 of 40 points", "a-candidates agree")),
+    ],
+    (-1.3, ODD): [
+        ("g1", "g2", ("negative", "negative"), True, False, "0x1.28b397bffa326p-42",
+         ("-0x1.3333333331cb6p+0", "-0x1.9eb851eb83db4p+2"),
+         ("Wdagger+ intermediate singular on this family; used the composite map "
+          "(parameter action only)", "a-candidates agree")),
+        ("g2", "g3", ("negative",), True, False, "0x1.e84bb00000000p-35",
+         ("-0x1.cccccccd021a5p+1", "-0x1.0000000011161p+1"), ("a-candidates agree",)),
+        ("g3", "G1", ("principal",), True, False, "0x1.8d00000000000p-43",
+         ("0x1.e666666666534p+1", "-0x1.47ae147ae1452p+0"),
+         ("a-discrepancy map=3.55 family=3.8 inferred=3.8 winner=family",)),
+        ("G1", "G3", ("negative",), True, False, "0x1.a780000000000p-43",
+         ("-0x1.266666666690cp+2", "-0x1.000000000024ap+3"), ("a-candidates agree",)),
+        ("G3", "G2", ("principal",), True, False, "0x1.0d5edc3c1c186p-38",
+         ("-0x1.199999998d788p+1", "-0x1.f5c28f5c16712p+3"), ("a-candidates agree",)),
+    ],
+}
+
+
+@pytest.mark.parametrize("eps, parity", list(RECORDED_CHAINS))
+def test_chain_matches_its_recording(eps, parity):
+    def hexed(value):
+        return None if value is None else tuple(v.hex() for v in value)
+
+    links = bt_piv_chain(SeedSpec(eps, parity))
+    got = [
+        (l.source, l.target, l.branches, l.passed, l.degenerate,
+         None if l.max_deviation is None else l.max_deviation.hex(), hexed(l.inferred),
+         tuple(l.notes))
+        for l in links
+    ]
+    assert got == RECORDED_CHAINS[eps, parity]
+    with pytest.raises(FrozenInstanceError):
+        links[0].passed = not links[0].passed

@@ -7,7 +7,8 @@ fails here even where it agrees to 1e-15.  Entries have random signs,
 magnitudes from 1e-8 to 1e8, and some are +0.0 or -0.0, whose sign survives
 only an exact replay of the loop.  A first operand may be a point jet,
 which broadcasts over the grid as constants do.  A scalar operand (jet + c,
-c - jet, c / jet, ...) must give the bits of the constant jet it stands for.
+c - jet, c / jet, ...) must give the bits of the constant jet it stands for,
+and a power must give the bits of the product loop it replaced.
 """
 
 import math
@@ -19,7 +20,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from jet_reference import ref_compose, ref_div, ref_exp, ref_ln, ref_mul, ref_sqrt  # noqa: E402
+from jet_reference import (  # noqa: E402
+    old_pow, ref_compose, ref_div, ref_exp, ref_ln, ref_mul, ref_sqrt,
+)
 from susypainleve.jets import (  # noqa: E402
     DomainError, Jet, JetError, jet_compose, jet_const, jet_div, jet_exp, jet_ln, jet_mul, jet_sqrt,
 )
@@ -118,6 +121,35 @@ def test_compose_matches_reference(K, N, seed, point):
 def test_unary_kernels_match_reference(kernel, reference, value, K, N, seed, point):
     a = entries(np.random.default_rng(seed), K, 1 if point else N, value)
     assert_columns_match(kernel(as_jet(a, point)), reference, a)
+
+
+@SETTINGS
+@given(K=st.integers(min_value=0, max_value=11), N=st.sampled_from([1, 40]),
+       n=st.integers(min_value=0, max_value=4), seed=CASES["seed"], point=st.booleans())
+@example(K=3, N=40, n=2, seed=11, point=False)
+@example(K=2, N=1, n=1, seed=12, point=True)
+def test_power_matches_the_product_loop(K, N, n, seed, point):
+    rng = np.random.default_rng(seed)
+    block = entries(rng, K, 1 if point else N)
+    if point:
+        jet = as_jet(block, True)
+    else:  # masked points hold anything, non-finite entries included
+        mask = rng.random(N) < 0.25
+        block[:, mask] = rng.choice([math.nan, math.inf, 1.0], (K + 1, mask.sum()))
+        jet = Jet(block, mask)
+    with np.errstate(all="ignore"):
+        got, want = jet**n, old_pow(jet, n)
+    assert (got.mask is None) == (want.mask is None)
+    keep = slice(None) if want.mask is None else ~want.mask
+    if want.mask is not None:
+        assert got.mask.tobytes() == want.mask.tobytes()
+    assert got.block[:, keep].tobytes() == want.block[:, keep].tobytes()
+
+
+def test_power_turns_negative_zeros_positive_as_the_product_did():
+    jet = Jet((-0.0, 2.0, -0.0))
+    assert [math.copysign(1.0, v) for v in (jet**1).d] == [1.0, 1.0, 1.0]
+    assert (jet**0).d == (1.0, 0.0, 0.0)
 
 
 def test_point_jets_answer_in_floats():

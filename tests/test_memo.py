@@ -397,7 +397,7 @@ def _row(source, target, k):
 
 
 BACKLUND_OPS = {
-    # the first link of this chain takes the composite-map fallback
+    # the first link of this chain applies Wdagger+ by its parameters alone (the composite map)
     "chain 0.7 odd": lambda: bt_piv_chain(SeedSpec(0.7, ODD)),
     # g3 is refused at build here, so two links are degenerate before any evaluation
     "chain 0.5 even": lambda: bt_piv_chain(SeedSpec(0.5, EVEN)),

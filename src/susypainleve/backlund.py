@@ -53,6 +53,7 @@ from .residual import (
     SingularSystemError,
     infer_piv_params,
     infer_pv_params,
+    jet_deviation,
     pointwise_deviation,
     verify_on_grid,
 )
@@ -218,9 +219,8 @@ def _compose_maps(
     return out
 
 
-def _identically_small(f, grid: Sequence[float]) -> bool:
-    """True when |f| stays below VALUE_GUARD at every evaluable point."""
-    jet = on_grid(f, grid, 0)
+def _identically_small(jet: Jet) -> bool:
+    """True when a grid jet's value stays below VALUE_GUARD at every unmasked point."""
     return not np.any(~jet.mask & (np.abs(jet.value) >= VALUE_GUARD))
 
 
@@ -237,18 +237,22 @@ def _best_branch_match(
     Returns (image, branches, deviation, n_valid, deviations), or None when
     no combination is comparable.  Comparisons against an identically
     vanishing target (a collapsed family member) are meaningless, so they
-    give None too.
+    give None too.  The target is evaluated once, at order 0, and each image
+    once, at order 2: the order the winner's parameter inference asks of it.
     """
-    if _identically_small(target.g, grid):
+    x = np.asarray(grid, dtype=float)
+    target_jet = on_grid(target.g, x, 0)
+    if _identically_small(target_jet):
         return None
     best = None
     maps = (*params_only, *kinds)
     for branches in product((RootBranch.PRINCIPAL, RootBranch.NEGATIVE), repeat=len(maps)):
         try:
             image = _compose_maps(maps, branches, source, len(params_only))
-            if _identically_small(image.g, grid):
+            image_jet = on_grid(image.g, x, 2)
+            if _identically_small(image_jet):
                 continue
-            dev, n_valid, deviations = pointwise_deviation(image.g, target.g, grid, per_point=True)
+            dev, n_valid, deviations = jet_deviation(image_jet, target_jet, per_point=True)
         except (GridDegenerateError, MapError):
             continue
         if dev <= tol:
@@ -286,12 +290,11 @@ def bt_piv_chain(
     its parameters alone, and Wddag+ by its function action.
 
     All five links' solutions are built first, then verified in one demand
-    block: the branch search asks each target at order 0, and the winner's
-    parameter inference asks the image at order 2, so its source through
-    the link's function maps, each one order up.  One link's target is the
-    next link's source node, so each closed form and the nodes below it run
-    once on the grid; only the map images run twice (order 0, then 2 for the
-    winner).
+    block: the branch search asks each target at order 0 and each image at
+    order 2, the order the winner's parameter inference asks, so its source
+    through the link's function maps, each one order up.  One link's target
+    is the next link's source node, so each closed form, each map image and
+    the nodes below them run once on the grid.
     """
     if grid is None:
         grid = default_x_grid()

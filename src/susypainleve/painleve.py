@@ -36,7 +36,7 @@ from functools import lru_cache
 from typing import Callable, Literal
 
 from .hyp1f1 import KummerParams, kummer_jet
-from .jets import Jet, grid_memo, jet_compose, jet_sqrt, jet_var, log_derivative
+from .jets import Jet, grid_factor, grid_memo, jet_compose, jet_sqrt, jet_var, log_derivative
 from .oscillator import Parity, SeedSpec, State
 from .susy import (
     ExtremalState,
@@ -288,9 +288,15 @@ PV_IDENTIFICATIONS: dict[str, tuple[int, int, int, int]] = {
 _REFERENCE_PREFACTOR = {"H1": -1, "H2": -2}
 
 
+@grid_factor
+def _half_root(zjet: Jet) -> Jet:
+    """The jet of X = sqrt(z/2), the x of z = 2x^2, held per grid."""
+    return jet_sqrt(zjet * 0.5)
+
+
 def _pair_w_state(phi3: ExtremalState, phi4: ExtremalState, prefactor: int) -> State:
     def w(z: float, order: int) -> Jet:
-        X = jet_sqrt(jet_var(z, order) * 0.5)
+        X = _half_root(jet_var(z, order))
         x0 = X.value
         wr = _wronskian_jet(phi3.state, phi4.state, x0, order + 1)
         g_x = float(prefactor) * jet_var(x0, order) - log_derivative(wr)
@@ -381,7 +387,7 @@ def _w1_state(case: str, epsilon: float, parity: Parity) -> State:
 
     def w(z: float, order: int) -> Jet:
         zj = jet_var(z, order)
-        X = jet_sqrt(zj * 0.5)
+        X = _half_root(zj)
         al = jet_compose(superpotential_alpha(t1, X.value, order), X)
         s = 2.0 * X  # sqrt(2z)
         if case == "a":

@@ -161,16 +161,16 @@ def _value_guarded(kind: str, value):
     return (abs(value) < VALUE_GUARD) | (abs(value - 1.0) < VALUE_GUARD)
 
 
-def _usable_samples(kind: str, state: State, grid: Sequence[float], order: int):
-    """The state on the grid at `order` (2 or more), cut to its usable samples.
+def _usable_samples(kind: str, state: State, x: np.ndarray, order: int):
+    """The state on the grid array x at `order` (2 or more), cut to its usable samples.
 
     Returns (keep, (v0, v1, v2), t): keep marks the points neither masked
     nor inside the value guard, v0..v2 are the value and first two
     derivatives there and t the points themselves.
     """
-    jet = on_grid(state, grid, order)
+    jet = on_grid(state, x, order)
     keep = ~(jet.mask | _value_guarded(kind, jet.value))
-    return keep, tuple(v[keep] for v in jet.d[:3]), np.asarray(grid, dtype=float)[keep]
+    return keep, tuple(v[keep] for v in jet.d[:3]), x[keep]
 
 
 def verify_on_grid(
@@ -197,8 +197,9 @@ def verify_on_grid(
     if len(grid) == 0:
         raise ValueError("empty verification grid")
 
+    x = np.asarray(grid, dtype=float)
     keep, (v0, v1, v2), t = _usable_samples(
-        kind, sol.g if kind == "piv" else sol.w, grid, max(order, 2)
+        kind, sol.g if kind == "piv" else sol.w, x, max(order, 2)
     )
     if kind == "piv":
         terms = _piv_terms(v0, v1, v2, t, sol.a, sol.b)
@@ -213,7 +214,7 @@ def verify_on_grid(
     worst = float(valid.max()) if n_valid else math.inf
     report = VerificationReport(
         kind=kind,
-        grid=np.asarray(grid, dtype=float).tolist(),
+        grid=x.tolist(),
         rel_residuals=residuals.tolist(),
         skipped=skipped,
         n_valid=n_valid,
@@ -263,7 +264,7 @@ def _affine_fit(kind: str, state: State, samples: Sequence[float] | None, column
     """
     if samples is None:
         samples = (default_x_grid() if kind == "piv" else default_z_grid())[1::3]
-    _, (v0, v1, v2), t = _usable_samples(kind, state, samples, 2)
+    _, (v0, v1, v2), t = _usable_samples(kind, state, np.asarray(samples, dtype=float), 2)
     with np.errstate(all="ignore"):  # Python's float arithmetic, which this replays, never warns
         cols = np.array(columns_of(v0, v1, v2, t))
         # row-equilibration: keeps near-pole samples from dominating the fit
@@ -327,7 +328,22 @@ def pointwise_deviation(
     evaluated).  Raises GridDegenerateError when fewer than min_valid points
     survive.
     """
-    fj, gj = on_grid(f, grid, 0), on_grid(g, grid, 0)
+    x = np.asarray(grid, dtype=float)
+    return jet_deviation(on_grid(f, x, 0), on_grid(g, x, 0),
+                         min_valid=min_valid, per_point=per_point)
+
+
+def jet_deviation(
+    fj: Jet,
+    gj: Jet,
+    *,
+    min_valid: int = MIN_VALID_POINTS,
+    per_point: bool = False,
+):
+    """pointwise_deviation of two grid jets on one grid, from their values and masks.
+
+    A jet of any order gives the result of its order-0 truncation.
+    """
     fv, gv = fj.value, gj.value
     with np.errstate(all="ignore"):
         dev = np.abs(fv - gv) / np.maximum(np.maximum(1.0, np.abs(fv)), np.abs(gv))

@@ -411,3 +411,94 @@ def test_chain_matches_its_recording(eps, parity):
     assert got == RECORDED_CHAINS[eps, parity]
     with pytest.raises(FrozenInstanceError):
         links[0].passed = not links[0].passed
+
+
+# Catalog rows as recorded before the branch search compared held jets: per
+# row and parity (passed, degenerate, n_valid, max_deviation, predicted,
+# inferred and target parameters, tol and certificate_tol, floats as hex,
+# then branches and notes).  One row per target family; w1c -> w2d is checked
+# outside its window, and w1f -> w2d has the open window.
+RECORDED_ROWS = {
+    ("w1b", "w2a", (-1, -1, 1), 0.7, ODD): (
+        True, False, 40, "0x1.8877d69a4340dp-35",
+        ("0x1.0000000000000p-3", "-0x1.0000000000000p+1", "-0x1.6666666666667p-2",
+         "-0x1.0000000000000p-3"),
+        ("0x1.fffffffffe066p-4", "-0x1.000000000a4d2p+1", "-0x1.6666666662d79p-2"),
+        ("0x1.0000000000000p-3", "-0x1.0000000000000p+1", "-0x1.6666666666668p-2",
+         "-0x1.0000000000000p-3"),
+        "0x1.ad7f29abcaf48p-24", "0x1.0c6f7a0b5ed8dp-20", ("principal",), ()),
+    ("w1b", "w2a", (-1, -1, 1), 0.7, EVEN): (
+        True, False, 40, "0x1.872a99ed9ea5fp-40",
+        ("0x1.0000000000000p-3", "-0x1.0000000000000p+1", "-0x1.6666666666667p-2",
+         "-0x1.0000000000000p-3"),
+        ("0x1.0000000007df6p-3", "-0x1.0000000006109p+1", "-0x1.666666665de62p-2"),
+        ("0x1.0000000000000p-3", "-0x1.0000000000000p+1", "-0x1.6666666666668p-2",
+         "-0x1.0000000000000p-3"),
+        "0x1.ad7f29abcaf48p-24", "0x1.0c6f7a0b5ed8dp-20", ("principal",), ()),
+    ("w1c", "w2d", (-1, 1, 1), 0.7, ODD): (
+        False, False, 40, "0x1.3308e4e2aa8b9p-3",
+        ("0x1.0000000000000p-1", "-0x1.2000000000000p+0", "0x1.6666666666666p-2",
+         "-0x1.0000000000000p-3"),
+        ("0x1.0000000002372p-1", "-0x1.200000000204cp+0", "0x1.6666666665fb2p-2"),
+        ("0x1.35c28f5c28f5dp-1", "-0x1.f5c28f5c28f5bp-1", "0x1.0000000000000p-2",
+         "-0x1.0000000000000p-3"),
+        "0x1.ad7f29abcaf48p-24", "0x1.0c6f7a0b5ed8dp-20", ("principal",),
+        ("target-parameter residual profile fails: p90=1.53e+00",
+         "mismatch above 1e-07 at 40 of 40 points")),
+    ("w1c", "w2d", (-1, 1, 1), 0.7, EVEN): (
+        False, False, 40, "0x1.338cc7347c7d5p-2",
+        ("0x1.0000000000000p-1", "-0x1.2000000000000p+0", "0x1.6666666666666p-2",
+         "-0x1.0000000000000p-3"),
+        ("0x1.fffffffffc113p-2", "-0x1.2000000001de4p+0", "0x1.6666666678bacp-2"),
+        ("0x1.35c28f5c28f5dp-1", "-0x1.f5c28f5c28f5bp-1", "0x1.0000000000000p-2",
+         "-0x1.0000000000000p-3"),
+        "0x1.ad7f29abcaf48p-24", "0x1.0c6f7a0b5ed8dp-20", ("principal",),
+        ("target-parameter residual profile fails: p90=2.13e-01",
+         "mismatch above 1e-07 at 40 of 40 points")),
+    ("w1b", "w2e", (-1, 1, 1), -0.7, ODD): (
+        True, False, 40, "0x1.b6382ea7d4ebbp-42",
+        ("0x1.47ae147ae1485p-8", "-0x1.47ae147ae147cp+0", "0x1.8000000000000p-1",
+         "-0x1.0000000000000p-3"),
+        ("0x1.47ae147adf7d7p-8", "-0x1.47ae147ae13a9p+0", "0x1.7fffffffffff2p-1"),
+        ("0x1.47ae147ae1478p-8", "-0x1.47ae147ae147cp+0", "0x1.8000000000000p-1",
+         "-0x1.0000000000000p-3"),
+        "0x1.ad7f29abcaf48p-24", "0x1.0c6f7a0b5ed8dp-20", ("principal",), ()),
+    ("w1b", "w2e", (-1, 1, 1), -0.7, EVEN): (
+        True, False, 40, "0x1.b6270be1e604cp-36",
+        ("0x1.47ae147ae1485p-8", "-0x1.47ae147ae147cp+0", "0x1.8000000000000p-1",
+         "-0x1.0000000000000p-3"),
+        ("0x1.47ae148e605aap-8", "-0x1.47ae1454c056dp+0", "0x1.7fffffc1670adp-1"),
+        ("0x1.47ae147ae1478p-8", "-0x1.47ae147ae147cp+0", "0x1.8000000000000p-1",
+         "-0x1.0000000000000p-3"),
+        "0x1.ad7f29abcaf48p-24", "0x1.0c6f7a0b5ed8dp-20", ("principal",), ()),
+    ("w1f", "w2d", (-1, -1, 1), 2.3, ODD): (
+        True, False, 40, "0x1.1cdd000000000p-35",
+        ("0x1.ce147ae147ae1p+0", "-0x1.70a3d70a3d70cp-3", "0x1.0000000000000p-2",
+         "-0x1.0000000000000p-3"),
+        ("0x1.ce147ae145b61p+0", "-0x1.70a3d70a3c0b2p-3", "0x1.0000000000057p-2"),
+        ("0x1.ce147ae147ae1p+0", "-0x1.70a3d70a3d70cp-3", "0x1.0000000000000p-2",
+         "-0x1.0000000000000p-3"),
+        "0x1.ad7f29abcaf48p-24", "0x1.0c6f7a0b5ed8dp-20", ("principal",), ()),
+    ("w1f", "w2d", (-1, -1, 1), 2.3, EVEN): (
+        True, False, 40, "0x1.189b800000000p-36",
+        ("0x1.ce147ae147ae1p+0", "-0x1.70a3d70a3d70cp-3", "0x1.0000000000000p-2",
+         "-0x1.0000000000000p-3"),
+        ("0x1.ce147ae147d20p+0", "-0x1.70a3d70a422f2p-3", "0x1.00000000007fap-2"),
+        ("0x1.ce147ae147ae1p+0", "-0x1.70a3d70a3d70cp-3", "0x1.0000000000000p-2",
+         "-0x1.0000000000000p-3"),
+        "0x1.ad7f29abcaf48p-24", "0x1.0c6f7a0b5ed8dp-20", ("principal",), ()),
+}
+
+
+@pytest.mark.parametrize("source, target, k, eps, parity", list(RECORDED_ROWS))
+def test_catalog_row_matches_its_recording(source, target, k, eps, parity):
+    def hexed(value):
+        return None if value is None else tuple(v.hex() for v in value)
+
+    row = next(r for r in CATALOG if (r.source, r.target, r.k) == (source, target, k))
+    res = check_catalog_row(row, eps, parity)
+    got = (res.passed, res.degenerate, res.n_valid, res.max_deviation.hex(),
+           hexed(res.predicted), hexed(res.inferred), hexed(res.target_params),
+           res.tol.hex(), res.certificate_tol.hex(), res.branches, tuple(res.notes))
+    assert (res.source, res.target) == (source, target)
+    assert got == RECORDED_ROWS[source, target, k, eps, parity]

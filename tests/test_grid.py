@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from package_caches import clear_package_caches
-from susypainleve import hyp1f1, oscillator
+from susypainleve import hyp1f1, oscillator, painleve
 from susypainleve.backlund import (
     CATALOG,
     PIVMap,
@@ -377,7 +377,7 @@ def test_clearing_the_package_caches_empties_the_row_table(monkeypatch):
 
 
 @pytest.mark.parametrize("factor", [oscillator._odd_prefactor, oscillator._even_prefactor,
-                                    hyp1f1._square])
+                                    hyp1f1._square, painleve._half_root])
 def test_grid_factors_warm_equal_cold(factor):
     # two grids, asked alternately: each keeps its own held factor
     grids = [(ROW_GRID, ROW_MASK), (np.array(linear_grid(0.3, 5.0, 25)), np.zeros(25, bool))]

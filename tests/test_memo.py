@@ -418,12 +418,7 @@ def test_one_backlund_op_runs_each_node_once_per_grid(node_calls, op):
     assert runs
     for (node, _), orders in runs.items():
         body = getattr(node.body, "__qualname__", repr(node.body))
-        if body == "_piv_map_state.<locals>.out":
-            # a branch image is compared at order 0, and only the winner is
-            # fitted at order 2: its map nodes may run once more
-            assert len(orders) <= 2 and orders == sorted(orders), orders
-        else:
-            assert len(orders) == 1, (body, orders)
+        assert len(orders) == 1, (body, orders)
 
 
 def _diamond(memo, counted):

@@ -33,13 +33,16 @@ lack.  It is the package's only series cache: a seed node in `oscillator`
 holds one grid at one order, and the table serves the rows it sums again
 when it is asked one order higher or on a grid it held before.  Each
 element of a row takes the same IEEE steps whatever else is summed beside
-it, so cached and fresh rows agree to the bit.  The rows one pass sums are
-written into one read-only (rows, N) block, nan at masked points, by one
-masked assignment, and the table stores views of its rows: read-only
-arrays shared by every caller.  A grid keeps at most _GRID_ROWS rows, the
-oldest dropped first, and the tables of _GRIDS grids are held in an
-lru_cache, so `cache_clear` empties them with the package's other caches,
-the grid factors' included.  The one-point path (`kummer`) is not cached.
+it, so cached and fresh rows agree to the bit.  The lockstep sums the rows
+one pass lacks over the grid's unmasked y, shared by every row, into one
+(rows, points) block.  When no point is masked (every seed on a grid inside
+(0, 6]) the table stores that block itself; otherwise one masked assignment
+scatters it into a nan-filled (rows, N) block.  Either block is read-only,
+and the table stores views of its rows, shared by every caller.  A grid
+keeps at most _GRID_ROWS rows, the oldest dropped first, and the tables of
+_GRIDS grids are held in an lru_cache, so `cache_clear` empties them with
+the package's other caches, the grid factors' included.  The one-point
+path (`kummer`) is not cached.
 """
 
 from __future__ import annotations
@@ -152,32 +155,31 @@ def kummer_y_derivative(params: KummerParams, y: float, m: int) -> float:
 
 
 def _kummer_lockstep(p: np.ndarray, q: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Many 1F1(p; q; y) series at once, element i summing 1F1(p[i]; q[i]; y[i]).
+    """The (R, n) block of R rows 1F1(p[r]; q[r]; y), p and q of shape (R,), on n points.
 
-    Every element takes the steps of `kummer` in the same order (term
-    update, then Kahan update) and stops at the same n by the same rule, so
-    its sum equals `kummer`'s to the bit.  The loop runs in blocks of
-    _BLOCK terms, writing every step into buffers allocated once per call,
-    and applies the stopping rule to a whole block at once: an element that
-    stops inside a block takes the partial sum of its stopping term and
-    ignores the terms after it.  Finished elements leave the working arrays
-    between blocks.  Consecutive elements with equal (p, q), a row of the
-    row table, form a run, and a block's ratios (p+n)/(q+n) are computed
-    once per run.
+    y is shape (n,), shared by every row, or (R, n).  Every element takes the
+    steps of `kummer` in the same order (term update, then Kahan update) and
+    stops at the same n by the same rule, so its sum equals `kummer`'s to the
+    bit.  The loop runs in blocks of _BLOCK terms, writing every step into
+    buffers allocated once per call, and applies the stopping rule to a whole
+    block at once: an element that stops inside a block takes the partial sum
+    of its stopping term and ignores the terms after it.  Finished elements
+    leave the working arrays between blocks.  A block's ratios (p+n)/(q+n)
+    are computed once per row.
     """
-    size = y.size
-    out = np.empty(size)
+    rows, points = p.size, y.shape[-1]
+    out = np.empty((rows, points))
+    size = out.size
     if not size:
         return out
-    starts = np.flatnonzero(np.concatenate(([True], (p[1:] != p[:-1]) | (q[1:] != q[:-1]))))
-    run_p, run_q = p[starts], q[starts]
-    run = np.repeat(np.arange(starts.size), np.diff(np.append(starts, size)))
+    run = np.arange(size) // points  # the row of each element
     # one column per element still summing: y, term, Kahan compensation, total, index in out
     live = np.empty((5, size))
-    live[0], live[1], live[2], live[3], live[4] = y, 1.0, 0.0, 1.0, np.arange(size)
+    live[0].reshape(rows, points)[:] = y
+    live[1], live[2], live[3], live[4] = 1.0, 0.0, 1.0, np.arange(size)
     small = np.zeros(size, dtype=bool)  # was the element's last term quiet?
     B = _BLOCK
-    # buffers, each viewed as a C-contiguous (rows, live columns) block
+    # buffers, each viewed as a C-contiguous (term slots, live columns) block
     work = np.empty((2, B * size))  # terms; ratios, then the quiet thresholds
     sums = np.empty((B + 1) * size)  # sums[k]: the total before term n + k
     flags = np.empty((3, B * size), dtype=bool)  # quiet, zero, stop
@@ -191,8 +193,8 @@ def _kummer_lockstep(p: np.ndarray, q: np.ndarray, y: np.ndarray) -> np.ndarray:
         terms, scratch = (w[:bm].reshape(b, m) for w in work)
         totals = sums[:bm + m].reshape(b + 1, m)
         steps = _STEPS[n:n + b]
-        ratios = (run_p + steps) / (run_q + steps)  # (b, runs); one run broadcasts
-        if run_p.size > 1:  # mode "clip" writes to out unbuffered; run is in range
+        ratios = (p + steps) / (q + steps)  # (b, rows); one row broadcasts
+        if rows > 1:  # mode "clip" writes to out unbuffered; run is in range
             ratios = np.take(ratios, run, axis=1, out=scratch, mode="clip")
         ys, term, comp, tm = live[0], live[1], live[2], t[:m]
         totals[0] = live[3]
@@ -229,16 +231,16 @@ def _kummer_lockstep(p: np.ndarray, q: np.ndarray, y: np.ndarray) -> np.ndarray:
             # ends the sum before it is added
             at = (B - top[ended]).astype(np.intp) * m + ended
             at += m * ~flags[1, at]
-            out[live[4, ended].astype(np.intp)] = sums[at]
+            out.reshape(size)[live[4, ended].astype(np.intp)] = sums[at]
             going = np.flatnonzero(top == 0)
             live, run, small = live.take(going, axis=1), run[going], small[going]
             m = going.size
         else:
             small = small.copy()
     if m:
-        i = int(live[4, 0])
+        row = int(live[4, 0]) // points
         raise KummerConvergenceError(
-            f"1F1({float(p[i])}; {float(q[i])}; {float(y[i])}) did not converge "
+            f"1F1({float(p[row])}; {float(q[row])}; {float(live[0, 0])}) did not converge "
             f"within {KUMMER_MAX_TERMS} terms"
         )
     return out
@@ -250,33 +252,32 @@ def _grid_rows(y: bytes, mask: bytes) -> dict:
     return {}
 
 
-def _kummer_rows(rows: list[KummerParams], y: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
-    """1F1(row; y) on every unmasked point, nan where masked; read-only, shared arrays.
+def _kummer_rows(rows: list[tuple], y: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
+    """1F1(p; q; y) of each (p, q) row on every unmasked point, nan where masked.
 
     Rows already in the grid's table are reused; the missing ones are summed
-    together in one lockstep pass and stored.
+    together in one lockstep pass over the unmasked y and stored.  The rows
+    are read-only views, shared by every caller, of the lockstep's block
+    itself when no point is masked, else of a nan-filled block.
     """
-    keep = ~mask
-    y = np.ascontiguousarray(np.broadcast_to(y, mask.shape), dtype=float)
-    ys = y[keep]
+    masked = mask.any()
+    ys = y[~mask] if masked else y
     beyond = np.abs(ys) > KUMMER_Y_MAX
     if beyond.any():
         raise KummerRangeError(
             f"|y| = {float(abs(ys[beyond][0]))!r} exceeds working range {KUMMER_Y_MAX!r}"
         )
     table = _grid_rows(y.tobytes(), mask.tobytes())
-    missing = list(dict.fromkeys((r.p, r.q) for r in rows if (r.p, r.q) not in table))
+    missing = list(dict.fromkeys(row for row in rows if row not in table))
     if missing:
-        n = ys.size
-        sums = _kummer_lockstep(
-            np.repeat([p for p, _ in missing], n), np.repeat([q for _, q in missing], n),
-            np.tile(ys, len(missing)),
-        )
-        block = np.full((len(missing), mask.size), math.nan)
-        block[:, keep] = sums.reshape(len(missing), n)
+        p, q = np.array(missing).T
+        block = _kummer_lockstep(p, q, ys)
+        if masked:
+            sums, block = block, np.full((len(missing), mask.size), math.nan)
+            block[:, ~mask] = sums
         block.flags.writeable = False  # and so is every row, a view of it
         table.update(zip(missing, block))
-    out = [table[r.p, r.q] for r in rows]
+    out = [table[row] for row in rows]
     while len(table) > _GRID_ROWS:
         del table[next(iter(table))]
     return out
@@ -293,35 +294,33 @@ def kummer_jet(params, xjet: Jet):
 
     The K+1 y-derivatives are evaluated by contiguity at y0 = x0^2, then
     composed with the jet of y = x^2.  Along a grid jet the K+1 contiguity
-    series 1F1(p+m; q+m; y), m = 0..K (DLMF 13.3.15), of every params come
-    from the grid's row table; those it lacks run in one lockstep pass over
-    the unmasked points, so the numerator and denominator of a Kummer ratio
-    cost one pass.
+    series 1F1(p+m; q+m; y), m = 0..K (DLMF 13.3.15), of every params are
+    rows of the grid's row table; those it lacks run in one lockstep pass,
+    rows x points, so the numerator and denominator of a Kummer ratio cost
+    one pass.  One multiply scales each params' rows into its outer block.
     """
     group = params if isinstance(params, tuple) else (params,)
-    coefs = []  # per params, the contiguity coefficient of each y-derivative
+    rows, coefs = [], []  # the (p+m, q+m) rows, and per params the coefficient of each
     for par in group:
         coef, cs = 1.0, []
         for m in range(xjet.order + 1):
+            if coef == 0.0:  # the polynomial case differentiated past its degree: zero from here
+                break
             cs.append(coef)
+            rows.append((par.p + m, par.q + m))
             coef *= (par.p + m) / (par.q + m)
         coefs.append(cs)
-    # a zero coefficient: the polynomial case differentiated past its degree
-    rows = [
-        KummerParams(par.p + m, par.q + m)
-        for par, cs in zip(group, coefs) for m, c in enumerate(cs) if c != 0.0
-    ]
     y0 = xjet.value * xjet.value
     if xjet.mask is None:
-        sums = iter([kummer(row, y0) for row in rows])
+        sums = [[kummer(KummerParams(*row), y0)] for row in rows]  # one point
     else:
-        sums = iter(_kummer_rows(rows, y0, xjet.mask))
+        sums = _kummer_rows(rows, y0, xjet.mask)
     y = _square(xjet)
     jets = []
     for cs in coefs:
+        k = len(cs)
         outer = np.zeros(xjet.block.shape)
-        for m, c in enumerate(cs):
-            if c != 0.0:
-                outer[m] = c * next(sums)
+        np.multiply(np.array(cs)[:, None], sums[:k], out=outer[:k])
+        sums = sums[k:]
         jets.append(jet_compose(Jet(outer, xjet.mask), y))
     return tuple(jets) if isinstance(params, tuple) else jets[0]

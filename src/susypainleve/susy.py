@@ -123,6 +123,11 @@ class SecondOrderTransform:
         u1, u2 = self.u1_state(), self._u2
         return grid_memo(partial(_wronskian_jet, u1, u2), (u1, 1), (u2, 1))
 
+    @cached_property
+    def _log_w(self) -> State:  # the node of (ln W)' = W'/W, shared by all B+ built on t
+        w = self._w
+        return grid_memo(lambda x, order: log_derivative(w(x, order + 1)), (w, 1))
+
 
 @dataclass(frozen=True)
 class ExtremalState:
@@ -193,10 +198,6 @@ def potential_v2(t: SecondOrderTransform, x: float) -> float:
     return 0.5 * x * x - lw.d[1]
 
 
-def _log_wronskian_jet(t: SecondOrderTransform, x: float, order: int) -> Jet:
-    return log_derivative(wronskian(t, x, order + 1))
-
-
 def apply_bplus(t: SecondOrderTransform, f: State, x: float, order: int = DEFAULT_JET_ORDER) -> Jet:
     """(B+ f)(x) per the closed second-order form.
 
@@ -205,7 +206,7 @@ def apply_bplus(t: SecondOrderTransform, f: State, x: float, order: int = DEFAUL
     Equals W(u1, u2, f)/(2 W(u1, u2)); annihilates both u1 and u2.
     """
     F = f(x, order + 2)
-    lw = _log_wronskian_jet(t, x, order + 1)  # (ln W)' at order+1
+    lw = t._log_w(x, order + 1)  # (ln W)' at order+1
     lw1 = lw.truncate(order)
     lw2 = lw.deriv()
     xj = jet_var(x, order)
@@ -215,7 +216,7 @@ def apply_bplus(t: SecondOrderTransform, f: State, x: float, order: int = DEFAUL
 
 
 def bplus_state(t: SecondOrderTransform, f: State) -> State:
-    return grid_memo(lambda x, order: apply_bplus(t, f, x, order), (f, 2), (t._w, 2))
+    return grid_memo(lambda x, order: apply_bplus(t, f, x, order), (f, 2), (t._log_w, 1))
 
 
 # -- admissibility ------------------------------------------------------------

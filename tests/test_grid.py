@@ -159,7 +159,7 @@ def test_grid_kummer_errors_follow_the_point_path():
     # ... and gives up after the same term budget
     for sum_series in (
         lambda: kummer(KummerParams(-5e5, 1.5), 0.25),
-        lambda: _kummer_lockstep(np.array([0.5, -5e5]), np.array([1.5, 1.5]), np.array([0.25] * 2)),
+        lambda: _kummer_lockstep(np.array([0.5, -5e5]), np.array([1.5, 1.5]), np.array([[0.25]] * 2)),
     ):
         with pytest.raises(KummerConvergenceError):
             sum_series()
@@ -182,7 +182,7 @@ def _kummer_cases():
 def test_lockstep_kummer_equals_scalar_kummer():
     cases = _kummer_cases()
     p, q, y = (np.array(col) for col in zip(*cases))
-    got = _kummer_lockstep(p, q, y)
+    got = _kummer_lockstep(p, q, y[:, None])
     want = [kummer(KummerParams(pi, qi), yi) for pi, qi, yi in cases]
     assert got.tobytes() == bits(want)
 
@@ -196,7 +196,7 @@ def test_lockstep_kummer_against_mpmath():
     mp.mp.dps = 30
     cases = _kummer_cases()[::10]
     p, q, y = (np.array(col) for col in zip(*cases))
-    got = _kummer_lockstep(p, q, y)
+    got = _kummer_lockstep(p, q, y[:, None])[:, 0]
     for (pi, qi, yi), g in zip(cases, got):
         want = mp.hyp1f1(pi, qi, yi)
         scale, term, n = mp.mpf(1), mp.mpf(1), 0  # sum of |terms|, term count
@@ -255,12 +255,36 @@ def test_lockstep_blocks_stop_where_scalar_kummer_stops(monkeypatch, block):
     monkeypatch.setattr(hyp1f1, "_BLOCK", block)
     p, q, y = (np.array(col) for col in zip(*BOUNDARY_CASES))
     want = [kummer(KummerParams(pi, qi), yi) for pi, qi, yi in BOUNDARY_CASES]
-    assert _kummer_lockstep(p, q, y).tobytes() == bits(want)
-    # and in another order, which splits the runs of equal (p, q)
+    assert _kummer_lockstep(p, q, y[:, None]).tobytes() == bits(want)
+    # and in another order, which parts the rows of equal (p, q)
     order = random.Random(block).sample(range(len(want)), len(want))
-    assert _kummer_lockstep(p[order], q[order], y[order]).tobytes() == bits([want[i] for i in order])
+    got = _kummer_lockstep(p[order], q[order], y[order][:, None])
+    assert got.tobytes() == bits([want[i] for i in order])
     # and none at all, as on a grid whose points are all masked
-    assert _kummer_lockstep(p[:0], q[:0], y[:0]).size == 0
+    assert _kummer_lockstep(p[:0], q[:0], y[:0, None]).size == 0
+
+
+def test_lockstep_shared_y_equals_per_row_y():
+    # a (n,) y is shared by every row; a (R, n) y gives each row its own
+    p, q = np.array([0.3, -2.7, -3.0, 1.25]), np.array([1.5, 0.5, 1.5, 2.25])
+    y = np.array(linear_grid(0.0, 36.0, 23))
+    shared = _kummer_lockstep(p, q, y)
+    assert shared.shape == (4, 23)
+    per_row = _kummer_lockstep(p, q, np.tile(y, (4, 1)))
+    assert shared.tobytes() == per_row.tobytes()
+    want = [kummer(KummerParams(pi, qi), yi) for pi, qi in zip(p, q) for yi in y]
+    assert shared.tobytes() == bits(want)
+    # one row, and rows of no points
+    one = _kummer_lockstep(p[:1], q[:1], y)
+    assert one.shape == (1, 23) and one.tobytes() == shared[:1].tobytes()
+    assert _kummer_lockstep(p, q, y[:0]).shape == (4, 0)
+
+
+def test_lockstep_convergence_error_names_the_row_and_the_point():
+    p, q, y = np.array([0.5, -5e5]), np.array([1.5, 2.5]), np.array([0.0, 0.25])
+    # at y = 0 every series stops at once; the second row at y = 0.25 never does
+    with pytest.raises(KummerConvergenceError, match=r"1F1\(-500000\.0; 2\.5; 0\.25\)"):
+        _kummer_lockstep(p, q, y)
 
 
 # -- the per-grid row table ---------------------------------------------------------
@@ -299,13 +323,14 @@ def test_warm_row_table_equals_cold(params):
 
 
 def spy_on_sums(monkeypatch) -> list:
-    """The number of series each later lockstep pass sums."""
+    """The number of series each later lockstep pass sums: rows x points of its block."""
     summed = []
     lockstep = hyp1f1._kummer_lockstep
 
     def counted(p, q, y):
-        summed.append(y.size)
-        return lockstep(p, q, y)
+        block = lockstep(p, q, y)
+        summed.append(block.size)
+        return block
 
     monkeypatch.setattr(hyp1f1, "_kummer_lockstep", counted)
     return summed
@@ -334,6 +359,40 @@ def test_cached_rows_are_read_only():
         assert not row.flags.writeable
         with pytest.raises(ValueError):
             row[0] = 0.0
+
+
+def test_an_unmasked_grid_stores_the_lockstep_block_itself(monkeypatch):
+    clear_package_caches()
+    blocks = []
+    lockstep = hyp1f1._kummer_lockstep
+
+    def kept(p, q, y):
+        blocks.append(lockstep(p, q, y))
+        return blocks[-1]
+
+    monkeypatch.setattr(hyp1f1, "_kummer_lockstep", kept)
+    grid = np.array(linear_grid(0.2, 4.0, 40))
+    kummer_jet((KummerParams(0.3, 1.5), KummerParams(-0.7, 2.5)), jet_var(grid, 3))
+    table = hyp1f1._grid_rows((grid * grid).tobytes(), _clear_mask(grid.size).tobytes())
+    rows = list(table.values())
+    [block] = blocks
+    assert len(rows) == 8 and block.shape == (8, 40) and not block.flags.writeable
+    for row in rows:
+        assert row.base is block and np.shares_memory(row, block)
+        assert not row.flags.writeable
+
+
+def test_masked_grid_rows_equal_rows_summed_on_the_kept_points():
+    clear_package_caches()
+    params = KummerParams(0.3, 1.5)
+    kummer_jet(params, row_xjet(3))
+    keep = ~ROW_MASK
+    grid = ROW_GRID[keep]
+    kummer_jet(params, jet_var(grid, 3))
+    kept = hyp1f1._grid_rows((grid * grid).tobytes(), _clear_mask(grid.size).tobytes())
+    for key, row in row_table().items():
+        assert bits(row[keep]) == bits(kept[key])
+        assert np.isnan(row[ROW_MASK]).all()
 
 
 def test_row_table_is_capped():

@@ -15,6 +15,7 @@ Backlund chain or catalog row declares every order it will ask in one
 """
 
 from collections import defaultdict
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -390,6 +391,32 @@ def test_closed_forms_of_one_seed_share_g1_alpha_and_G1():
     assert closed_piv_solution("G1", 1.3, EVEN).g is not G1
     clear_package_caches()
     assert closed_piv_solution("g1", 1.3, ODD).g is not g1
+
+
+def test_a_pv2f_verify_runs_the_log_wronskian_body_once_per_grid(monkeypatch):
+    # pv2f pairs two B+ states of one transform; both read its (ln W)' node
+    runs = []
+    build = SecondOrderTransform._log_w.func
+
+    def counted(t):
+        node = build(t)
+        body = node.body
+
+        def run(x, order):
+            runs.append((t, x.tobytes()))
+            return body(x, order)
+
+        node.body = run
+        return node
+
+    log_w = cached_property(counted)
+    log_w.__set_name__(SecondOrderTransform, "_log_w")
+    monkeypatch.setattr(SecondOrderTransform, "_log_w", log_w)
+    for parity in (ODD, EVEN):
+        clear_package_caches()
+        runs.clear()
+        verify_on_grid("pv", family_solution("pv2f", 1.3, parity))
+        assert len(runs) == 1, parity
 
 
 def _row(source, target, k):

@@ -73,7 +73,7 @@ class KummerError(ValueError):
 
 
 class KummerParameterError(KummerError):
-    """Lower parameter q is zero or a negative integer (1F1 undefined)."""
+    """A parameter is not finite, or q is zero or a negative integer (1F1 undefined)."""
 
 
 class KummerRangeError(KummerError):
@@ -96,6 +96,8 @@ class KummerParams:
     q: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.p) and math.isfinite(self.q)):
+            raise KummerParameterError(f"parameters p={self.p!r}, q={self.q!r} must be finite")
         if _is_nonpositive_integer(self.q):
             raise KummerParameterError(f"lower parameter q={self.q!r} is a nonpositive integer")
 

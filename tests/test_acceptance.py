@@ -144,19 +144,20 @@ def test_criterion_4_pv_closed_forms():
 
 
 def test_criterion_5_backlund_chain():
-    winners = []
+    worst_drift = 0.0
     for eps in (2.5, 3.5):
         links = bt_piv_chain(SeedSpec(eps, Parity.ODD), tol=1e-7)
         assert len(links) == 5
         for link in links:
             assert link.passed, (eps, link.source, link.target, link.max_deviation)
             assert link.max_deviation <= 1e-7
-        wtilde = links[2]
-        note = next(n for n in wtilde.notes if "winner" in n or "agree" in n)
-        assert "winner=" in note and "ambiguous" not in note
-        winners.append(f"eps={eps:g}: {note.split('winner=')[1]}")
-    report(5, True, f"five links match <= 1e-7 for odd eps in {{5/2, 7/2}}; "
-                    f"Wtilde+ parameter winner: {winners}")
+            # one map per link: predicted, family and inferred a agree
+            assert link.predicted[0] == pytest.approx(link.target_params[0], abs=1e-12)
+            assert link.inferred[0] == pytest.approx(link.target_params[0], abs=1e-6)
+            assert "a-candidates agree" in link.notes
+            worst_drift = max(worst_drift, abs(link.inferred[0] - link.target_params[0]))
+    report(5, True, f"five links match <= 1e-7 for odd eps in {{5/2, 7/2}}; predicted, "
+                    f"family and inferred a agree (inferred within {worst_drift:.1e})")
 
 
 # (source, target, k-triple) -> in-window eps samples; three per catalog

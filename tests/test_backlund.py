@@ -1,6 +1,7 @@
 import math
 from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
 
 from susypainleve.backlund import (
@@ -10,7 +11,10 @@ from susypainleve.backlund import (
     PIVMap,
     PIVMapKind,
     PVMap,
+    RootBranch,
     Window,
+    _piv_map_state,
+    _signed_root,
     bt_piv_apply,
     bt_piv_chain,
     bt_pv_apply,
@@ -20,6 +24,7 @@ from susypainleve.backlund import (
     pv_map_params,
 )
 from susypainleve.config import default_x_grid, default_z_grid
+from susypainleve.jets import on_grid
 from susypainleve.oscillator import Parity, SeedSpec
 from susypainleve.painleve import (
     closed_piv_solution,
@@ -52,14 +57,17 @@ def test_map_composition_reproduces_family_parameters():
         PIVMap(PIVMapKind.WDAGGER_PLUS), -0.5, -4.5)) == pytest.approx((-3.5, -0.5))
 
 
-def test_wtilde_parameter_discrepancy_is_real():
-    # on (a3, b3) = (2 eps - 1, -2) the map formula gives (9 - 4 eps)/4 while
-    # the family value is (10 - 4 eps)/4; the function identity holds, so
-    # inference must settle it (see chain test)
-    eps = 2.5
-    a_map, _ = piv_map_params(PIVMap(PIVMapKind.WTILDE_PLUS), 2 * eps - 1, -2.0)
-    assert a_map == pytest.approx((9 - 4 * eps) / 4)
-    assert abs(a_map - (10 - 4 * eps) / 4) == pytest.approx(0.25)
+def test_wtilde_parameter_image_is_the_g1_family_value():
+    # the standard a' = (2 - 2a + 3s)/4 on g3's (a3, b3) = (2 eps - 1, -2)
+    # gives (10 - 4 eps)/4, G1's family value; the earlier transcription
+    # (1 for 2) gave (9 - 4 eps)/4, a quarter below it
+    for eps in (2.5, 3.5):
+        g3 = closed_piv_solution("g3", eps, Parity.ODD)
+        G1 = closed_piv_solution("G1", eps, Parity.ODD)
+        assert (g3.a, g3.b) == pytest.approx((2 * eps - 1, -2.0))
+        a_map, b_map = piv_map_params(PIVMap(PIVMapKind.WTILDE_PLUS), g3.a, g3.b)
+        assert a_map == pytest.approx((10 - 4 * eps) / 4)
+        assert (a_map, b_map) == pytest.approx((G1.a, G1.b), abs=1e-12)
 
 
 def test_map_requires_nonpositive_b():
@@ -86,10 +94,50 @@ def test_chain_passes_for_odd_seeds():
         assert len(links) == 5
         assert all(l.passed for l in links), [(l.source, l.max_deviation) for l in links]
         assert [l.source for l in links] == ["g1", "g2", "g3", "G1", "G3", ][:5]
-        # the Wtilde+ link records a unique inference winner
+        # the first link is one map: it records one root branch
+        assert len(links[0].branches) == 1
+        # the Wtilde+ link's predicted, family and inferred a agree
         wtilde = links[2]
-        note = next(n for n in wtilde.notes if "winner" in n)
-        assert "winner=family" in note
+        assert wtilde.predicted[0] == pytest.approx(wtilde.target_params[0], abs=1e-12)
+        assert wtilde.inferred[0] == pytest.approx(wtilde.target_params[0], abs=1e-6)
+        assert wtilde.notes == ("a-candidates agree",)
+
+
+def test_chain_parameter_images_equal_the_target_families():
+    # every link is one map on its source's own (a, b): wherever a link is
+    # built, its parameter image is the target family's (a, b)
+    checked = 0
+    for eps in (round(-2.5 + 0.1 * i, 10) for i in range(71)):  # -2.5, -2.4, ..., 4.5
+        for parity in Parity:
+            for link in bt_piv_chain(SeedSpec(eps, parity)):
+                if link.degenerate:
+                    continue
+                assert link.predicted == pytest.approx(link.target_params, abs=1e-12, rel=0), (
+                    eps, parity, link.source, link.predicted, link.target_params)
+                assert not any(word in note for note in link.notes
+                               for word in ("discrepancy", "winner", "composite"))
+                checked += 1
+    assert checked == 698
+
+
+@pytest.mark.parametrize("parity", list(Parity))
+@pytest.mark.parametrize("eps", [-1.3, 0.7, 2.5])
+def test_wddag_plus_on_the_negative_branch_is_wddag_minus(eps, parity):
+    g2 = closed_piv_solution("g2", eps, parity)
+    plus = PIVMap(PIVMapKind.WDDAG_PLUS, RootBranch.NEGATIVE)
+    minus = PIVMap(PIVMapKind.WDDAG_MINUS, RootBranch.PRINCIPAL)
+    assert _signed_root(plus, g2.b) == _signed_root(minus, g2.b)
+    assert piv_map_params(plus, g2.a, g2.b) == piv_map_params(minus, g2.a, g2.b)
+    jets = [on_grid(_piv_map_state(m, g2), X_GRID, 2) for m in (plus, minus)]
+    assert jets[0].block.tobytes() == jets[1].block.tobytes()
+    assert np.array_equal(jets[0].mask, jets[1].mask)
+
+
+def test_catalog_refuses_a_non_finite_epsilon():
+    # every Window comparison with nan is false, which would mark all rows applicable
+    for eps in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            bt_pv_catalog(eps)
 
 
 def test_chain_degenerates_for_even_half():
@@ -313,37 +361,35 @@ def test_bt_pv_apply_verifies_with_inferred_parameters(monkeypatch):
 
 ODD, EVEN = Parity.ODD, Parity.EVEN
 
-# Chains as recorded before the composite-map link replaced its literal
-# composition search: per link (source, target, branches, passed,
-# degenerate, max_deviation as hex, inferred (a, b) as hex, notes).  0.7 odd
-# takes the composite map, 0.5 even refuses g3 at build, 3.571 even fails two
-# links, and -0.7 even and -1.3 odd need negative root branches.
+# Chains as recorded once every link was one map and Wtilde+ had the
+# standard a': per link (source, target, branches, passed, degenerate,
+# max_deviation as hex, inferred (a, b) as hex, notes).  0.5 even refuses g3
+# at build, 3.571 even fails two links, and -0.7 even and -1.3 odd need
+# negative root branches.
 RECORDED_CHAINS = {
     (0.7, ODD): [
-        ("g1", "g2", ("principal", "principal"), True, False, "0x1.5ab7aa4094ab8p-43",
+        ("g1", "g2", ("principal",), True, False, "0x1.5ab7aa4094ab8p-43",
          ("-0x1.9999999999edap+1", "-0x1.47ae147ae293bp-4"),
-         ("Wdagger+ intermediate singular on this family; used the composite map "
-          "(parameter action only)", "a-candidates agree")),
+         ("a-candidates agree",)),
         ("g2", "g3", ("principal",), True, False, "0x1.623d000000000p-35",
          ("0x1.99999b94b41b8p-2", "-0x1.0000001ab014ap+1"), ("a-candidates agree",)),
         ("g3", "G1", ("principal",), True, False, "0x1.6d40000000000p-43",
          ("0x1.cccccccccd055p+0", "-0x1.70a3d70a3d87ep+1"),
-         ("a-discrepancy map=1.55 family=1.8 inferred=1.8 winner=family",)),
+         ("a-candidates agree",)),
         ("G1", "G3", ("principal",), True, False, "0x1.c400000000000p-46",
          ("-0x1.3333333331f15p-1", "-0x1.ffffffffff595p+2"), ("a-candidates agree",)),
         ("G3", "G2", ("principal",), True, False, "0x1.3533626b13e76p-40",
          ("-0x1.0ccccccccca03p+2", "-0x1.47ae147ae14fep+0"), ("a-candidates agree",)),
     ],
     (-0.7, EVEN): [
-        ("g1", "g2", ("negative", "negative"), True, False, "0x1.6f1e64bb15c3ap-40",
+        ("g1", "g2", ("negative",), True, False, "0x1.6f1e64bb15c3ap-40",
          ("-0x1.cccccccce186dp+0", "-0x1.70a3d70a4e663p+1"),
-         ("Wdagger+ intermediate singular on this family; used the composite map "
-          "(parameter action only)", "a-candidates agree")),
+         ("a-candidates agree",)),
         ("g2", "g3", ("negative",), True, False, "0x1.ba250d9dcc1f9p-25",
          ("-0x1.3360c19bd608ap+1", "-0x1.00124a4911a7cp+1"), ("a-candidates agree",)),
         ("g3", "G1", ("principal",), True, False, "0x1.5244000000000p-42",
          ("0x1.9999999994abbp+1", "-0x1.47ae147ae7aa5p-4"),
-         ("a-discrepancy map=2.95 family=3.2 inferred=3.2 winner=family",)),
+         ("a-candidates agree",)),
         ("G1", "G3", ("negative",), True, False, "0x1.a290000000000p-41",
          ("-0x1.b3333332776c1p+1", "-0x1.ffffffff56233p+2"), ("a-candidates agree",)),
         ("G3", "G2", ("principal",), True, False, "0x1.e717b80000000p-32",
@@ -362,15 +408,14 @@ RECORDED_CHAINS = {
          ("all branch combinations degenerate",)),
     ],
     (3.571, EVEN): [
-        ("g1", "g2", ("principal", "principal"), True, False, "0x1.1afb4aef8a2dfp-46",
-         ("-0x1.848b43944768dp+2", "-0x1.2dcb167de271ap+4"),
-         ("Wdagger+ intermediate singular on this family; used the composite map "
-          "(parameter action only)", "a-candidates agree")),
+        ("g1", "g2", ("principal",), True, False, "0x1.1f7021c8fb38cp-46",
+         ("-0x1.848b43944769cp+2", "-0x1.2dcb167de2725p+4"),
+         ("a-candidates agree",)),
         ("g2", "g3", ("principal",), True, False, "0x1.b47c000000000p-39",
          ("0x1.8916872e182d8p+2", "-0x1.ffffffff93486p+0"), ("a-candidates agree",)),
         ("g3", "G1", ("principal",), True, False, "0x1.451143b51af7ep-44",
          ("-0x1.122d0e800e41cp+0", "-0x1.092b2d1a57bdcp+5"),
-         ("a-discrepancy map=-1.321 family=-1.071 inferred=-1.071 winner=family",)),
+         ("a-candidates agree",)),
         ("G1", "G3", ("principal",), False, False, "0x1.5a1ac41d3c000p-15",
          ("0x1.4916c32922e3ep+2", "-0x1.fff97db2dd821p+2"),
          ("mismatch above 1e-07 at 1 of 40 points", "a-candidates agree")),
@@ -379,15 +424,14 @@ RECORDED_CHAINS = {
          ("mismatch above 1e-07 at 1 of 40 points", "a-candidates agree")),
     ],
     (-1.3, ODD): [
-        ("g1", "g2", ("negative", "negative"), True, False, "0x1.28b397bffa326p-42",
-         ("-0x1.3333333331cb6p+0", "-0x1.9eb851eb83db4p+2"),
-         ("Wdagger+ intermediate singular on this family; used the composite map "
-          "(parameter action only)", "a-candidates agree")),
+        ("g1", "g2", ("negative",), True, False, "0x1.28d6bdba7f959p-42",
+         ("-0x1.3333333331cbfp+0", "-0x1.9eb851eb83dbap+2"),
+         ("a-candidates agree",)),
         ("g2", "g3", ("negative",), True, False, "0x1.e84bb00000000p-35",
          ("-0x1.cccccccd021a5p+1", "-0x1.0000000011161p+1"), ("a-candidates agree",)),
         ("g3", "G1", ("principal",), True, False, "0x1.8d00000000000p-43",
          ("0x1.e666666666534p+1", "-0x1.47ae147ae1452p+0"),
-         ("a-discrepancy map=3.55 family=3.8 inferred=3.8 winner=family",)),
+         ("a-candidates agree",)),
         ("G1", "G3", ("negative",), True, False, "0x1.a780000000000p-43",
          ("-0x1.266666666690cp+2", "-0x1.000000000024ap+3"), ("a-candidates agree",)),
         ("G3", "G2", ("principal",), True, False, "0x1.0d5edc3c1c186p-38",

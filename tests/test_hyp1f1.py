@@ -49,6 +49,25 @@ def test_parameter_validation():
     KummerParams(1.0, -2.5)  # non-integer negatives are fine
 
 
+def test_non_finite_parameters_are_refused_at_construction():
+    # a nan p would otherwise run the whole term budget before failing to
+    # converge, and q = -inf would overflow in the nonpositive-integer check
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(KummerParameterError, match="finite"):
+            KummerParams(bad, 1.5)
+        with pytest.raises(KummerParameterError, match="finite"):
+            KummerParams(0.5, bad)
+
+
+def test_closed_form_at_nan_epsilon_is_a_parameter_error():
+    from susypainleve.oscillator import Parity
+    from susypainleve.painleve import closed_piv_solution
+
+    for parity in Parity:
+        with pytest.raises(KummerParameterError):
+            closed_piv_solution("g1", math.nan, parity)
+
+
 def test_range_and_budget():
     with pytest.raises(KummerRangeError):
         kummer(KummerParams(0.5, 1.5), 37.0)

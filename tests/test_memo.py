@@ -25,9 +25,9 @@ from susypainleve import oscillator
 from susypainleve.backlund import (
     CATALOG,
     PIVMapKind,
+    PIVMap,
     PVMap,
-    RootBranch,
-    _compose_maps,
+    _piv_image,
     _pv_map_state,
     bt_piv_chain,
     catalog_family_solution,
@@ -293,17 +293,16 @@ def _verify_states():
         target = catalog_family_solution(row.target, 1.0, ODD)
         return PVSolution(_pv_map_state(PVMap(*row.k), source), target.a, target.b, target.c)
 
-    def chain_link(source, kinds):
-        def build():
-            branches = (RootBranch.PRINCIPAL,) * len(kinds)
-            return _compose_maps(kinds, branches, closed_piv_solution(source, 0.7, ODD))
+    def chain_link(source, kind):
+        def build():  # the principal root branch
+            return _piv_image(PIVMap(kind), closed_piv_solution(source, 0.7, ODD))
         return build
 
     out.append(("catalog row w1c -> w2a", "pv", row_image, default_z_grid()))
     out.append(("chain link g1 -> g2", "piv",
-                chain_link("g1", (PIVMapKind.WDAGGER_PLUS, PIVMapKind.WDDAG_PLUS)),
+                chain_link("g1", PIVMapKind.WDDAG_PLUS),
                 default_x_grid()))
-    out.append(("chain link G3 -> G2", "piv", chain_link("G3", (PIVMapKind.WDDAG_PLUS,)),
+    out.append(("chain link G3 -> G2", "piv", chain_link("G3", PIVMapKind.WDDAG_PLUS),
                 default_x_grid()))
     return out
 
@@ -424,7 +423,7 @@ def _row(source, target, k):
 
 
 BACKLUND_OPS = {
-    # the first link of this chain applies Wdagger+ by its parameters alone (the composite map)
+    # every link of this chain is built and passes
     "chain 0.7 odd": lambda: bt_piv_chain(SeedSpec(0.7, ODD)),
     # g3 is refused at build here, so two links are degenerate before any evaluation
     "chain 0.5 even": lambda: bt_piv_chain(SeedSpec(0.5, EVEN)),
@@ -439,7 +438,7 @@ def test_one_backlund_op_runs_each_node_once_per_grid(node_calls, op):
     results = BACKLUND_OPS[op]()
     notes = [note for result in results for note in result.notes]
     if op == "chain 0.7 odd":
-        assert any("composite map" in note for note in notes)
+        assert all(result.passed and len(result.branches) == 1 for result in results)
     if op == "chain 0.5 even":
         assert any("g3 is 0/0" in note for note in notes)
     assert runs

@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, family=False):
+    def add_common(sp, family=False, formats=("json",)):
         sp.add_argument("--epsilon", "--epsilon1", dest="epsilon",
                         type=_parse_number("epsilon"),
                         help="factorization energy (eps or eps1, family-dependent)")
@@ -295,12 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
                              f"hi <= {config.X_MAX:g} for x, <= {config.Z_MAX:g} for z)")
         sp.add_argument("--tol", type=_parse_number("tol", positive=True),
                         default=config.DEFAULT_TOLERANCE, help="pass threshold, finite and positive")
-        sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
+        sp.add_argument("--format", dest="fmt", choices=formats, default=formats[0])
         sp.add_argument("--out", help="output path (default stdout)")
 
     sp = sub.add_parser("sample", help="tabulate a solution family member")
     sp.add_argument("family_pos", nargs="?", help="family selector (or use --family)")
-    add_common(sp, family=True)
+    add_common(sp, family=True, formats=("csv", "json"))
 
     sp = sub.add_parser("verify", help="residual-verify a family member")
     sp.add_argument("family_pos", nargs="?")

@@ -38,16 +38,23 @@ one pass lacks over the grid's unmasked y, shared by every row, into one
 (rows, points) block.  When no point is masked (every seed on a grid inside
 (0, 6]) the table stores that block itself; otherwise one masked assignment
 scatters it into a nan-filled (rows, N) block.  Either block is read-only,
-and the table stores views of its rows, shared by every caller.  A grid
-keeps at most _GRID_ROWS rows, the oldest dropped first, and the tables of
-_GRIDS grids are held in an lru_cache, so `cache_clear` empties them with
-the package's other caches, the grid factors' included.  The one-point
-path (`kummer`) is not cached.
+and the table stores views of its rows, shared by every caller.
+
+The rows that later ops read again are those of the fixed-energy seeds
+chi0 and psi0; the rows of a drawn epsilon are seldom read by any op but
+the one that summed them.  So the table is least recently read first: a
+call moves the rows it reads to the newest end, and a grid drops its
+oldest rows beyond _GRID_BYTES of rows (256 rows of a default 40-point
+grid, 25 of a 400-point grid), but keeps at least _GRID_MIN_ROWS, more
+than one op reads on a grid.  The tables of _GRIDS grids are held in an
+lru_cache, so `cache_clear` empties them with the package's other caches,
+the grid factors' included.  The one-point path (`kummer`) is not cached.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -62,10 +69,13 @@ from .jets import Jet, grid_factor, jet_compose, jet_mul
 _BLOCK = 16
 _STEPS = np.arange(KUMMER_MAX_TERMS, dtype=float)[:, None]
 
-# Row table: grids kept (an op list uses two, its x and its z grid), and rows
-# kept per grid, the oldest dropped first.  A 400-point row takes 3.2 kB.
+# Row table: grids kept (an op list uses two, its x and its z grid), the
+# bytes of rows kept per grid, and the rows a grid keeps whatever its size:
+# more than one op reads on a grid (12 at most), so that a chain's ratio and
+# seed rows share a pass on any grid.
 _GRIDS = 8
-_GRID_ROWS = 256
+_GRID_BYTES = 256 * 40 * 8
+_GRID_MIN_ROWS = 16
 
 
 class KummerError(ValueError):
@@ -249,18 +259,24 @@ def _kummer_lockstep(p: np.ndarray, q: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=_GRIDS)
-def _grid_rows(y: bytes, mask: bytes) -> dict:
-    """The summed 1F1 rows of one grid (its y and mask bytes), keyed (p, q)."""
-    return {}
+def _grid_rows(y: bytes, mask: bytes) -> OrderedDict:
+    """The summed 1F1 rows of one grid (its y and mask bytes), keyed (p, q), least recently read first."""
+    return OrderedDict()
+
+
+def _grid_row_cap(points: int) -> int:
+    """The rows a grid of `points` points keeps: its byte budget, but never below the floor."""
+    return max(_GRID_MIN_ROWS, _GRID_BYTES // (8 * points))
 
 
 def _kummer_rows(rows: list[tuple], y: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
     """1F1(p; q; y) of each (p, q) row on every unmasked point, nan where masked.
 
-    Rows already in the grid's table are reused; the missing ones are summed
-    together in one lockstep pass over the unmasked y and stored.  The rows
-    are read-only views, shared by every caller, of the lockstep's block
-    itself when no point is masked, else of a nan-filled block.
+    Rows already in the grid's table are reused and move to its newest end;
+    the missing ones are summed together in one lockstep pass over the
+    unmasked y and stored there.  The rows are read-only views, shared by
+    every caller, of the lockstep's block itself when no point is masked,
+    else of a nan-filled block.
     """
     masked = mask.any()
     ys = y[~mask] if masked else y
@@ -270,7 +286,12 @@ def _kummer_rows(rows: list[tuple], y: np.ndarray, mask: np.ndarray) -> list[np.
             f"|y| = {float(abs(ys[beyond][0]))!r} exceeds working range {KUMMER_Y_MAX!r}"
         )
     table = _grid_rows(y.tobytes(), mask.tobytes())
-    missing = list(dict.fromkeys(row for row in rows if row not in table))
+    missing = []
+    for row in dict.fromkeys(rows):
+        if row in table:
+            table.move_to_end(row)
+        else:
+            missing.append(row)
     if missing:
         p, q = np.array(missing).T
         block = _kummer_lockstep(p, q, ys)
@@ -280,8 +301,8 @@ def _kummer_rows(rows: list[tuple], y: np.ndarray, mask: np.ndarray) -> list[np.
         block.flags.writeable = False  # and so is every row, a view of it
         table.update(zip(missing, block))
     out = [table[row] for row in rows]
-    while len(table) > _GRID_ROWS:
-        del table[next(iter(table))]
+    for _ in range(len(table) - _grid_row_cap(mask.size)):
+        table.popitem(last=False)
     return out
 
 

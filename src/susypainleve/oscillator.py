@@ -118,9 +118,11 @@ def seed_u_jet(spec: SeedSpec, xjet: Jet) -> Jet:
 
 # Seeds are the states that solutions share (a catalog source and its target,
 # chi0 and psi0 across operations), so each spec has one node: seed_state
-# interns it.  Those shares are a few specs apart, and a node holds one grid
-# jet (about 26 kB for 400 points at order 7), so 64 nodes hold under 2 MB.
-SEED_CACHE_SIZE = 64
+# interns it.  One op evaluates at most 3 seeds, chi0 and psi0 included, and
+# other specs are seldom read again by a later op, so 8 nodes keep every
+# measured reuse; a node holds one grid jet (about 26 kB for 400 points at
+# order 7).
+SEED_CACHE_SIZE = 8
 
 
 @lru_cache(maxsize=SEED_CACHE_SIZE)

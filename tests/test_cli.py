@@ -233,3 +233,20 @@ def test_grid_point_cap_is_checked_when_parsed(monkeypatch, capsys):
                          "--grid", "0.2:4:1000000000"])
         assert code == cli.EXIT_USAGE
         assert "20 <= n <= 100000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "g1", "--epsilon", "2.5", "--parity", "odd"),
+    ("chain", "--epsilon", "2.5", "--parity", "odd"),
+    ("catalog", "--epsilon", "1", "--parity", "even"),
+])
+def test_json_only_commands_refuse_csv(args, capsys):
+    # verify, chain and catalog write JSON only: --format csv is refused, and
+    # the config block echoes the format that was written
+    from susypainleve import cli
+
+    assert cli.main([*args, "--format", "csv"]) == cli.EXIT_USAGE
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+    for fmt in ((), ("--format", "json")):
+        assert cli.main([*args, *fmt]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["config"]["format"] == "json"

@@ -5,8 +5,10 @@ floats the same state gives when called with that point alone, and its mask
 must mark exactly the points where the point call raises JetError.
 """
 
+import gc
 import math
 import random
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -21,9 +23,10 @@ from susypainleve.backlund import (
     PVMap,
     _piv_map_state,
     _pv_map_state,
+    bt_piv_chain,
     catalog_family_solution,
 )
-from susypainleve.config import KUMMER_MAX_TERMS, linear_grid
+from susypainleve.config import KUMMER_MAX_TERMS, default_z_grid, linear_grid
 from susypainleve.hyp1f1 import (
     KummerConvergenceError,
     KummerParams,
@@ -33,7 +36,7 @@ from susypainleve.hyp1f1 import (
     kummer_jet,
 )
 from susypainleve.jets import Jet, JetError, _clear_mask, jet_var, on_grid
-from susypainleve.oscillator import Parity, SeedSpec, seed_u
+from susypainleve.oscillator import Parity, SeedSpec, seed_u, seed_u_jet
 from susypainleve.painleve import (
     PIV_FAMILY_NAMES,
     PV_CLOSED_NAMES,
@@ -396,13 +399,16 @@ def test_masked_grid_rows_equal_rows_summed_on_the_kept_points():
 
 
 def test_row_table_is_capped():
+    # a grid keeps _GRID_BYTES of rows (256 rows of 40 points), never fewer than 16
+    assert [hyp1f1._grid_row_cap(n) for n in (40, 400, 4000)] == [256, 25, 16]
     clear_package_caches()
     for i in range(300):
         eps = -2.5 + 7.0 * i / 300
         kummer_jet(KummerParams((3.0 - 2.0 * eps) / 4.0, 1.5), row_xjet(2))
-    assert len(row_table()) <= hyp1f1._GRID_ROWS == 256
-    # a call that reads the oldest row and sums new ones, which push it out,
-    # still returns the row it read
+    assert len(row_table()) == hyp1f1._grid_row_cap(ROW_GRID.size) == 256
+    assert sum(row.nbytes for row in row_table().values()) == hyp1f1._GRID_BYTES
+    # a call that reads the oldest row and sums new ones, which push the
+    # oldest rows out, still returns the row it read
     params = KummerParams(*next(iter(row_table())))
     warm = kummer_jet(params, row_xjet(5))
     clear_package_caches()
@@ -507,3 +513,65 @@ def test_a_cold_g1_node_sums_its_ratio_in_one_lockstep_pass(monkeypatch, parity)
     order = 2
     on_grid(g, linear_grid(0.2, 4.0, 40), order)
     assert summed == [(order + 2) * 40]
+
+
+# the x = sqrt(z/2) at which the PV families evaluate their seeds on the default z grid
+Z_X = np.sqrt(np.array(default_z_grid()) * 0.5)
+
+
+def test_rows_every_op_reads_outlive_the_rows_of_one_op(monkeypatch):
+    # each op reads chi0 and one seed of its own: 40 ops, 8 rows each, pass the
+    # 256 rows the grid keeps, and it is the single-op rows that age out
+    clear_package_caches()
+    xjet = jet_var(Z_X, 7)
+    table = hyp1f1._grid_rows((Z_X * Z_X).tobytes(), _clear_mask(Z_X.size).tobytes())
+    chi0 = SeedSpec(0.5, Parity.EVEN)
+    seed_u_jet(chi0, xjet)
+    chi0_rows = set(table)
+    summed = spy_on_sums(monkeypatch)
+    first = None
+    for i in range(40):
+        seed_u_jet(SeedSpec(-2.5 + 0.17 * i, Parity.ODD), xjet)
+        first = first or set(table) - chi0_rows
+        seed_u_jet(chi0, xjet)
+    assert summed == [8 * Z_X.size] * 40  # the op's own rows, never chi0's again
+    assert len(first) == 8 and len(table) == 256
+    assert chi0_rows <= set(table)
+    assert not first & set(table)
+
+
+@pytest.mark.parametrize("points", [400, 4000])
+def test_held_memory_does_not_grow_with_the_number_of_ops(points):
+    # G1 verifies at distinct eps: what later ops read of them is chi0 and
+    # psi0 alone, so the row table and the seed nodes are full after 10 ops
+    grid = linear_grid(0.2, 4.0, points)
+    held = []
+    gc.collect()
+    tracemalloc.start()
+    try:
+        clear_package_caches()
+        for i in range(30):
+            verify_on_grid("piv", closed_piv_solution("G1", 0.3 + 0.137 * i, Parity.ODD), grid=grid)
+            if i % 10 == 9:
+                gc.collect()
+                held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    # a few kB of interpreter noise; caches that grew with the ops would add
+    # about what the first ten ops left behind per ten ops
+    assert max(held) - held[0] < 16_000, held
+
+
+def test_a_dense_grid_keeps_the_rows_of_one_chain(monkeypatch):
+    # on 4,000 points the byte budget alone keeps two rows; the floor keeps
+    # every row of one chain, so g1's ratio and its seed share one pass
+    grid = linear_grid(0.2, 4.0, 4000)
+    x = np.array(grid)
+    clear_package_caches()
+    summed = spy_on_sums(monkeypatch)
+    epsilons = [0.7 + 0.31 * i for i in range(8)]
+    for eps in epsilons:
+        bt_piv_chain(SeedSpec(eps, Parity.ODD), grid=grid)
+    assert len(summed) == len(epsilons)
+    table = hyp1f1._grid_rows((x * x).tobytes(), _clear_mask(x.size).tobytes())
+    assert len(table) == 16

@@ -31,6 +31,7 @@ from .painleve import (
     family_solution,
 )
 from .residual import GridDegenerateError, verify_on_grid
+from .susy import TransformError
 
 SCHEMA_VERSION = 1
 
@@ -392,9 +393,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         # A finite but huge |epsilon| puts the Kummer series past its term budget.
         print(f"error: outside the Kummer series' working range: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OverflowError as exc:
-        # The parameter formulas square epsilon: a huge finite |epsilon| overflows them.
-        print(f"error: outside the floating-point range: {exc}", file=sys.stderr)
+    except (OverflowError, TransformError) as exc:
+        # A huge finite |epsilon| overflows the parameter formulas, which square it;
+        # from |epsilon| ~ 1.8e16 on, epsilon - 2 rounds to epsilon: a seed pair is one seed.
+        why = "the parameter formulas overflow" if isinstance(exc, OverflowError) else exc
+        print(f"error: --epsilon {cfg.epsilon!r} is out of range: {why}", file=sys.stderr)
         return EXIT_USAGE
     except (GridDegenerateError, DegenerateClosedFormError) as exc:
         print(f"error: degenerate configuration: {exc}", file=sys.stderr)

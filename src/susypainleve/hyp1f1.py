@@ -24,58 +24,43 @@ a g1 node, whose ratio asks K+2 distinct rows, pays for one pass, not two.
 The jet of y = x^2 depends on the grid alone, so `_square` holds it per
 grid (`jets.grid_factor`), as `oscillator` holds the seed prefactors.
 
-Row table.  A summed series over a grid (a row) is kept in a per-grid table,
+Row store.  A summed series over a grid (a row) lives as long as one op.
+The outermost `jets.demand` block, which every `on_grid`, chain link and
+catalog row runs in, opens the op's store (`jets.op_store`); rows go there
 keyed by the bytes of the grid's y array and of its mask, then by (p, q).
 Jets of one seed at orders K and K+1, the seed's rows p+m, and the
 numerator and denominator of a Kummer ratio all read one ladder of rows,
-so each row is summed once per grid and later calls sum only the rows they
-lack.  It is the package's only series cache: a seed node in `oscillator`
-holds one grid at one order, and the table serves the rows it sums again
-when it is asked one order higher or on a grid it held before.  Each
-element of a row takes the same IEEE steps whatever else is summed beside
-it, so cached and fresh rows agree to the bit.  The lockstep sums the rows
-one pass lacks over the grid's unmasked y, shared by every row, into one
-(rows, points) block.  When no point is masked (every seed on a grid inside
-(0, 6]) the table stores that block itself; otherwise one masked assignment
-scatters it into a nan-filled (rows, N) block.  Either block is read-only,
-and the table stores views of its rows, shared by every caller.
-
-The rows that later ops read again are those of the fixed-energy seeds
-chi0 and psi0; the rows of a drawn epsilon are seldom read by any op but
-the one that summed them.  So the table is least recently read first: a
-call moves the rows it reads to the newest end, and a grid drops its
-oldest rows beyond _GRID_BYTES of rows (256 rows of a default 40-point
-grid, 25 of a 400-point grid), but keeps at least _GRID_MIN_ROWS, more
-than one op reads on a grid.  The tables of _GRIDS grids are held in an
-lru_cache, so `cache_clear` empties them with the package's other caches,
-the grid factors' included.  The one-point path (`kummer`) is not cached.
+so each row is summed once per op.  Outside any block a call sums its own
+rows.  Each element of a row takes the same IEEE steps whatever else is
+summed beside it, so results do not depend on what a store holds.  The
+lockstep sums the rows a call lacks over the grid's unmasked y, shared by
+every row, into one (rows, points) block.  When no point is masked (every
+seed on a grid inside (0, 6]) the store keeps that block itself; otherwise
+one masked assignment scatters it into a nan-filled (rows, N) block.  Either
+block is read-only, and rows are views of it, shared by every caller.  A
+row with p = 0 is the terminating series of degree 0, the constant 1 (the
+lockstep's first term is exactly 0.0, so it returns 1.0): it is never
+summed.  It is chi0's and psi0's only row, and the top row of every
+terminating ladder.  Later ops read again only those rows and the rows
+of an epsilon drawn twice, so nothing is kept across ops.  The one-point
+path (`kummer`) is not stored.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .config import KUMMER_MAX_TERMS, KUMMER_Y_MAX
-from .jets import Jet, grid_factor, jet_compose, jet_mul
+from .jets import Jet, grid_factor, jet_compose, jet_mul, op_store
 
 
 # Series terms per block of the grid (lockstep) summation, and the index n
 # of each term as a float column.
 _BLOCK = 16
 _STEPS = np.arange(KUMMER_MAX_TERMS, dtype=float)[:, None]
-
-# Row table: grids kept (an op list uses two, its x and its z grid), the
-# bytes of rows kept per grid, and the rows a grid keeps whatever its size:
-# more than one op reads on a grid (12 at most), so that a chain's ratio and
-# seed rows share a pass on any grid.
-_GRIDS = 8
-_GRID_BYTES = 256 * 40 * 8
-_GRID_MIN_ROWS = 16
 
 
 class KummerError(ValueError):
@@ -258,24 +243,13 @@ def _kummer_lockstep(p: np.ndarray, q: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=_GRIDS)
-def _grid_rows(y: bytes, mask: bytes) -> OrderedDict:
-    """The summed 1F1 rows of one grid (its y and mask bytes), keyed (p, q), least recently read first."""
-    return OrderedDict()
-
-
-def _grid_row_cap(points: int) -> int:
-    """The rows a grid of `points` points keeps: its byte budget, but never below the floor."""
-    return max(_GRID_MIN_ROWS, _GRID_BYTES // (8 * points))
-
-
 def _kummer_rows(rows: list[tuple], y: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
     """1F1(p; q; y) of each (p, q) row on every unmasked point, nan where masked.
 
-    Rows already in the grid's table are reused and move to its newest end;
-    the missing ones are summed together in one lockstep pass over the
-    unmasked y and stored there.  The rows are read-only views, shared by
-    every caller, of the lockstep's block itself when no point is masked,
+    Rows already in the op's store are reused; the missing ones are summed
+    together in one lockstep pass over the unmasked y and stored there, but
+    for rows with p = 0, which are 1.  The rows are read-only views, shared
+    by every caller, of the lockstep's block itself when no point is masked,
     else of a nan-filled block.
     """
     masked = mask.any()
@@ -285,25 +259,23 @@ def _kummer_rows(rows: list[tuple], y: np.ndarray, mask: np.ndarray) -> list[np.
         raise KummerRangeError(
             f"|y| = {float(abs(ys[beyond][0]))!r} exceeds working range {KUMMER_Y_MAX!r}"
         )
-    table = _grid_rows(y.tobytes(), mask.tobytes())
-    missing = []
-    for row in dict.fromkeys(rows):
-        if row in table:
-            table.move_to_end(row)
-        else:
-            missing.append(row)
-    if missing:
-        p, q = np.array(missing).T
+    store = op_store()
+    table = {} if store is None else store.setdefault((y.tobytes(), mask.tobytes()), {})
+    missing = [row for row in dict.fromkeys(rows) if row not in table]
+    series = [row for row in missing if row[0] != 0.0]
+    if series:
+        p, q = np.array(series).T
         block = _kummer_lockstep(p, q, ys)
         if masked:
-            sums, block = block, np.full((len(missing), mask.size), math.nan)
+            sums, block = block, np.full((len(series), mask.size), math.nan)
             block[:, ~mask] = sums
         block.flags.writeable = False  # and so is every row, a view of it
-        table.update(zip(missing, block))
-    out = [table[row] for row in rows]
-    for _ in range(len(table) - _grid_row_cap(mask.size)):
-        table.popitem(last=False)
-    return out
+        table.update(zip(series, block))
+    if len(series) < len(missing):  # 1F1(0; q; y) = 1
+        one = np.where(mask, math.nan, 1.0)
+        one.flags.writeable = False
+        table.update((row, one) for row in missing if row[0] == 0.0)
+    return [table[row] for row in rows]
 
 
 @grid_factor
@@ -318,9 +290,9 @@ def kummer_jet(params, xjet: Jet):
     The K+1 y-derivatives are evaluated by contiguity at y0 = x0^2, then
     composed with the jet of y = x^2.  Along a grid jet the K+1 contiguity
     series 1F1(p+m; q+m; y), m = 0..K (DLMF 13.3.15), of every params are
-    rows of the grid's row table; those it lacks run in one lockstep pass,
-    rows x points, so the numerator and denominator of a Kummer ratio cost
-    one pass.  One multiply scales each params' rows into its outer block.
+    rows of the op's store; those it lacks run in one lockstep pass, rows x
+    points, so the numerator and denominator of a Kummer ratio cost one
+    pass.  One multiply scales each params' rows into its outer block.
     """
     group = params if isinstance(params, tuple) else (params,)
     rows, coefs = [], []  # the (p+m, q+m) rows, and per params the coefficient of each

@@ -73,6 +73,10 @@ entry k of every kernel's result reads entries 0..k alone, so a jet
 evaluated at a higher order truncates to the bits of one evaluated at the
 lower order.
 
+The op store.  The outermost demand block opens a dict, `op_store()`, that
+nested blocks share and that is dropped when it exits (None outside any
+block): `hyp1f1` keeps there the Kummer rows of one op.
+
 Grid factors.  `grid_factor(body)` holds the result of a function of the
 x-jet alone (the jet of y = x^2, a seed's Gaussian prefactor, the half-root
 X = sqrt(z/2) that a PV state takes of its z-jet) per grid and serves lower
@@ -482,6 +486,14 @@ def grid_factor(body):
     return update_wrapper(factor, body)
 
 
+_store: dict | None = None  # the op store while a demand block is open
+
+
+def op_store() -> dict | None:
+    """The store of the op in progress (see the module docstring); None outside any demand block."""
+    return _store
+
+
 def _demand(root, order: int, raised: list) -> None:
     """Raise the need of every node reachable from root to the highest order asked of it.
 
@@ -506,8 +518,11 @@ def demand(*roots):
     it will ask, so each node below the roots runs once per grid in the
     block.  On exit each need goes back to what it was before, so a block
     nested in another (an `on_grid` call in an op's block) keeps the outer
-    demand.
+    demand, and it shares the outer block's op store.
     """
+    global _store
+    outer = _store
+    _store = {} if outer is None else outer
     raised: list = []
     try:
         for state, order in roots:
@@ -516,6 +531,7 @@ def demand(*roots):
     finally:
         for node, need in reversed(raised):
             node.need = need
+        _store = outer
 
 
 def on_grid(state, grid, order: int) -> Jet:

@@ -161,6 +161,10 @@ def test_exit_code_contract(args, code):
         (("sample", "w1b", "--epsilon", "1e200", "--parity", "odd"), 2),
         (("chain", "--epsilon", "1e160", "--parity", "even"), 2),
         (("catalog", "--epsilon", "1e300", "--parity", "odd"), 2),
+        # epsilon - 2 rounds to epsilon, so a seed pair's two energies are equal
+        (("verify", "pv2a", "--epsilon", "1e17", "--parity", "odd"), 2),
+        (("sample", "pv2a", "--epsilon", "2e16", "--parity", "even"), 2),
+        (("catalog", "--epsilon", "1e17", "--parity", "odd"), 2),
     ],
 )
 def test_exit_code_contract_extremes(args, code):
@@ -170,6 +174,18 @@ def test_exit_code_contract_extremes(args, code):
         assert cp.stderr.startswith("error:") and cp.stderr.count("\n") == 1
     else:
         assert json.loads(cp.stdout)["report"]["degenerate"] is True
+
+
+@pytest.mark.parametrize(
+    "command, epsilon",
+    [(("verify", "g1"), 1e300), (("chain",), 1e160), (("verify", "pv2a"), 1e17),
+     (("catalog",), -1e17)],
+)
+def test_an_epsilon_out_of_range_is_named(command, epsilon):
+    # an overflow or a seed pair with one energy names the epsilon, not errno
+    cp = run_cli(*command, f"--epsilon={epsilon!r}", "--parity", "odd", expect=2)
+    assert cp.stderr.startswith(f"error: --epsilon {epsilon!r} is out of range: ")
+    assert "Numerical result out of range" not in cp.stderr
 
 
 @pytest.mark.parametrize("where", ["missing directory", "directory"])

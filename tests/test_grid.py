@@ -25,6 +25,7 @@ from susypainleve.backlund import (
     _pv_map_state,
     bt_piv_chain,
     catalog_family_solution,
+    check_catalog_row,
 )
 from susypainleve.config import KUMMER_MAX_TERMS, default_z_grid, linear_grid
 from susypainleve.hyp1f1 import (
@@ -35,7 +36,16 @@ from susypainleve.hyp1f1 import (
     kummer,
     kummer_jet,
 )
-from susypainleve.jets import Jet, JetError, _clear_mask, jet_var, on_grid
+from susypainleve.jets import (
+    Jet,
+    JetError,
+    _clear_mask,
+    demand,
+    jet_const,
+    jet_var,
+    on_grid,
+    op_store,
+)
 from susypainleve.oscillator import Parity, SeedSpec, seed_u, seed_u_jet
 from susypainleve.painleve import (
     PIV_FAMILY_NAMES,
@@ -290,7 +300,7 @@ def test_lockstep_convergence_error_names_the_row_and_the_point():
         _kummer_lockstep(p, q, y)
 
 
-# -- the per-grid row table ---------------------------------------------------------
+# -- the op's row store -------------------------------------------------------------
 
 
 # 40 points; the last five are masked, as a seed masks points outside its domain
@@ -302,8 +312,9 @@ def row_xjet(order):
     return Jet(jet_var(ROW_GRID, order).d, ROW_MASK)
 
 
-def row_table():
-    return hyp1f1._grid_rows((ROW_GRID * ROW_GRID).tobytes(), ROW_MASK.tobytes())
+def row_store(grid=ROW_GRID, mask=ROW_MASK):
+    """The rows the op in progress holds for a grid (y = grid^2) and mask."""
+    return op_store().get(((grid * grid).tobytes(), mask.tobytes()), {})
 
 
 def assert_same_jet(got, want):
@@ -321,8 +332,9 @@ def test_warm_row_table_equals_cold(params):
         clear_package_caches()
         cold[order] = kummer_jet(params, row_xjet(order))
     clear_package_caches()
-    for order in (2, 5, 3):
-        assert_same_jet(kummer_jet(params, row_xjet(order)), cold[order])
+    with demand():  # one op: the later orders read the rows of the earlier ones
+        for order in (2, 5, 3):
+            assert_same_jet(kummer_jet(params, row_xjet(order)), cold[order])
 
 
 def spy_on_sums(monkeypatch) -> list:
@@ -339,25 +351,43 @@ def spy_on_sums(monkeypatch) -> list:
     return summed
 
 
+def spy_on_rows(monkeypatch) -> list:
+    """The (p, q) rows of each later lockstep pass."""
+    passes = []
+    lockstep = hyp1f1._kummer_lockstep
+
+    def recorded(p, q, y):
+        passes.append(list(zip(p.tolist(), q.tolist())))
+        return lockstep(p, q, y)
+
+    monkeypatch.setattr(hyp1f1, "_kummer_lockstep", recorded)
+    return passes
+
+
 UNMASKED = int((~ROW_MASK).sum())
 
 
 def test_contiguous_neighbour_sums_one_new_row(monkeypatch):
     clear_package_caches()
     p, q = 0.3, 1.5
-    kummer_jet(KummerParams(p, q), row_xjet(3))
-    assert len(row_table()) == 4  # rows m = 0..3
-    summed = spy_on_sums(monkeypatch)
-    kummer_jet(KummerParams(p + 1.0, q + 1.0), row_xjet(3))
-    assert len(row_table()) == 5  # only (p+4, q+4) is new
+    with demand():
+        kummer_jet(KummerParams(p, q), row_xjet(3))
+        assert len(row_store()) == 4  # rows m = 0..3
+        summed = spy_on_sums(monkeypatch)
+        kummer_jet(KummerParams(p + 1.0, q + 1.0), row_xjet(3))
+        assert len(row_store()) == 5  # only (p+4, q+4) is new
     assert summed == [UNMASKED]
 
 
 def test_cached_rows_are_read_only():
     clear_package_caches()
-    kummer_jet(KummerParams(0.3, 1.5), row_xjet(3))
-    rows = list(row_table().values())
-    assert rows
+    with demand():
+        kummer_jet(KummerParams(0.3, 1.5), row_xjet(3))
+        kummer_jet(KummerParams(0.0, 0.5), row_xjet(3))  # the constant row
+        rows = list(row_store().values())
+        one = row_store()[0.0, 0.5]
+    assert len(rows) == 5
+    assert (one[~ROW_MASK] == 1.0).all() and np.isnan(one[ROW_MASK]).all()
     for row in rows:
         assert not row.flags.writeable
         with pytest.raises(ValueError):
@@ -375,9 +405,9 @@ def test_an_unmasked_grid_stores_the_lockstep_block_itself(monkeypatch):
 
     monkeypatch.setattr(hyp1f1, "_kummer_lockstep", kept)
     grid = np.array(linear_grid(0.2, 4.0, 40))
-    kummer_jet((KummerParams(0.3, 1.5), KummerParams(-0.7, 2.5)), jet_var(grid, 3))
-    table = hyp1f1._grid_rows((grid * grid).tobytes(), _clear_mask(grid.size).tobytes())
-    rows = list(table.values())
+    with demand():
+        kummer_jet((KummerParams(0.3, 1.5), KummerParams(-0.7, 2.5)), jet_var(grid, 3))
+        rows = list(row_store(grid, _clear_mask(grid.size)).values())
     [block] = blocks
     assert len(rows) == 8 and block.shape == (8, 40) and not block.flags.writeable
     for row in rows:
@@ -388,57 +418,98 @@ def test_an_unmasked_grid_stores_the_lockstep_block_itself(monkeypatch):
 def test_masked_grid_rows_equal_rows_summed_on_the_kept_points():
     clear_package_caches()
     params = KummerParams(0.3, 1.5)
-    kummer_jet(params, row_xjet(3))
     keep = ~ROW_MASK
     grid = ROW_GRID[keep]
-    kummer_jet(params, jet_var(grid, 3))
-    kept = hyp1f1._grid_rows((grid * grid).tobytes(), _clear_mask(grid.size).tobytes())
-    for key, row in row_table().items():
+    with demand():
+        kummer_jet(params, row_xjet(3))
+        kummer_jet(params, jet_var(grid, 3))
+        kept = row_store(grid, _clear_mask(grid.size))
+        masked = row_store()
+    assert len(masked) == len(kept) == 4
+    for key, row in masked.items():
         assert bits(row[keep]) == bits(kept[key])
         assert np.isnan(row[ROW_MASK]).all()
 
 
-def test_row_table_is_capped():
-    # a grid keeps _GRID_BYTES of rows (256 rows of 40 points), never fewer than 16
-    assert [hyp1f1._grid_row_cap(n) for n in (40, 400, 4000)] == [256, 25, 16]
-    clear_package_caches()
-    for i in range(300):
-        eps = -2.5 + 7.0 * i / 300
-        kummer_jet(KummerParams((3.0 - 2.0 * eps) / 4.0, 1.5), row_xjet(2))
-    assert len(row_table()) == hyp1f1._grid_row_cap(ROW_GRID.size) == 256
-    assert sum(row.nbytes for row in row_table().values()) == hyp1f1._GRID_BYTES
-    # a call that reads the oldest row and sums new ones, which push the
-    # oldest rows out, still returns the row it read
-    params = KummerParams(*next(iter(row_table())))
-    warm = kummer_jet(params, row_xjet(5))
-    clear_package_caches()
-    assert_same_jet(warm, kummer_jet(params, row_xjet(5)))
-
-
 def test_kummer_errors_raise_with_a_warm_table():
     clear_package_caches()
-    kummer_jet(KummerParams(0.5, 1.5), row_xjet(3))
-    assert row_table()
-    # y = 6.5^2 > 36 at an unmasked point
-    xjet = jet_var(np.append(ROW_GRID, 6.5), 3)
-    with pytest.raises(KummerRangeError):
-        kummer_jet(KummerParams(0.5, 1.5), xjet)
-    # the term budget runs out on the warm grid; nothing is stored, so it runs out again
-    before = list(row_table())
-    for _ in range(2):
-        with pytest.raises(KummerConvergenceError), np.errstate(all="ignore"):
-            kummer_jet(KummerParams(-5e5, 1.5), row_xjet(3))
-        assert list(row_table()) == before
+    with demand():
+        kummer_jet(KummerParams(0.5, 1.5), row_xjet(3))
+        assert row_store()
+        # y = 6.5^2 > 36 at an unmasked point
+        xjet = jet_var(np.append(ROW_GRID, 6.5), 3)
+        with pytest.raises(KummerRangeError):
+            kummer_jet(KummerParams(0.5, 1.5), xjet)
+        # the term budget runs out on the warm grid; nothing is stored, so it runs out again
+        before = list(row_store())
+        for _ in range(2):
+            with pytest.raises(KummerConvergenceError), np.errstate(all="ignore"):
+                kummer_jet(KummerParams(-5e5, 1.5), row_xjet(3))
+            assert list(row_store()) == before
 
 
-def test_clearing_the_package_caches_empties_the_row_table(monkeypatch):
-    kummer_jet(KummerParams(0.3, 1.5), row_xjet(4))
-    assert row_table()
-    clear_package_caches()  # must not raise for any module-level cache
-    assert not row_table()
+def test_a_call_outside_an_op_sums_its_own_rows(monkeypatch):
+    # no package cache holds rows: clearing the caches must not raise, and
+    # outside any demand block a call sums every row it reads, each time
+    clear_package_caches()
+    assert op_store() is None
     summed = spy_on_sums(monkeypatch)
-    kummer_jet(KummerParams(0.3, 1.5), row_xjet(4))
-    assert summed == [5 * UNMASKED]  # all five rows again, in one pass
+    for _ in range(2):
+        kummer_jet(KummerParams(0.3, 1.5), row_xjet(4))
+    assert summed == [5 * UNMASKED] * 2  # all five rows, in one pass per call
+    assert op_store() is None
+
+
+def test_nested_blocks_share_the_op_store():
+    assert op_store() is None
+    with demand():
+        store = op_store()
+        assert store == {}
+        with demand():
+            assert op_store() is store
+            kummer_jet(KummerParams(0.3, 1.5), row_xjet(2))
+        assert op_store() is store and row_store()
+    assert op_store() is None
+
+
+def test_no_kummer_row_outlives_an_op(monkeypatch):
+    # each op sums its rows in its own store; once it returns nothing holds
+    # them, so the next op on the same grid sums them again
+    x = np.array(linear_grid(0.2, 4.0, 40))
+    z = np.array(default_z_grid())
+    ops = [
+        (lambda: verify_on_grid("piv", closed_piv_solution("g1", 1.3, Parity.ODD), grid=x), x),
+        (lambda: bt_piv_chain(SeedSpec(0.7, Parity.ODD)), x),
+        (lambda: check_catalog_row(CATALOG[4], 1.0, Parity.ODD), np.sqrt(z * 0.5)),
+    ]
+    for op, seed_grid in ops:
+        clear_package_caches()
+        passes = spy_on_rows(monkeypatch)
+        op()
+        assert op_store() is None
+        rows = sorted({row for rows in passes for row in rows})
+        assert rows
+        again = spy_on_rows(monkeypatch)
+        with demand():
+            hyp1f1._kummer_rows(rows, seed_grid * seed_grid, _clear_mask(seed_grid.size))
+        assert again == [rows]
+
+
+@pytest.mark.parametrize("spec", [SeedSpec(0.5, Parity.EVEN), SeedSpec(1.5, Parity.ODD),
+                                  SeedSpec(5.5, Parity.ODD), SeedSpec(4.5, Parity.EVEN)])
+def test_rows_with_p_zero_are_never_summed(monkeypatch, spec):
+    # chi0, psi0 and the p = -2 seeds of both parities: 1F1(0; q; y) = 1
+    # is their only row, or the top of their ladder, and is never summed
+    grid = np.array(linear_grid(0.2, 4.0, 40))
+    assert _kummer_lockstep(np.zeros(1), np.array([1.5]), grid * grid).tolist() == [[1.0] * 40]
+    clear_package_caches()
+    passes = spy_on_rows(monkeypatch)
+    jet = on_grid(oscillator.seed_state(spec), grid, 5)
+    assert not [row for rows in passes for row in rows if row[0] == 0.0]
+    assert len(passes) == (0 if spec.epsilon in (0.5, 1.5) else 1)
+    # the jets are the cold bits of the one-point path, which sums every series
+    for i, t in enumerate(grid[::7].tolist()):
+        assert bits(jet.block[:, 7 * i]) == bits(seed_u(spec, t, 5).d)
 
 
 @pytest.mark.parametrize("factor", [oscillator._odd_prefactor, oscillator._even_prefactor,
@@ -503,6 +574,16 @@ def test_grid_jets_share_one_read_only_all_false_mask():
     assert jet_var(grid, 3).mask is not shared
 
 
+def test_on_grid_broadcasts_a_point_jet_result():
+    # a state that answers a constant point jet whatever x is gets the
+    # broadcast block and the grid's shared all-False mask
+    grid = linear_grid(0.2, 4.0, 40)
+    jet = on_grid(lambda x, order: jet_const(2.5, order), grid, 3)
+    assert jet.block.shape == (4, 40)
+    assert bits(jet.block) == bits(np.repeat([[2.5], [0.0], [0.0], [0.0]], 40, axis=1))
+    assert jet.mask is _clear_mask(40) and not jet.mask.any()
+
+
 @pytest.mark.parametrize("parity", [Parity.ODD, Parity.EVEN])
 def test_a_cold_g1_node_sums_its_ratio_in_one_lockstep_pass(monkeypatch, parity):
     # at eps = 1.25 the numerator's rows (p+1+m, q+1+m) are the denominator's
@@ -519,25 +600,21 @@ def test_a_cold_g1_node_sums_its_ratio_in_one_lockstep_pass(monkeypatch, parity)
 Z_X = np.sqrt(np.array(default_z_grid()) * 0.5)
 
 
-def test_rows_every_op_reads_outlive_the_rows_of_one_op(monkeypatch):
-    # each op reads chi0 and one seed of its own: 40 ops, 8 rows each, pass the
-    # 256 rows the grid keeps, and it is the single-op rows that age out
+def test_each_op_sums_its_own_rows_and_chi0_none(monkeypatch):
+    # chi0's one row is the constant 1, and a drawn seed's 8 rows live as
+    # long as its op: 40 ops, each in its own block, sum 8 rows each
     clear_package_caches()
     xjet = jet_var(Z_X, 7)
-    table = hyp1f1._grid_rows((Z_X * Z_X).tobytes(), _clear_mask(Z_X.size).tobytes())
     chi0 = SeedSpec(0.5, Parity.EVEN)
-    seed_u_jet(chi0, xjet)
-    chi0_rows = set(table)
     summed = spy_on_sums(monkeypatch)
-    first = None
     for i in range(40):
-        seed_u_jet(SeedSpec(-2.5 + 0.17 * i, Parity.ODD), xjet)
-        first = first or set(table) - chi0_rows
-        seed_u_jet(chi0, xjet)
-    assert summed == [8 * Z_X.size] * 40  # the op's own rows, never chi0's again
-    assert len(first) == 8 and len(table) == 256
-    assert chi0_rows <= set(table)
-    assert not first & set(table)
+        with demand():
+            seed_u_jet(chi0, xjet)
+            seed_u_jet(SeedSpec(-2.5 + 0.17 * i, Parity.ODD), xjet)
+            seed_u_jet(chi0, xjet)
+            assert len(row_store(Z_X, _clear_mask(Z_X.size))) == 9
+    assert summed == [8 * Z_X.size] * 40  # the op's own rows, never chi0's
+    assert op_store() is None
 
 
 @pytest.mark.parametrize("points", [400, 4000])
@@ -563,15 +640,12 @@ def test_held_memory_does_not_grow_with_the_number_of_ops(points):
 
 
 def test_a_dense_grid_keeps_the_rows_of_one_chain(monkeypatch):
-    # on 4,000 points the byte budget alone keeps two rows; the floor keeps
-    # every row of one chain, so g1's ratio and its seed share one pass
+    # the op's store keeps every row of one chain on any grid size, so g1's
+    # ratio and its seed share one pass
     grid = linear_grid(0.2, 4.0, 4000)
-    x = np.array(grid)
     clear_package_caches()
     summed = spy_on_sums(monkeypatch)
     epsilons = [0.7 + 0.31 * i for i in range(8)]
     for eps in epsilons:
         bt_piv_chain(SeedSpec(eps, Parity.ODD), grid=grid)
     assert len(summed) == len(epsilons)
-    table = hyp1f1._grid_rows((x * x).tobytes(), _clear_mask(x.size).tobytes())
-    assert len(table) == 16

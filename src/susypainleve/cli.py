@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import config
@@ -49,30 +48,6 @@ ALL_FAMILIES = (
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    family: str | None = None
-    epsilon: float | None = None
-    parity: Parity | None = None
-    grid: tuple[float, float, int] | None = None
-    tol: float = config.DEFAULT_TOLERANCE
-    fmt: str = "csv"
-    out: str | None = None
-    corrupt_b: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "family": self.family,
-            "epsilon": self.epsilon,
-            "parity": self.parity.value if self.parity else None,
-            "grid": list(self.grid) if self.grid else None,
-            "tol": self.tol,
-            "format": self.fmt,
-        }
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -116,9 +91,9 @@ def _emit(text: str, out: str | None) -> None:
         raise UsageError(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
 
 
-def _solution(cfg: RunConfig):
-    sol = family_solution(cfg.family, cfg.epsilon, cfg.parity)
-    if cfg.corrupt_b:
+def _solution(args: argparse.Namespace):
+    sol = family_solution(args.family, args.epsilon, args.parity)
+    if args.corrupt_b:
         # Negative control for CI: a corrupted parameter must fail verification.
         if isinstance(sol, PIVSolution):
             sol = PIVSolution(sol.g, sol.a, sol.b + 0.1, sol.provenance + " corrupt-b")
@@ -127,18 +102,30 @@ def _solution(cfg: RunConfig):
     return sol
 
 
-def _grid_for(cfg: RunConfig, sol) -> list[float]:
-    if cfg.grid is not None:
-        return config.linear_grid(*cfg.grid)
+def _grid_for(args: argparse.Namespace, sol) -> list[float]:
+    if args.grid is not None:
+        return config.linear_grid(*args.grid)
     if isinstance(sol, PIVSolution):
         return config.default_x_grid()
     return config.default_z_grid()
 
 
-def _emit_json(cfg: RunConfig, **body) -> None:
+def _config_json(args: argparse.Namespace) -> dict:
+    return {
+        "command": args.command,
+        "family": args.family,
+        "epsilon": args.epsilon,
+        "parity": args.parity.value if args.parity else None,
+        "grid": list(args.grid) if args.grid else None,
+        "tol": args.tol,
+        "format": args.fmt,
+    }
+
+
+def _emit_json(args: argparse.Namespace, **body) -> None:
     """Write the versioned JSON document of sample, verify, chain and catalog."""
-    doc = {"schema_version": SCHEMA_VERSION, "config": cfg.to_dict(), **body}
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.out)
+    doc = {"schema_version": SCHEMA_VERSION, "config": _config_json(args), **body}
+    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
 
 
 def _params_dict(sol) -> dict:
@@ -147,9 +134,9 @@ def _params_dict(sol) -> dict:
     return {"a": sol.a, "b": sol.b, "c": sol.c, "d": sol.d}
 
 
-def cmd_sample(cfg: RunConfig) -> int:
-    sol = _solution(cfg)
-    grid = _grid_for(cfg, sol)
+def cmd_sample(args: argparse.Namespace) -> int:
+    sol = _solution(args)
+    grid = _grid_for(args, sol)
     fn = sol.g if isinstance(sol, PIVSolution) else sol.w
     jet = on_grid(fn, grid, 1)
     rows = [
@@ -161,9 +148,9 @@ def cmd_sample(cfg: RunConfig) -> int:
         return EXIT_DEGENERATE
 
     params = _params_dict(sol)
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         header = "# family=%s %s provenance=%s\n" % (
-            cfg.family,
+            args.family,
             " ".join(f"{k}={_fmt(v)}" for k, v in params.items()),
             sol.provenance,
         )
@@ -171,10 +158,10 @@ def cmd_sample(cfg: RunConfig) -> int:
         lines = [header, f"{var},value,deriv1,pole_flag\n"]
         for t, v, dv, flag in rows:
             lines.append(f"{_fmt(t)},{_fmt(v)},{_fmt(dv)},{flag}\n")
-        _emit("".join(lines), cfg.out)
+        _emit("".join(lines), args.out)
     else:
         _emit_json(
-            cfg,
+            args,
             parameters=params,
             provenance=sol.provenance,
             points=[
@@ -190,18 +177,18 @@ def _json_num(v: float):
     return None if math.isnan(v) else v
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    sol = _solution(cfg)
+def cmd_verify(args: argparse.Namespace) -> int:
+    sol = _solution(args)
     kind = "piv" if isinstance(sol, PIVSolution) else "pv"
-    grid = _grid_for(cfg, sol)
+    grid = _grid_for(args, sol)
     try:
-        report = verify_on_grid(kind, sol, grid=grid, tol=cfg.tol)
+        report = verify_on_grid(kind, sol, grid=grid, tol=args.tol)
     except GridDegenerateError as exc:
-        _emit_json(cfg, parameters=_params_dict(sol),
+        _emit_json(args, parameters=_params_dict(sol),
                    report={"degenerate": True, "detail": str(exc)})
         return EXIT_DEGENERATE
     _emit_json(
-        cfg,
+        args,
         parameters=_params_dict(sol),
         points=[
             {"t": t, "rel_residual": _json_num(r)}
@@ -212,10 +199,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
-def cmd_chain(cfg: RunConfig) -> int:
-    seed = SeedSpec(cfg.epsilon, cfg.parity)
-    grid = config.linear_grid(*cfg.grid) if cfg.grid else None
-    links = bt_piv_chain(seed, grid=grid, tol=cfg.tol)
+def cmd_chain(args: argparse.Namespace) -> int:
+    seed = SeedSpec(args.epsilon, args.parity)
+    grid = config.linear_grid(*args.grid) if args.grid else None
+    links = bt_piv_chain(seed, grid=grid, tol=args.tol)
     rows = []
     for link in links:
         rows.append({
@@ -230,14 +217,14 @@ def cmd_chain(cfg: RunConfig) -> int:
             "inferred_params": list(link.inferred) if link.inferred else None,
             "notes": link.notes,
         })
-    _emit_json(cfg, links=rows)
+    _emit_json(args, links=rows)
     hard_fail = any(not r["pass"] and not r["degenerate"] for r in rows)
     return EXIT_VERIFY_FAIL if hard_fail else EXIT_OK
 
 
-def cmd_catalog(cfg: RunConfig) -> int:
-    entries = bt_pv_catalog(cfg.epsilon)
-    grid = config.linear_grid(*cfg.grid) if cfg.grid else None
+def cmd_catalog(args: argparse.Namespace) -> int:
+    entries = bt_pv_catalog(args.epsilon)
+    grid = config.linear_grid(*args.grid) if args.grid else None
     rows = []
     hard_fail = False
     for entry in entries:
@@ -249,10 +236,10 @@ def cmd_catalog(cfg: RunConfig) -> int:
             "applicable": entry.applicable,
             "boundary": entry.boundary,
         }
-        if entry.applicable and cfg.parity is not None:
+        if entry.applicable and args.parity is not None:
             try:
-                res = check_catalog_row(entry.row, cfg.epsilon, cfg.parity, grid=grid,
-                                        tol=max(cfg.tol, 1e-7))
+                res = check_catalog_row(entry.row, args.epsilon, args.parity, grid=grid,
+                                        tol=max(args.tol, 1e-7))
                 row["pass"] = res.passed
                 row["degenerate"] = res.degenerate
                 row["max_deviation"] = res.max_deviation
@@ -266,13 +253,13 @@ def cmd_catalog(cfg: RunConfig) -> int:
                 row["degenerate"] = True
                 row["detail"] = str(exc)
         rows.append(row)
-    _emit_json(cfg, rows=rows)
+    _emit_json(args, rows=rows)
     return EXIT_VERIFY_FAIL if hard_fail else EXIT_OK
 
 
-def cmd_defaults(cfg: RunConfig) -> int:
+def cmd_defaults(args: argparse.Namespace) -> int:
     doc = {"schema_version": SCHEMA_VERSION, "defaults": config.defaults_dict()}
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.out)
+    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 
 
@@ -282,6 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generate and certify Painleve IV/V solutions built by SUSY "
         "transformations of the truncated oscillator.",
     )
+    # Fields some command reads but not every subparser declares; the options a
+    # subparser declares take their defaults from it.
+    p.set_defaults(family=None, family_pos=None, parity=None, corrupt_b=False,
+                   check=lambda args: None)
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_common(sp, family=False, formats=("json",)):
@@ -302,39 +293,28 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sample", help="tabulate a solution family member")
     sp.add_argument("family_pos", nargs="?", help="family selector (or use --family)")
     add_common(sp, family=True, formats=("csv", "json"))
+    sp.set_defaults(run=cmd_sample, check=_require_family)
 
     sp = sub.add_parser("verify", help="residual-verify a family member")
     sp.add_argument("family_pos", nargs="?")
     add_common(sp, family=True)
     sp.add_argument("--corrupt-b", action="store_true",
                     help="negative control: corrupt b before verifying")
+    sp.set_defaults(run=cmd_verify, check=_require_family)
 
     sp = sub.add_parser("chain", help="run the five-link PIV Backlund chain")
     add_common(sp)
+    sp.set_defaults(run=cmd_chain, check=_require_seed)
 
     sp = sub.add_parser("catalog", help="evaluate the PV Backlund catalog at epsilon")
     add_common(sp)
+    sp.set_defaults(run=cmd_catalog, check=_require_epsilon)
 
     sp = sub.add_parser("defaults", help="print the centralized numeric defaults")
     sp.add_argument("--out")
+    sp.set_defaults(run=cmd_defaults)
 
     return p
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    family = getattr(args, "family_pos", None) or getattr(args, "family", None)
-    parity = Parity(args.parity) if getattr(args, "parity", None) else None
-    return RunConfig(
-        command=args.command,
-        family=family,
-        epsilon=getattr(args, "epsilon", None),
-        parity=parity,
-        grid=getattr(args, "grid", None),
-        tol=getattr(args, "tol", config.DEFAULT_TOLERANCE),
-        fmt=getattr(args, "fmt", "csv"),
-        out=getattr(args, "out", None),
-        corrupt_b=getattr(args, "corrupt_b", False),
-    )
 
 
 def _join_epsilon(argv: Sequence[str]) -> list[str]:
@@ -362,30 +342,16 @@ def _join_epsilon(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_join_epsilon(sys.argv[1:] if argv is None else argv))
+        args = build_parser().parse_args(_join_epsilon(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    cfg = _config_from_args(args)
+    args.family = args.family_pos or args.family
+    args.parity = Parity(args.parity) if args.parity else None
 
     try:
-        if cfg.command == "defaults":
-            return cmd_defaults(cfg)
-        if cfg.command == "sample":
-            _require_family(cfg)
-            return cmd_sample(cfg)
-        if cfg.command == "verify":
-            _require_family(cfg)
-            return cmd_verify(cfg)
-        if cfg.command == "chain":
-            _require_seed(cfg)
-            return cmd_chain(cfg)
-        if cfg.command == "catalog":
-            _require_epsilon(cfg)
-            return cmd_catalog(cfg)
-        print(f"error: unknown command {cfg.command!r}", file=sys.stderr)
-        return EXIT_USAGE
+        args.check(args)
+        return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -397,7 +363,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # A huge finite |epsilon| overflows the parameter formulas, which square it;
         # from |epsilon| ~ 1.8e16 on, epsilon - 2 rounds to epsilon: a seed pair is one seed.
         why = "the parameter formulas overflow" if isinstance(exc, OverflowError) else exc
-        print(f"error: --epsilon {cfg.epsilon!r} is out of range: {why}", file=sys.stderr)
+        print(f"error: --epsilon {args.epsilon!r} is out of range: {why}", file=sys.stderr)
         return EXIT_USAGE
     except (GridDegenerateError, DegenerateClosedFormError) as exc:
         print(f"error: degenerate configuration: {exc}", file=sys.stderr)
@@ -408,33 +374,33 @@ class UsageError(ValueError):
     pass
 
 
-def _require_family(cfg: RunConfig) -> None:
-    if not cfg.family:
+def _require_family(args: argparse.Namespace) -> None:
+    if not args.family:
         raise UsageError("a family selector is required")
-    if cfg.family not in ALL_FAMILIES:
-        raise UsageError(f"unknown family {cfg.family!r}")
-    if cfg.family not in PV_RATIONAL_NAMES:
-        if cfg.epsilon is None or cfg.parity is None:
-            raise UsageError(f"family {cfg.family!r} needs --epsilon and --parity")
-    if cfg.family in PIV_FAMILY_NAMES:
-        _require_x_grid(cfg)
+    if args.family not in ALL_FAMILIES:
+        raise UsageError(f"unknown family {args.family!r}")
+    if args.family not in PV_RATIONAL_NAMES:
+        if args.epsilon is None or args.parity is None:
+            raise UsageError(f"family {args.family!r} needs --epsilon and --parity")
+    if args.family in PIV_FAMILY_NAMES:
+        _require_x_grid(args)
 
 
-def _require_seed(cfg: RunConfig) -> None:
-    if cfg.epsilon is None or cfg.parity is None:
+def _require_seed(args: argparse.Namespace) -> None:
+    if args.epsilon is None or args.parity is None:
         raise UsageError("chain needs --epsilon and --parity")
-    _require_x_grid(cfg)
+    _require_x_grid(args)
 
 
-def _require_epsilon(cfg: RunConfig) -> None:
-    if cfg.epsilon is None:
+def _require_epsilon(args: argparse.Namespace) -> None:
+    if args.epsilon is None:
         raise UsageError("catalog needs --epsilon")
 
 
-def _require_x_grid(cfg: RunConfig) -> None:
+def _require_x_grid(args: argparse.Namespace) -> None:
     """PIV grids run over x <= X_MAX; every grid stops at z = Z_MAX when parsed."""
-    if cfg.grid is not None and cfg.grid[1] > config.X_MAX:
-        raise UsageError(f"grid reaches x = {cfg.grid[1]:g}, beyond the domain x <= {config.X_MAX:g}")
+    if args.grid is not None and args.grid[1] > config.X_MAX:
+        raise UsageError(f"grid reaches x = {args.grid[1]:g}, beyond the domain x <= {config.X_MAX:g}")
 
 
 if __name__ == "__main__":

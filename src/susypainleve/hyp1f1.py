@@ -96,11 +96,6 @@ class KummerParams:
         if _is_nonpositive_integer(self.q):
             raise KummerParameterError(f"lower parameter q={self.q!r} is a nonpositive integer")
 
-    @property
-    def terminating(self) -> bool:
-        """True when the series is a polynomial (p a nonpositive integer)."""
-        return _is_nonpositive_integer(self.p)
-
 
 def kummer(
     params: KummerParams,

@@ -23,15 +23,16 @@ from susypainleve.backlund import (
     piv_map_params,
     pv_map_params,
 )
-from susypainleve.config import default_x_grid, default_z_grid
+from susypainleve.config import default_x_grid, default_z_grid, linear_grid
 from susypainleve.jets import on_grid
 from susypainleve.oscillator import Parity, SeedSpec
 from susypainleve.painleve import (
     closed_piv_solution,
     closed_pv_solution,
     derived_pv_solution,
+    extremal_piv_solution,
 )
-from susypainleve.residual import pointwise_deviation
+from susypainleve.residual import SingularSystemError, pointwise_deviation
 
 X_GRID = default_x_grid()
 Z_GRID = default_z_grid()
@@ -163,6 +164,10 @@ def test_pv_map_params_d_invariant():
         PVMap(0, 1, 1)
     with pytest.raises(MapError):
         pv_map_params(PVMap(1, 1, 1), -1.0, -1.0, 0.0, -0.125)
+    with pytest.raises(MapError, match="-2b = -2.0"):
+        pv_map_params(PVMap(1, 1, 1), 0.5, 1.0, 0.0, -0.125)
+    with pytest.raises(MapError, match="-2d = -0.25"):
+        pv_map_params(PVMap(1, 1, 1), 0.5, -1.0, 0.0, 0.125)
     # d stays -1/8 across arbitrary compositions of the parameter map
     import itertools
     import random as _random
@@ -357,6 +362,65 @@ def test_bt_pv_apply_verifies_with_inferred_parameters(monkeypatch):
     tgt = derived_pv_solution("H2", "d", 1.0, Parity.EVEN)
     assert res.predicted == garbage
     assert res.passed and res.inferred == pytest.approx((tgt.a, tgt.b, tgt.c), abs=1e-8)
+
+
+# Seed points past X_MAX = 6 (z past Z_MAX = 72) are masked.  On a grid with
+# none left the fit degenerates; with 12 (x) or 9 (z) left it succeeds, but
+# verification and comparison need MIN_VALID_POINTS = 20.
+PAST_X_MAX, PARTLY_PAST_X_MAX = linear_grid(6.5, 9.0, 30), linear_grid(4.0, 9.0, 30)
+PAST_Z_MAX, PARTLY_PAST_Z_MAX = linear_grid(73.0, 90.0, 30), linear_grid(60.0, 100.0, 30)
+
+
+def test_bt_piv_apply_degenerates_on_grids_past_x_max():
+    sol = extremal_piv_solution("H1", 0, 2.5, Parity.ODD)
+    res = bt_piv_apply(PIVMap(PIVMapKind.WDDAG_MINUS), sol, grid=PAST_X_MAX)
+    assert res.degenerate and not res.passed and res.inferred is None
+    res = bt_piv_apply(PIVMap(PIVMapKind.WDDAG_MINUS), sol, grid=PARTLY_PAST_X_MAX)
+    assert res.degenerate and not res.passed
+    assert res.inferred == pytest.approx(res.predicted, abs=1e-9)
+
+
+def test_bt_pv_apply_degenerates_on_grids_past_z_max():
+    src = closed_pv_solution("f", 1.0, Parity.EVEN)
+    tgt = derived_pv_solution("H2", "d", 1.0, Parity.EVEN)
+    res = bt_pv_apply(PVMap(-1, -1, 1), src, grid=PAST_Z_MAX)
+    assert res.degenerate and not res.passed and res.inferred is None
+    res = bt_pv_apply(PVMap(-1, -1, 1), src, grid=PARTLY_PAST_Z_MAX)
+    assert res.degenerate and not res.passed
+    assert res.inferred == pytest.approx((tgt.a, tgt.b, tgt.c), abs=1e-6)
+
+
+@pytest.mark.parametrize("grid", [PAST_Z_MAX, PARTLY_PAST_Z_MAX])
+def test_catalog_row_degenerates_with_too_few_comparable_points(grid):
+    row = CatalogRow("w1f", "w2d", (-1, -1, 1), Window())
+    res = check_catalog_row(row, 1.0, Parity.EVEN, grid=grid)
+    assert res.degenerate and not res.passed
+    assert res.max_deviation is None and res.notes == ()
+
+
+def test_chain_links_degenerate_on_a_grid_too_short_to_compare():
+    # 10 points: every branch image has fewer comparable points than
+    # MIN_VALID_POINTS, so each branch is skipped and no link is judged
+    links = bt_piv_chain(SeedSpec(2.5, Parity.ODD), grid=linear_grid(0.2, 4.0, 10))
+    assert len(links) == 5
+    for link in links:
+        assert link.degenerate and not link.passed
+        assert link.notes == ("all branch combinations degenerate",)
+
+
+def test_chain_notes_a_degenerate_parameter_inference(monkeypatch):
+    # no real chain input leaves the match comparable but the fit singular
+    from susypainleve import backlund
+
+    def singular(*args, **kwargs):
+        raise SingularSystemError("PIV inference system condition number inf")
+
+    monkeypatch.setattr(backlund, "infer_piv_params", singular)
+    links = bt_piv_chain(SeedSpec(2.5, Parity.ODD))
+    assert len(links) == 5
+    for link in links:
+        assert link.passed and not link.degenerate and link.inferred is None
+        assert link.notes == ("parameter inference degenerate",)
 
 
 ODD, EVEN = Parity.ODD, Parity.EVEN

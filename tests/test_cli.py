@@ -266,3 +266,31 @@ def test_json_only_commands_refuse_csv(args, capsys):
     for fmt in ((), ("--format", "json")):
         assert cli.main([*args, *fmt]) == cli.EXIT_OK
         assert json.loads(capsys.readouterr().out)["config"]["format"] == "json"
+
+
+@pytest.mark.parametrize("options, pinned", [
+    ((), {"grid": None, "tol": 1e-8, "format": "json"}),
+    (("--tol", "1e-6", "--grid", "0.5:3.0:25", "--format", "json"),
+     {"grid": [0.5, 3.0, 25], "tol": 1e-6, "format": "json"}),
+])
+@pytest.mark.parametrize("command, family, parity", [
+    ("sample", "G1", "odd"), ("verify", "g1", "even"), ("chain", None, "odd"), ("catalog", None, None),
+])
+def test_config_block_echoes_the_run(command, family, parity, options, pinned, capsys):
+    from susypainleve import cli
+
+    argv = [command] + ([family] if family else []) + ["--epsilon", "2.5"]
+    argv += ["--parity", parity] if parity else []
+    if command == "sample":
+        argv += ["--format", "json"]  # sample writes csv by default
+    assert cli.main(argv + list(options)) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["config"] == {
+        "command": command, "family": family, "epsilon": 2.5, "parity": parity, **pinned,
+    }
+
+
+def test_defaults_has_no_config_block(capsys):
+    from susypainleve import cli
+
+    assert cli.main(["defaults"]) == cli.EXIT_OK
+    assert set(json.loads(capsys.readouterr().out)) == {"schema_version", "defaults"}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fit_reference import ref_infer_piv, ref_infer_pv
+from susypainleve.config import linear_grid
 from susypainleve.jets import jet_var, on_grid
 from susypainleve.oscillator import Parity
 from susypainleve.painleve import (
@@ -20,6 +21,7 @@ from susypainleve.residual import (
     _value_guarded,
     infer_piv_params,
     infer_pv_params,
+    jet_deviation,
     piv_residual,
     pv_residual,
     verify_on_grid,
@@ -105,6 +107,13 @@ def test_verify_on_grid_degenerate():
     assert err.value.report.n_valid == 0
     with pytest.raises(ValueError):
         verify_on_grid("nope", MINUS_2X)
+
+
+def test_jet_deviation_needs_min_valid_points():
+    short = on_grid(MINUS_2X.g, linear_grid(0.2, 4.0, 19), 0)
+    with pytest.raises(GridDegenerateError, match="only 19 comparable points"):
+        jet_deviation(short, short)
+    assert jet_deviation(short, short, min_valid=19) == (0.0, 19)
 
 
 def test_infer_piv_params_examples():

@@ -228,6 +228,9 @@ def test_nodeless_check_examples():
     assert nodeless_check(seed_state(SeedSpec(3.5, Parity.ODD)), grid) is False
     with pytest.raises(ValueError):
         nodeless_check(chi_state(0), [1.0, 2.0])
+    # seed points past X_MAX = 6 are masked: such a grid is refused, not judged
+    with pytest.raises(JetError, match="not evaluable at 18 of 30 grid points"):
+        nodeless_check(seed_state(SeedSpec(0.5, Parity.EVEN)), linear_grid(4.0, 9.0, 30))
 
 
 def test_extremal_state_eigenvalue_lists():

@@ -78,11 +78,22 @@ class SpectrumLevel:
         return cls(n, LevelKind.FORMAL, 2 * n + 0.5)
 
 
-def _check_x(x: float) -> None:
+def domain_x_jet(x, order: int) -> Jet:
+    """The x-jet of a point or a grid array, for states defined on (0, X_MAX].
+
+    A grid jet masks the points outside (0, X_MAX]; on a grid inside it the
+    mask is the grid's shared all-False one.  A point outside raises
+    DomainError.
+    """
+    if isinstance(x, np.ndarray):
+        xjet = jet_var(x, order)
+        outside = ~((x > 0.0) & (x <= X_MAX))
+        return Jet(xjet.block, outside) if outside.any() else xjet
     if x <= 0.0:
         raise DomainError(f"x = {x!r} is inside the infinite barrier (need x > 0)")
     if x > X_MAX:
         raise DomainError(f"x = {x!r} beyond evaluation domain (0, {X_MAX}]")
+    return jet_var(x, order)
 
 
 def gaussian_jet(xjet: Jet) -> Jet:
@@ -133,15 +144,7 @@ def seed_state(spec: SeedSpec) -> State:
     """
 
     def u(x, order: int) -> Jet:
-        if isinstance(x, np.ndarray):
-            xjet = jet_var(x, order)  # its mask is the grid's shared all-False one
-            outside = ~((x > 0.0) & (x <= X_MAX))
-            if outside.any():
-                xjet = Jet(xjet.block, outside)
-        else:
-            _check_x(x)
-            xjet = jet_var(x, order)
-        return seed_u_jet(spec, xjet)
+        return seed_u_jet(spec, domain_x_jet(x, order))
 
     return grid_memo(u)
 

@@ -37,7 +37,7 @@ from typing import Callable, Literal
 
 from .hyp1f1 import KummerParams, kummer_jet
 from .jets import Jet, grid_factor, grid_memo, jet_compose, jet_sqrt, jet_var, log_derivative
-from .oscillator import Parity, SeedSpec, State
+from .oscillator import Parity, SeedSpec, State, domain_x_jet
 from .susy import (
     ExtremalState,
     FirstOrderTransform,
@@ -150,7 +150,7 @@ def _g1_state(epsilon: float, parity: Parity) -> State:
         coef = 1.0 - (2.0 / 3.0) * epsilon
 
         def g(x: float, order: int) -> Jet:
-            xj = jet_var(x, order)
+            xj = domain_x_jet(x, order)
             top, bottom = kummer_jet((num, den), xj)
             return 1.0 / xj - 2.0 * xj + coef * (xj * (top / bottom))
 
@@ -161,7 +161,7 @@ def _g1_state(epsilon: float, parity: Parity) -> State:
     coef = 1.0 - 2.0 * epsilon
 
     def g(x: float, order: int) -> Jet:
-        xj = jet_var(x, order)
+        xj = domain_x_jet(x, order)
         top, bottom = kummer_jet((num, den), xj)
         return -2.0 * xj + coef * (xj * (top / bottom))
 

@@ -15,7 +15,9 @@ wrong parameters).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Literal, Sequence
 
 import numpy as np
@@ -76,9 +78,12 @@ def _cube(v):
 
 
 def piv_residual(sol, x: float, order: int = 2) -> float:
-    """Signed PIV residual of a solution object (fields g, a, b) at x."""
+    """Signed PIV residual of a solution object (fields g, a, b) at x.
+
+    The six terms are added left to right, as verify_on_grid adds them.
+    """
     gjet = sol.g(x, max(order, 2))
-    return math.fsum(piv_terms(gjet, x, sol.a, sol.b))
+    return reduce(operator.add, piv_terms(gjet, x, sol.a, sol.b))
 
 
 def pv_terms(wjet: Jet, z: float, a: float, b: float, c: float, d: float) -> tuple[float, ...]:
@@ -104,9 +109,12 @@ def _pv_terms(w0, w1, w2, z, a: float, b: float, c: float, d: float) -> tuple:
 
 
 def pv_residual(sol, z: float, order: int = 2) -> float:
-    """Signed PV residual of a solution object (fields w, a, b, c, d) at z."""
+    """Signed PV residual of a solution object (fields w, a, b, c, d) at z.
+
+    The six terms are added left to right, as verify_on_grid adds them.
+    """
     wjet = sol.w(z, max(order, 2))
-    return math.fsum(pv_terms(wjet, z, sol.a, sol.b, sol.c, sol.d))
+    return reduce(operator.add, pv_terms(wjet, z, sol.a, sol.b, sol.c, sol.d))
 
 
 @dataclass
@@ -139,18 +147,27 @@ class VerificationReport:
 def _relative_residuals(terms: tuple) -> np.ndarray:
     """|sum of terms| / max |term| per point; terms are arrays over the points.
 
-    The sum is math.fsum per point, as exact as the point code's; a point
+    Each point's terms are added left to right in float64, as piv_residual
+    and pv_residual add them at one point, so both give the same bits.  For
+    n = 6 terms that sum is off by at most gamma_5 * sum |t_i|, with
+    gamma_5 = 5u / (1 - 5u) and u = 2**-53 (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., sec. 4.2): at most 3.3e-15 of the
+    largest term, about the rounding each term already carries.  A point
     whose terms all vanish has relative residual 0.
     """
     stacked = np.array(terms)
     scale = np.max(np.abs(stacked), axis=0)
-    sums = _fsums(stacked)
+    sums = np.add.reduce(stacked, axis=0)
     vanishing = scale == 0.0
     return np.where(vanishing, 0.0, np.abs(sums) / np.where(vanishing, 1.0, scale))
 
 
 def _fsums(terms) -> np.ndarray:
-    """math.fsum of the terms per sample; terms are arrays over the samples."""
+    """math.fsum of the terms per sample; terms are arrays over the samples.
+
+    Only the parameter fit's right-hand side uses it: the fitted parameters
+    keep the bits of the per-sample loop in tests/fit_reference.py.
+    """
     return np.array(list(map(math.fsum, np.asarray(terms).T.tolist())))
 
 

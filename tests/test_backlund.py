@@ -372,12 +372,14 @@ PAST_Z_MAX, PARTLY_PAST_Z_MAX = linear_grid(73.0, 90.0, 30), linear_grid(60.0, 1
 
 
 def test_bt_piv_apply_degenerates_on_grids_past_x_max():
-    sol = extremal_piv_solution("H1", 0, 2.5, Parity.ODD)
-    res = bt_piv_apply(PIVMap(PIVMapKind.WDDAG_MINUS), sol, grid=PAST_X_MAX)
-    assert res.degenerate and not res.passed and res.inferred is None
-    res = bt_piv_apply(PIVMap(PIVMapKind.WDDAG_MINUS), sol, grid=PARTLY_PAST_X_MAX)
-    assert res.degenerate and not res.passed
-    assert res.inferred == pytest.approx(res.predicted, abs=1e-9)
+    # the extremal state and the closed forms g1-g3 mask those points alike
+    for sol in (extremal_piv_solution("H1", 0, 2.5, Parity.ODD),
+                *(closed_piv_solution(name, 2.5, Parity.ODD) for name in ("g1", "g2", "g3"))):
+        res = bt_piv_apply(PIVMap(PIVMapKind.WDDAG_MINUS), sol, grid=PAST_X_MAX)
+        assert res.degenerate and not res.passed and res.inferred is None, sol.provenance
+        res = bt_piv_apply(PIVMap(PIVMapKind.WDDAG_MINUS), sol, grid=PARTLY_PAST_X_MAX)
+        assert res.degenerate and not res.passed, sol.provenance
+        assert res.inferred == pytest.approx(res.predicted, abs=1e-9), sol.provenance
 
 
 def test_bt_pv_apply_degenerates_on_grids_past_z_max():

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from package_caches import clear_package_caches
+from residual_reference import left_to_right, residuals, sum_error_bound
 from susypainleve import hyp1f1, oscillator, painleve
 from susypainleve.backlund import (
     CATALOG,
@@ -57,7 +58,14 @@ from susypainleve.painleve import (
     closed_piv_solution,
     family_solution,
 )
-from susypainleve.residual import VerificationError, piv_terms, pv_terms, verify_on_grid
+from susypainleve.residual import (
+    VerificationError,
+    piv_residual,
+    piv_terms,
+    pv_residual,
+    pv_terms,
+    verify_on_grid,
+)
 
 # x = 0 is a pole of the odd closed forms and outside the seeds' domain;
 # x < 0 is outside it too.  z <= 0 is outside the domain of sqrt(z/2).
@@ -98,9 +106,10 @@ def _family_state(name, eps, parity):
 
 @pytest.mark.parametrize("name", FAMILIES)
 def test_family_states_on_grid_equal_point_evaluation(name):
-    # every family but g1-g3 and the rationals evaluates the oscillator
-    # seeds or sqrt(z/2), so x <= 0 and z <= 0 (the first two points) are lost
-    domain_bound = name not in ("g1", "g2", "g3") + PV_RATIONAL_NAMES
+    # every family but the rationals evaluates the oscillator seeds (or g1's
+    # Kummer ratio on their domain) or sqrt(z/2), so x <= 0 and z <= 0 (the
+    # first two points) are lost
+    domain_bound = name not in PV_RATIONAL_NAMES
     seeds = SEEDS[:1] if name in PV_RATIONAL_NAMES else SEEDS
     for eps, parity in seeds:
         try:
@@ -133,13 +142,16 @@ def test_whole_grid_structural_error_masks_every_point():
 
 
 def test_verify_on_grid_equals_per_point_reference():
-    # the per-point loop the grid evaluation replaced, value guard included
+    # the per-point loop the grid evaluation replaced, value guard included:
+    # its left-to-right sum, which piv_residual and pv_residual give too, is
+    # the report's bits, and its math.fsum the reference that sum stays
+    # within gamma_5 of
     for sol, kind, grid in (
         (family_solution("g1", 1.3, Parity.ODD), "piv", X_GRID),
         (family_solution("w1c", -0.7, Parity.EVEN), "pv", Z_GRID),
         (family_solution("pv2a", 2.5, Parity.ODD), "pv", Z_GRID),
     ):
-        want = []
+        per_point = []
         for t in grid:
             try:
                 if kind == "piv":
@@ -147,18 +159,24 @@ def test_verify_on_grid_equals_per_point_reference():
                     if abs(jet.value) < 1e-4:
                         raise JetError("value guard")
                     terms = piv_terms(jet, t, sol.a, sol.b)
+                    signed = piv_residual(sol, t)
                 else:
                     jet = sol.w(t, 2)
                     if abs(jet.value) < 1e-4 or abs(jet.value - 1.0) < 1e-4:
                         raise JetError("value guard")
                     terms = pv_terms(jet, t, sol.a, sol.b, sol.c, sol.d)
+                    signed = pv_residual(sol, t)
             except JetError:
-                want.append(math.nan)
+                per_point.append(None)
                 continue
-            scale = max(abs(term) for term in terms)
-            want.append(abs(math.fsum(terms)) / scale if scale else 0.0)
+            assert bits([signed]) == bits([left_to_right(terms)]), (kind, t)
+            per_point.append(terms)
+        want = residuals(per_point, math.fsum)
         report = verify_on_grid(kind, sol, grid=grid, min_valid=1)
-        assert bits(report.rel_residuals) == bits(want)
+        assert bits(report.rel_residuals) == bits(residuals(per_point, left_to_right))
+        for terms, got, ref in zip(per_point, report.rel_residuals, want):
+            if terms is not None:
+                assert abs(got - ref) <= sum_error_bound(terms, ref), (kind, terms)
         assert report.skipped == sum(1 for r in want if math.isnan(r))
 
 

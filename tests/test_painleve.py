@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from susypainleve.config import default_x_grid, default_z_grid
-from susypainleve.jets import PoleError
+from susypainleve.config import default_x_grid, default_z_grid, linear_grid
+from susypainleve.jets import DomainError, PoleError
 from susypainleve.oscillator import Parity, SeedSpec
 from susypainleve.painleve import (
     DegenerateClosedFormError,
@@ -114,6 +114,21 @@ def test_closed_G_matches_extremal_route():
             extremal = extremal_piv_solution("H2", which, eps1, Parity.ODD)
             dev, _ = pointwise_deviation(closed.g, extremal.g, X_GRID)
             assert dev <= 1e-8, (eps1, name)
+
+
+def test_closed_forms_mask_the_points_past_x_max():
+    # g1 evaluates its Kummer ratio on the seed's domain (0, X_MAX], as G1
+    # does through the seed: on a grid crossing x = 6 both skip the same
+    # points, and one point past it raises DomainError
+    grid = linear_grid(0.2, 7.0, 40)
+    past = [i for i, x in enumerate(grid) if x > 6.0]
+    for name in ("g1", "G1"):
+        sol = closed_piv_solution(name, 2.5, Parity.ODD)
+        rep = verify_on_grid("piv", sol, grid=grid)
+        assert rep.passed and rep.skipped == len(past) == 6, name
+        assert [i for i, r in enumerate(rep.rel_residuals) if math.isnan(r)] == past, name
+        with pytest.raises(DomainError):
+            sol.g(6.5, 2)
 
 
 def test_piv_solutions_verify_with_attached_parameters():

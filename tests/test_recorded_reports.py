@@ -2,21 +2,25 @@
 
 Every extremal-derived PV family and every closed form starts from seed jets
 whose contiguity rows 1F1(p+m; q+m; x^2) are summed on the grid.  These
-recordings pin what reaches the verifier through that path: each report's
-relative residuals (a digest of their float.hex strings, nan at skipped
-points), its largest residual by hex, and n_valid, skipped and passed.  A
-Kummer jet on a grid with masked points (x beyond 6) pins the path that
-scatters rows into a nan-filled block.  Catalog rows and chains are pinned
-in test_backlund.py.
+recordings pin what reaches the verifier through that path: the relative
+residuals that math.fsum gives from each state's order-2 grid jet (a digest
+of their float.hex strings, nan at skipped points) and their largest by
+hex.  The report itself sums each point's terms left to right, so its
+residuals are held within the gamma_5 bound of those, and its n_valid,
+skipped and passed to the recording.  A Kummer jet on a grid with masked
+points (x beyond 6) pins the path that scatters rows into a nan-filled
+block.  Catalog rows and chains are pinned in test_backlund.py.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from package_caches import clear_package_caches
-from susypainleve.config import linear_grid
+from residual_reference import grid_jet_terms, residuals, sum_error_bound
+from susypainleve.config import default_x_grid, default_z_grid, linear_grid
 from susypainleve.hyp1f1 import KummerParams, kummer_jet
 from susypainleve.jets import Jet, jet_var
 from susypainleve.oscillator import Parity
@@ -32,7 +36,7 @@ def digest(values) -> str:
     return hashlib.sha256(",".join(float(v).hex() for v in values).encode()).hexdigest()[:16]
 
 
-# (name, parity): (rel_residuals digest, max_rel_residual, n_valid, skipped, passed) at
+# (name, parity): (fsum residuals digest, their largest, n_valid, skipped, passed) at
 # eps = 1.3; H2:k is the extremal H2 PIV member of slot k on the default x grid
 RECORDED_REPORTS = {
     ("pv2b", ODD): ("fb983228614f5aa6", "0x1.1ccfcc437f707p-31", 40, 0, True),
@@ -54,25 +58,36 @@ RECORDED_REPORTS = {
 }
 
 
-def _report(name, parity):
+def _case(name, parity):
+    """(kind, solution, grid) of one recording, at eps = 1.3."""
     eps = 1.3
     if name.startswith("H2:"):
-        return verify_on_grid("piv", extremal_piv_solution("H2", int(name[3:]), eps, parity))
+        return "piv", extremal_piv_solution("H2", int(name[3:]), eps, parity), default_x_grid()
     sol = family_solution(name, eps, parity)
     if name == "g1":
-        return verify_on_grid("piv", sol, grid=X_DENSE)
+        return "piv", sol, X_DENSE
     if name == "w1c":
-        return verify_on_grid("pv", sol, grid=Z_DENSE)
-    return verify_on_grid("pv", sol)
+        return "pv", sol, Z_DENSE
+    return "pv", sol, default_z_grid()
 
 
 @pytest.mark.parametrize("name, parity", list(RECORDED_REPORTS))
 def test_report_matches_its_recording(name, parity):
     clear_package_caches()
-    report = _report(name, parity)
-    got = (digest(report.rel_residuals), report.max_rel_residual.hex(), report.n_valid,
-           report.skipped, report.passed)
-    assert got == RECORDED_REPORTS[name, parity]
+    kind, sol, grid = _case(name, parity)
+    per_point = grid_jet_terms(kind, sol, grid)
+    want = residuals(per_point, math.fsum)
+    recorded, recorded_max, n_valid, skipped, passed = RECORDED_REPORTS[name, parity]
+    assert digest(want) == recorded
+    assert max(r for r in want if not math.isnan(r)).hex() == recorded_max
+
+    report = verify_on_grid(kind, sol, grid=grid)
+    assert (report.n_valid, report.skipped, report.passed) == (n_valid, skipped, passed)
+    for terms, got, ref in zip(per_point, report.rel_residuals, want):
+        if terms is None:
+            assert math.isnan(got)
+        else:
+            assert abs(got - ref) <= sum_error_bound(terms, ref), terms
 
 
 # x from 0.5 to 7 in 27 points; the points beyond x = 6 are masked, as a seed masks them

@@ -3,8 +3,9 @@
 PIV side: the three one-parameter maps (here Wtilde+, Wdagger+, Wddag+-)
 act on a solution g(x; a, b) through its value, derivative and the root
 sqrt(-2b).  The closed-form maps fix no sign for that root; maps take a
-root branch (principal = nonnegative), and the chain verifier tries both
-branches, principal first, recording the one that matched.
+root branch (principal = nonnegative).  In the chain the parameter image
+fixes the branch: each link takes the one whose image is its target
+family's (a, b), and records it.
 
 The five-link chain g1 -> g2 -> g3 -> G1 -> G3 -> G2 (maps Wddag+, Wddag-,
 Wtilde+, Wddag-, Wddag+) is verified pointwise against the independently
@@ -205,40 +206,18 @@ def _identically_small(jet: Jet) -> bool:
     return not np.any(~jet.mask & (np.abs(jet.value) >= VALUE_GUARD))
 
 
-def _best_branch_match(
-    kind: PIVMapKind,
-    source: PIVSolution,
-    target: PIVSolution,
-    grid: Sequence[float],
-    tol: float,
-):
-    """Try both root branches; the first passing one wins, else the closer.
+def _branch_for(kind: PIVMapKind, source: PIVSolution, target: PIVSolution) -> RootBranch:
+    """The root branch whose parameter image is nearest the target family's (a, b).
 
-    Returns (image, branch, deviation, n_valid, deviations), or None when
-    neither branch is comparable.  Comparisons against an identically
-    vanishing target (a collapsed family member) are meaningless, so they
-    give None too.  The target is evaluated once, at order 0, and each image
-    once, at order 2: the order the winner's parameter inference asks of it.
+    Both branches have one image at s = 0, where min keeps the principal
+    branch, listed first.
     """
-    x = np.asarray(grid, dtype=float)
-    target_jet = on_grid(target.g, x, 0)
-    if _identically_small(target_jet):
-        return None
-    best = None
-    for branch in RootBranch:
-        try:
-            image = _piv_image(PIVMap(kind, branch), source)
-            image_jet = on_grid(image.g, x, 2)
-            if _identically_small(image_jet):
-                continue
-            dev, n_valid, deviations = jet_deviation(image_jet, target_jet, per_point=True)
-        except (GridDegenerateError, MapError):
-            continue
-        if dev <= tol:
-            return image, branch, dev, n_valid, deviations
-        if best is None or dev < best[2]:
-            best = image, branch, dev, n_valid, deviations
-    return best
+
+    def miss(branch: RootBranch) -> float:
+        a1, b1 = piv_map_params(PIVMap(kind, branch), source.a, source.b)
+        return abs(a1 - target.a) + abs(b1 - target.b)
+
+    return min(RootBranch, key=miss)
 
 
 def _mismatch_profile(deviations: Sequence[float], tol: float) -> str:
@@ -259,15 +238,15 @@ def bt_piv_chain(
     """Verify every chain link against the independently built target family.
 
     The 2-SUSY side uses eps1 = eps with the same parity.  Each link is one
-    map applied to its source's own (a, b); both root branches are searched,
-    principal first, and the one that matched is recorded.  Links whose
-    construction or comparison collapses (identically vanishing
+    map applied to its source's own (a, b), on the root branch whose
+    parameter image is the target family's (a, b); that branch is recorded.
+    Links whose construction or comparison collapses (identically vanishing
     denominators, all-pole grids) are flagged degenerate, not failed.
 
-    All five links' solutions are built first, then verified in one demand
-    block: the branch search asks each target at order 0 and each image at
-    order 2, the order the winner's parameter inference asks, so its source
-    at order 3.  One link's target is the next link's source node, so each
+    All five links' images are built first, then verified in one demand
+    block: the comparison asks each target at order 0 and each image at
+    order 2, the order its parameter inference asks, so its source at
+    order 3.  One link's target is the next link's source node, so each
     closed form, each map image and the nodes below them run once on the
     grid.
     """
@@ -285,9 +264,11 @@ def bt_piv_chain(
                 source=src_name, target=tgt_name, notes=(str(exc),),
             ))
             continue
-        links.append((src_name, kind, tgt_name, source, target))
+        branch = _branch_for(kind, source, target)
+        image = _piv_image(PIVMap(kind, branch), source)
+        links.append((src_name, tgt_name, branch, image, target))
     built = [link for link in links if isinstance(link, tuple)]
-    roots = [(source.g, 3) for *_, source, _ in built]
+    roots = [(image.g, 2) for *_, image, _ in built]
     roots += [(target.g, 0) for *_, target in built]
     with demand(*roots):
         return [link if isinstance(link, BTResult) else _verify_link(*link, grid, tol)
@@ -296,27 +277,31 @@ def bt_piv_chain(
 
 def _verify_link(
     src_name: str,
-    kind: PIVMapKind,
     tgt_name: str,
-    source: PIVSolution,
+    branch: RootBranch,
+    image: PIVSolution,
     target: PIVSolution,
     grid: Sequence[float],
     tol: float,
 ) -> BTResult:
-    """One chain link: branch search, then parameter inference of the winner."""
-    match = _best_branch_match(kind, source, target, grid, tol)
-    if match is None:
-        return BTResult(
-            None, (), None, passed=False, degenerate=True,
-            source=src_name, target=tgt_name,
-            notes=("all branch combinations degenerate",),
-        )
-    image, branch, dev, n_valid, deviations = match
+    """One chain link: its image against its target, then the image's parameter inference.
+
+    The link is degenerate when the target or the image vanishes identically
+    (a collapsed family member) or too few points are comparable.
+    """
+    x = np.asarray(grid, dtype=float)
+    target_jet, image_jet = on_grid(target.g, x, 0), on_grid(image.g, x, 2)
+    try:
+        if _identically_small(target_jet) or _identically_small(image_jet):
+            raise GridDegenerateError("identically small on the grid")
+        dev, n_valid, deviations = jet_deviation(image_jet, target_jet)
+    except GridDegenerateError:
+        return BTResult(None, (), None, passed=False, degenerate=True, source=src_name,
+                        target=tgt_name, notes=("all branch combinations degenerate",))
     notes = () if dev <= tol else (_mismatch_profile(deviations, tol),)
     try:
         fit = infer_piv_params(image.g, samples=grid)
         inferred = (fit.a, fit.b)
-        notes += (_param_note(image.a, target.a),)
     except (SingularSystemError, GridDegenerateError):
         inferred = None
         notes += ("parameter inference degenerate",)
@@ -326,17 +311,6 @@ def _verify_link(
         max_deviation=dev, n_valid=n_valid, source=src_name, target=tgt_name,
         target_params=(target.a, target.b), notes=notes,
     )
-
-
-def _param_note(predicted: float, family: float) -> str:
-    """Whether the map's a and the target family's a agree, to within 1e-6.
-
-    The inferred a is not compared: on chains at -2.5 <= eps <= 4.5 the fit
-    drifts by up to 5e-3 on links that match pointwise at 1e-7.
-    """
-    if abs(predicted - family) <= 1e-6:
-        return "a-candidates agree"
-    return f"a-candidates differ: map={predicted:.6g} family={family:.6g}"
 
 
 # -- PV map -----------------------------------------------------------------------
@@ -566,7 +540,7 @@ def check_catalog_row(
             tol=tol, certificate_tol=certificate_tol,
         )
         try:
-            dev, n_valid, deviations = pointwise_deviation(image.w, target.w, grid, per_point=True)
+            dev, n_valid, deviations = pointwise_deviation(image.w, target.w, grid)
             certified = PVSolution(
                 image.w, target.a, target.b, target.c, target.d,
                 provenance=image.provenance + " @target-params",

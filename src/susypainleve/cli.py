@@ -218,8 +218,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
             "notes": link.notes,
         })
     _emit_json(args, links=rows)
-    hard_fail = any(not r["pass"] and not r["degenerate"] for r in rows)
-    return EXIT_VERIFY_FAIL if hard_fail else EXIT_OK
+    return _exit_code(rows, any(not r["pass"] and not r["degenerate"] for r in rows))
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
@@ -254,7 +253,16 @@ def cmd_catalog(args: argparse.Namespace) -> int:
                 row["detail"] = str(exc)
         rows.append(row)
     _emit_json(args, rows=rows)
-    return EXIT_VERIFY_FAIL if hard_fail else EXIT_OK
+    return _exit_code([row for row in rows if "pass" in row], hard_fail)
+
+
+def _exit_code(checked: list[dict], hard_fail: bool) -> int:
+    """1 on a hard failure, else 3 when every checked link or row is degenerate, else 0."""
+    if hard_fail:
+        return EXIT_VERIFY_FAIL
+    if checked and all(row["degenerate"] for row in checked):
+        return EXIT_DEGENERATE
+    return EXIT_OK
 
 
 def cmd_defaults(args: argparse.Namespace) -> int:

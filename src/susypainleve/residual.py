@@ -332,22 +332,19 @@ def pointwise_deviation(
     grid: Sequence[float],
     *,
     min_valid: int = MIN_VALID_POINTS,
-    per_point: bool = False,
-):
+) -> tuple[float, int, list[float]]:
     """Max of |f - g| / max(1, |f|, |g|) over evaluable grid points.
 
     Raw values are compared (the families are not defined up to scaling, so
     no pairwise normalization is allowed); the denominator only switches to
     relative accuracy where a pole inflates both magnitudes, where an
-    absolute difference would be meaningless.  Returns (deviation, n_valid),
-    or with per_point=True (deviation, n_valid, deviations), where
-    deviations holds each grid point's deviation (nan where f or g cannot be
-    evaluated).  Raises GridDegenerateError when fewer than min_valid points
-    survive.
+    absolute difference would be meaningless.  Returns (deviation, n_valid,
+    deviations), where deviations holds each grid point's deviation (nan
+    where f or g cannot be evaluated).  Raises GridDegenerateError when
+    fewer than min_valid points survive.
     """
     x = np.asarray(grid, dtype=float)
-    return jet_deviation(on_grid(f, x, 0), on_grid(g, x, 0),
-                         min_valid=min_valid, per_point=per_point)
+    return jet_deviation(on_grid(f, x, 0), on_grid(g, x, 0), min_valid=min_valid)
 
 
 def jet_deviation(
@@ -355,8 +352,7 @@ def jet_deviation(
     gj: Jet,
     *,
     min_valid: int = MIN_VALID_POINTS,
-    per_point: bool = False,
-):
+) -> tuple[float, int, list[float]]:
     """pointwise_deviation of two grid jets on one grid, from their values and masks.
 
     A jet of any order gives the result of its order-0 truncation.
@@ -369,7 +365,4 @@ def jet_deviation(
     n_valid = len(valid)
     if n_valid < min_valid:
         raise GridDegenerateError(f"only {n_valid} comparable points (need {min_valid})")
-    best = max(valid, default=0.0)
-    if per_point:
-        return best, n_valid, deviations
-    return best, n_valid
+    return max(valid, default=0.0), n_valid, deviations

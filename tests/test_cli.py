@@ -177,6 +177,28 @@ def test_exit_code_contract_extremes(args, code):
 
 
 @pytest.mark.parametrize(
+    "args, key",
+    [
+        # g2 vanishes on the grid and g3 is 0/0 for the even eps = 1/2 seed
+        (("chain", "--epsilon", "0.5", "--parity", "even"), "links"),
+        (("chain", "--epsilon", "-0.5", "--parity", "even"), "links"),
+        (("catalog", "--epsilon", "1.5", "--parity", "odd"), "rows"),
+        (("catalog", "--epsilon", "0.5", "--parity", "even"), "rows"),
+    ],
+)
+def test_a_run_whose_every_check_degenerates_exits_3(args, key):
+    cp = run_cli(*args, expect=3)
+    assert "Traceback" not in cp.stderr
+    checked = [entry for entry in json.loads(cp.stdout)[key] if "pass" in entry]
+    assert checked and all(entry["degenerate"] and not entry["pass"] for entry in checked)
+
+
+def test_catalog_without_parity_checks_nothing_and_exits_0():
+    doc = json.loads(run_cli("catalog", "--epsilon", "1.5").stdout)
+    assert not any("pass" in row for row in doc["rows"])
+
+
+@pytest.mark.parametrize(
     "command, epsilon",
     [(("verify", "g1"), 1e300), (("chain",), 1e160), (("verify", "pv2a"), 1e17),
      (("catalog",), -1e17)],

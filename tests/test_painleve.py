@@ -102,7 +102,7 @@ def test_closed_g1_matches_extremal_route(parity):
     for eps in eps_values:
         closed = closed_piv_solution("g1", eps, parity)
         extremal = extremal_piv_solution("H1", 0, eps, parity)
-        dev, n = pointwise_deviation(closed.g, extremal.g, X_GRID)
+        dev, n, _ = pointwise_deviation(closed.g, extremal.g, X_GRID)
         assert dev <= 1e-10, (eps, parity)
         assert (closed.a, closed.b) == pytest.approx((extremal.a, extremal.b))
 
@@ -112,7 +112,7 @@ def test_closed_G_matches_extremal_route():
         for which, name in ((0, "G1"), (1, "G2"), (2, "G3")):
             closed = closed_piv_solution(name, eps1, Parity.ODD)
             extremal = extremal_piv_solution("H2", which, eps1, Parity.ODD)
-            dev, _ = pointwise_deviation(closed.g, extremal.g, X_GRID)
+            dev, _, _ = pointwise_deviation(closed.g, extremal.g, X_GRID)
             assert dev <= 1e-8, (eps1, name)
 
 
@@ -190,7 +190,7 @@ def test_pv_from_pair_signature_and_prefactor_record():
     assert sol.prefactor == -2
     assert sol.prefactor_matches_reference is False
     closed = closed_pv_solution("e", 0.7, Parity.ODD)
-    dev, _ = pointwise_deviation(sol.w, closed.w, Z_GRID)
+    dev, _, _ = pointwise_deviation(sol.w, closed.w, Z_GRID)
     assert dev <= 1e-8
     assert (sol.a, sol.b, sol.c) == pytest.approx((closed.a, closed.b, closed.c))
 
@@ -231,7 +231,7 @@ def test_derived_h1_matches_closed_forms_all_cases(parity):
     for case in "abcdef":
         derived = derived_pv_solution("H1", case, eps, parity)
         closed = closed_pv_solution(case, eps, parity)
-        dev, n = pointwise_deviation(derived.w, closed.w, Z_GRID)
+        dev, n, _ = pointwise_deviation(derived.w, closed.w, Z_GRID)
         assert dev <= 1e-7, (case, parity, dev)
         assert n >= 20
 

@@ -113,7 +113,7 @@ def test_jet_deviation_needs_min_valid_points():
     short = on_grid(MINUS_2X.g, linear_grid(0.2, 4.0, 19), 0)
     with pytest.raises(GridDegenerateError, match="only 19 comparable points"):
         jet_deviation(short, short)
-    assert jet_deviation(short, short, min_valid=19) == (0.0, 19)
+    assert jet_deviation(short, short, min_valid=19)[:2] == (0.0, 19)
 
 
 def test_infer_piv_params_examples():

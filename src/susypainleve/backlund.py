@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
 
@@ -157,36 +157,51 @@ class BTResult:
     certificate_tol: float | None = None  # tolerance of its parameter certificate
 
 
+def _inferred(image: PIVSolution | PVSolution, grid: Sequence[float]) -> tuple | None:
+    """The fitted (a, b) of a PIV image or (a, b, c) of a PV one; None when the fit degenerates."""
+    infer = infer_piv_params if image.kind == "piv" else infer_pv_params
+    try:
+        fit = infer(image.state, samples=grid)
+    except (SingularSystemError, GridDegenerateError):
+        return None
+    return (fit.a, fit.b) if image.kind == "piv" else (fit.a, fit.b, fit.c)
+
+
+def _verify_image(
+    image: PIVSolution | PVSolution,
+    grid: Sequence[float] | None,
+    tol: float,
+    **recorded,
+) -> BTResult:
+    """A map image verified with its *inferred* parameters, not its predicted ones.
+
+    The map-predicted and the numerically inferred parameters are both
+    reported so parameter drift is visible, never silently accepted.  The
+    result is degenerate (and not passed) when inference or verification
+    degenerates.
+    """
+    if grid is None:
+        grid = image.default_grid()
+    predicted = tuple(image.params.values())
+    inferred = _inferred(image, grid)
+    if inferred is None:
+        return BTResult(image, predicted, None, passed=False, degenerate=True, **recorded)
+    checked = replace(image, **dict(zip(image.params, inferred)))  # a PV image keeps its d
+    try:
+        passed = verify_on_grid(image.kind, checked, grid=grid, tol=tol).passed
+    except GridDegenerateError:
+        return BTResult(image, predicted, inferred, passed=False, degenerate=True, **recorded)
+    return BTResult(image, predicted, inferred, passed=passed, **recorded)
+
+
 def bt_piv_apply(
     map_: PIVMap,
     sol: PIVSolution,
     grid: Sequence[float] | None = None,
     tol: float = DEFAULT_TOLERANCE,
 ) -> BTResult:
-    """Apply one PIV map; the result is verified with *inferred* parameters.
-
-    The map-predicted (a', b') and the numerically inferred pair are both
-    reported so parameter drift is visible, never silently accepted.
-    """
-    if grid is None:
-        grid = default_x_grid()
-    new_sol = _piv_image(map_, sol)
-    predicted = (new_sol.a, new_sol.b)
-    try:
-        fit = infer_piv_params(new_sol.g, samples=grid)
-        inferred = (fit.a, fit.b)
-    except (SingularSystemError, GridDegenerateError):
-        return BTResult(new_sol, predicted, None, passed=False, degenerate=True,
-                        branches=(map_.branch.value,))
-    checked = PIVSolution(new_sol.g, fit.a, fit.b, provenance=new_sol.provenance)
-    try:
-        report = verify_on_grid("piv", checked, grid=grid, tol=tol)
-        passed = report.passed
-    except GridDegenerateError:
-        return BTResult(new_sol, predicted, inferred, passed=False, degenerate=True,
-                        branches=(map_.branch.value,))
-    return BTResult(new_sol, predicted, inferred, passed=passed,
-                    branches=(map_.branch.value,))
+    """Apply one PIV map; the result is verified with *inferred* (a, b)."""
+    return _verify_image(_piv_image(map_, sol), grid, tol, branches=(map_.branch.value,))
 
 
 # -- the five-link chain --------------------------------------------------------
@@ -287,7 +302,8 @@ def _verify_link(
     """One chain link: its image against its target, then the image's parameter inference.
 
     The link is degenerate when the target or the image vanishes identically
-    (a collapsed family member) or too few points are comparable.
+    (a collapsed family member) or too few points are comparable; its note
+    then says which.
     """
     x = np.asarray(grid, dtype=float)
     target_jet, image_jet = on_grid(target.g, x, 0), on_grid(image.g, x, 2)
@@ -295,15 +311,12 @@ def _verify_link(
         if _identically_small(target_jet) or _identically_small(image_jet):
             raise GridDegenerateError("identically small on the grid")
         dev, n_valid, deviations = jet_deviation(image_jet, target_jet)
-    except GridDegenerateError:
+    except GridDegenerateError as exc:
         return BTResult(None, (), None, passed=False, degenerate=True, source=src_name,
-                        target=tgt_name, notes=("all branch combinations degenerate",))
+                        target=tgt_name, notes=(str(exc),))
     notes = () if dev <= tol else (_mismatch_profile(deviations, tol),)
-    try:
-        fit = infer_piv_params(image.g, samples=grid)
-        inferred = (fit.a, fit.b)
-    except (SingularSystemError, GridDegenerateError):
-        inferred = None
+    inferred = _inferred(image, grid)
+    if inferred is None:
         notes += ("parameter inference degenerate",)
     return BTResult(
         image, (image.a, image.b), inferred, passed=dev <= tol,
@@ -374,21 +387,11 @@ def _pv_map_state(map_: PVMap, sol: PVSolution) -> State:
     return grid_memo(out, (sol.w, 1))
 
 
-def _pv_transform(
-    map_: PVMap, sol: PVSolution, grid: Sequence[float]
-) -> tuple[PVSolution, tuple, tuple | None]:
-    """T_{k1,k2,k3} applied to sol, not verified: (image, predicted, inferred parameters).
-
-    inferred is None when inference fails.
-    """
-    predicted = pv_map_params(map_, sol.a, sol.b, sol.c, sol.d)
-    state = _pv_map_state(map_, sol)
-    image = PVSolution(state, *predicted, provenance=f"T{map_.triple}[{sol.provenance}]")
-    try:
-        fit = infer_pv_params(state, samples=grid)
-    except (SingularSystemError, GridDegenerateError):
-        return image, predicted, None
-    return image, predicted, (fit.a, fit.b, fit.c)
+def _pv_image(map_: PVMap, sol: PVSolution) -> PVSolution:
+    """sol under T_{k1,k2,k3}, carrying the map's parameter image."""
+    a1, b1, c1, d1 = pv_map_params(map_, sol.a, sol.b, sol.c, sol.d)
+    return PVSolution(_pv_map_state(map_, sol), a1, b1, c1, d1,
+                      provenance=f"T{map_.triple}[{sol.provenance}]")
 
 
 def bt_pv_apply(
@@ -397,21 +400,8 @@ def bt_pv_apply(
     grid: Sequence[float] | None = None,
     tol: float = DEFAULT_TOLERANCE,
 ) -> BTResult:
-    """Apply T_{k1,k2,k3}; the result is verified with *inferred* parameters.
-
-    It is degenerate (and not passed) when inference or verification degenerates.
-    """
-    if grid is None:
-        grid = default_z_grid()
-    image, predicted, inferred = _pv_transform(map_, sol, grid)
-    if inferred is None:
-        return BTResult(image, predicted, None, passed=False, degenerate=True)
-    checked = PVSolution(image.w, *inferred, sol.d, provenance=image.provenance)
-    try:
-        passed = verify_on_grid("pv", checked, grid=grid, tol=tol).passed
-    except GridDegenerateError:
-        return BTResult(image, predicted, inferred, passed=False, degenerate=True)
-    return BTResult(image, predicted, inferred, passed=passed)
+    """Apply T_{k1,k2,k3}; the result is verified with *inferred* (a, b, c)."""
+    return _verify_image(_pv_image(map_, sol), grid, tol)
 
 
 # -- the transformation catalog -------------------------------------------------------------
@@ -533,18 +523,16 @@ def check_catalog_row(
     # inference and the certificate ask the image at order 2, so the source
     # at 3; the pointwise match asks the target at 0
     with demand((source.w, 3), (target.w, 0)):
-        image, predicted, inferred = _pv_transform(PVMap(*row.k), source, grid)
+        image = _pv_image(PVMap(*row.k), source)
+        inferred = _inferred(image, grid)
         result = partial(
-            BTResult, image, predicted, inferred, source=row.source, target=row.target,
-            target_params=(target.a, target.b, target.c, target.d),
+            BTResult, image, tuple(image.params.values()), inferred, source=row.source,
+            target=row.target, target_params=tuple(target.params.values()),
             tol=tol, certificate_tol=certificate_tol,
         )
         try:
             dev, n_valid, deviations = pointwise_deviation(image.w, target.w, grid)
-            certified = PVSolution(
-                image.w, target.a, target.b, target.c, target.d,
-                provenance=image.provenance + " @target-params",
-            )
+            certified = replace(image, **target.params)
             target_report = verify_on_grid("pv", certified, grid=grid, tol=certificate_tol)
         except GridDegenerateError:
             return result(passed=False, degenerate=True)

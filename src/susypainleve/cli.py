@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 from . import config
@@ -26,7 +27,6 @@ from .painleve import (
     PV_DERIVED_H1_NAMES,
     PV_DERIVED_H2_NAMES,
     PV_RATIONAL_NAMES,
-    PIVSolution,
     family_solution,
 )
 from .residual import GridDegenerateError, verify_on_grid
@@ -95,19 +95,12 @@ def _solution(args: argparse.Namespace):
     sol = family_solution(args.family, args.epsilon, args.parity)
     if args.corrupt_b:
         # Negative control for CI: a corrupted parameter must fail verification.
-        if isinstance(sol, PIVSolution):
-            sol = PIVSolution(sol.g, sol.a, sol.b + 0.1, sol.provenance + " corrupt-b")
-        else:
-            sol = type(sol)(sol.w, sol.a, sol.b + 0.1, sol.c, sol.d, sol.provenance + " corrupt-b")
+        sol = replace(sol, b=sol.b + 0.1, provenance=sol.provenance + " corrupt-b")
     return sol
 
 
 def _grid_for(args: argparse.Namespace, sol) -> list[float]:
-    if args.grid is not None:
-        return config.linear_grid(*args.grid)
-    if isinstance(sol, PIVSolution):
-        return config.default_x_grid()
-    return config.default_z_grid()
+    return sol.default_grid() if args.grid is None else config.linear_grid(*args.grid)
 
 
 def _config_json(args: argparse.Namespace) -> dict:
@@ -128,17 +121,10 @@ def _emit_json(args: argparse.Namespace, **body) -> None:
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
 
 
-def _params_dict(sol) -> dict:
-    if isinstance(sol, PIVSolution):
-        return {"a": sol.a, "b": sol.b}
-    return {"a": sol.a, "b": sol.b, "c": sol.c, "d": sol.d}
-
-
 def cmd_sample(args: argparse.Namespace) -> int:
     sol = _solution(args)
     grid = _grid_for(args, sol)
-    fn = sol.g if isinstance(sol, PIVSolution) else sol.w
-    jet = on_grid(fn, grid, 1)
+    jet = on_grid(sol.state, grid, 1)
     rows = [
         (t, float("nan"), float("nan"), 1) if m else (t, v, dv, 0)
         for t, m, v, dv in zip(grid, jet.mask.tolist(), jet.d[0].tolist(), jet.d[1].tolist())
@@ -147,22 +133,20 @@ def cmd_sample(args: argparse.Namespace) -> int:
         print("error: every grid point is pole-guarded", file=sys.stderr)
         return EXIT_DEGENERATE
 
-    params = _params_dict(sol)
     if args.fmt == "csv":
         header = "# family=%s %s provenance=%s\n" % (
             args.family,
-            " ".join(f"{k}={_fmt(v)}" for k, v in params.items()),
+            " ".join(f"{k}={_fmt(v)}" for k, v in sol.params.items()),
             sol.provenance,
         )
-        var = "x" if isinstance(sol, PIVSolution) else "z"
-        lines = [header, f"{var},value,deriv1,pole_flag\n"]
+        lines = [header, f"{sol.variable},value,deriv1,pole_flag\n"]
         for t, v, dv, flag in rows:
             lines.append(f"{_fmt(t)},{_fmt(v)},{_fmt(dv)},{flag}\n")
         _emit("".join(lines), args.out)
     else:
         _emit_json(
             args,
-            parameters=params,
+            parameters=sol.params,
             provenance=sol.provenance,
             points=[
                 {"t": t, "value": _json_num(v), "deriv1": _json_num(dv), "pole": bool(flag)}
@@ -179,17 +163,15 @@ def _json_num(v: float):
 
 def cmd_verify(args: argparse.Namespace) -> int:
     sol = _solution(args)
-    kind = "piv" if isinstance(sol, PIVSolution) else "pv"
-    grid = _grid_for(args, sol)
     try:
-        report = verify_on_grid(kind, sol, grid=grid, tol=args.tol)
+        report = verify_on_grid(sol.kind, sol, grid=_grid_for(args, sol), tol=args.tol)
     except GridDegenerateError as exc:
-        _emit_json(args, parameters=_params_dict(sol),
+        _emit_json(args, parameters=sol.params,
                    report={"degenerate": True, "detail": str(exc)})
         return EXIT_DEGENERATE
     _emit_json(
         args,
-        parameters=_params_dict(sol),
+        parameters=sol.params,
         points=[
             {"t": t, "rel_residual": _json_num(r)}
             for t, r in zip(report.grid, report.rel_residuals)

@@ -18,7 +18,7 @@ GRID_POINTS = 40
 # run over z = 2 x^2.
 X_MAX = 6.0
 Z_MAX = 2.0 * X_MAX * X_MAX
-KUMMER_Y_MAX = 36.0
+KUMMER_Y_MAX = X_MAX * X_MAX
 KUMMER_MAX_TERMS = 500
 
 # |divisor| below this at the expansion point signals a pole of the target

@@ -33,8 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Literal
+from typing import Callable, ClassVar, Literal
 
+from .config import default_x_grid, default_z_grid
 from .hyp1f1 import KummerParams, kummer_jet
 from .jets import Jet, grid_factor, grid_memo, jet_compose, jet_sqrt, jet_var, log_derivative
 from .oscillator import Parity, SeedSpec, State, domain_x_jet
@@ -55,12 +56,28 @@ class DegenerateClosedFormError(ArithmeticError):
 
 @dataclass(frozen=True)
 class PIVSolution:
-    """Jet-valued g(x) with its PIV parameters and provenance label."""
+    """Jet-valued g(x) with its PIV parameters and provenance label.
+
+    Its equation, variable and default grid are class data; `state` and
+    `params` read the fields in the equation's order.
+    """
 
     g: State
     a: float
     b: float
     provenance: str
+
+    kind: ClassVar[str] = "piv"
+    variable: ClassVar[str] = "x"
+    default_grid: ClassVar[Callable[[], list[float]]] = staticmethod(default_x_grid)
+
+    @property
+    def state(self) -> State:
+        return self.g
+
+    @property
+    def params(self) -> dict[str, float]:
+        return {"a": self.a, "b": self.b}
 
 
 @dataclass(frozen=True)
@@ -75,6 +92,18 @@ class PVSolution:
     provenance: str = ""
     prefactor: int | None = None
     prefactor_matches_reference: bool | None = None
+
+    kind: ClassVar[str] = "pv"
+    variable: ClassVar[str] = "z"
+    default_grid: ClassVar[Callable[[], list[float]]] = staticmethod(default_z_grid)
+
+    @property
+    def state(self) -> State:
+        return self.w
+
+    @property
+    def params(self) -> dict[str, float]:
+        return {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
 
 
 def piv_parameters(e1: float, e2: float, e3: float) -> tuple[float, float]:

@@ -201,27 +201,24 @@ def verify_on_grid(
 ) -> VerificationReport:
     """Relative-residual verification over a grid with pole guarding.
 
-    Points where the solution value sits inside the guard band (|g| <
-    VALUE_GUARD for PIV; |w| or |w-1| < VALUE_GUARD for PV) or where jet
-    evaluation hits a pole are skipped and counted.  The state is evaluated
-    once, on the whole grid.  Raises GridDegenerateError when fewer than
-    min_valid points survive.
+    `kind` is checked against the solution's own equation (`sol.kind`), and
+    a mismatch raises ValueError; the state and the default grid are the
+    solution's.  Points where the solution value sits inside the guard band
+    (|g| < VALUE_GUARD for PIV; |w| or |w-1| < VALUE_GUARD for PV) or where
+    jet evaluation hits a pole are skipped and counted.  The state is
+    evaluated once, on the whole grid.  Raises GridDegenerateError when
+    fewer than min_valid points survive.
     """
-    if kind not in ("piv", "pv"):
-        raise ValueError(f"unknown equation kind {kind!r}")
+    if kind != sol.kind:
+        raise ValueError(f"cannot verify a {sol.kind!r} solution as equation kind {kind!r}")
     if grid is None:
-        grid = default_x_grid() if kind == "piv" else default_z_grid()
+        grid = sol.default_grid()
     if len(grid) == 0:
         raise ValueError("empty verification grid")
 
     x = np.asarray(grid, dtype=float)
-    keep, (v0, v1, v2), t = _usable_samples(
-        kind, sol.g if kind == "piv" else sol.w, x, max(order, 2)
-    )
-    if kind == "piv":
-        terms = _piv_terms(v0, v1, v2, t, sol.a, sol.b)
-    else:
-        terms = _pv_terms(v0, v1, v2, t, sol.a, sol.b, sol.c, sol.d)
+    keep, (v0, v1, v2), t = _usable_samples(kind, sol.state, x, max(order, 2))
+    terms = (_piv_terms if kind == "piv" else _pv_terms)(v0, v1, v2, t, *sol.params.values())
     residuals = np.full(keep.shape, math.nan)
     residuals[keep] = _relative_residuals(terms)
     skipped = int(keep.size - keep.sum())

@@ -420,12 +420,12 @@ def test_catalog_row_degenerates_with_too_few_comparable_points(grid):
 
 def test_chain_links_degenerate_on_a_grid_too_short_to_compare():
     # 10 points: every link's image has fewer comparable points than
-    # MIN_VALID_POINTS, so no link is judged
+    # MIN_VALID_POINTS, so no link is judged, and the note says why
     links = bt_piv_chain(SeedSpec(2.5, Parity.ODD), grid=linear_grid(0.2, 4.0, 10))
     assert len(links) == 5
     for link in links:
         assert link.degenerate and not link.passed
-        assert link.notes == ("all branch combinations degenerate",)
+        assert link.notes == ("only 10 comparable points (need 20)",)
 
 
 def test_chain_notes_a_degenerate_parameter_inference(monkeypatch):
@@ -477,15 +477,15 @@ RECORDED_CHAINS = {
     ],
     (0.5, EVEN): [
         ("g1", "g2", ("principal",), False, True, None, None,
-         ("all branch combinations degenerate",)),
+         ("identically small on the grid",)),
         ("g2", "g3", ("principal",), False, True, None, None,
          ("degenerate closed form: g3 is 0/0 for the even eps = 1/2 seed",)),
         ("g3", "G1", ("principal",), False, True, None, None,
          ("degenerate closed form: g3 is 0/0 for the even eps = 1/2 seed",)),
         ("G1", "G3", ("principal",), False, True, None, None,
-         ("all branch combinations degenerate",)),
+         ("identically small on the grid",)),
         ("G3", "G2", ("principal",), False, True, None, None,
-         ("all branch combinations degenerate",)),
+         ("identically small on the grid",)),
     ],
     (3.571, EVEN): [
         ("g1", "g2", ("principal",), True, False, "0x1.1f7021c8fb38cp-46",

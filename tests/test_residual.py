@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fit_reference import ref_infer_piv, ref_infer_pv
+from susypainleve.cli import ALL_FAMILIES
 from susypainleve.config import linear_grid
 from susypainleve.jets import jet_var, on_grid
 from susypainleve.oscillator import Parity
@@ -13,6 +14,7 @@ from susypainleve.painleve import (
     PVSolution,
     closed_piv_solution,
     closed_pv_solution,
+    family_solution,
     rational_pv_solution,
 )
 from susypainleve.residual import (
@@ -107,6 +109,28 @@ def test_verify_on_grid_degenerate():
     assert err.value.report.n_valid == 0
     with pytest.raises(ValueError):
         verify_on_grid("nope", MINUS_2X)
+
+
+@pytest.mark.parametrize("kind, sol", [
+    ("pv", closed_piv_solution("g1", 1.3, Parity.ODD)),
+    ("piv", rational_pv_solution("w2a")),
+])
+def test_verify_on_grid_refuses_a_kind_the_solution_does_not_solve(kind, sol):
+    with pytest.raises(ValueError) as err:
+        verify_on_grid(kind, sol)
+    assert f"{sol.kind!r}" in str(err.value) and f"{kind!r}" in str(err.value)
+
+
+@pytest.mark.parametrize("name", ALL_FAMILIES)
+def test_each_family_solution_carries_its_equation(name):
+    sol = family_solution(name, 1.3, Parity.ODD)
+    if isinstance(sol, PIVSolution):
+        assert (sol.kind, sol.variable, sol.state) == ("piv", "x", sol.g)
+        assert sol.params == {"a": sol.a, "b": sol.b}
+    else:
+        assert (sol.kind, sol.variable, sol.state) == ("pv", "z", sol.w)
+        assert sol.params == {"a": sol.a, "b": sol.b, "c": sol.c, "d": sol.d}
+    assert list(sol.params) == sorted(sol.params)
 
 
 def test_jet_deviation_needs_min_valid_points():

@@ -14,36 +14,26 @@ differentiation:
 
 so every y-derivative is itself a certified series evaluation, and the
 composition with y = x^2 is exact jet algebra.  Along a grid, the K+1
-contiguity series of every point, for every params of one `kummer_jet`
-call (the numerator and denominator of a Kummer ratio go in one call), are
-summed together in one lockstep loop that repeats each series' scalar steps
-exactly.  The loop's cost is mostly fixed per pass and per block of terms,
-not per series: seven ufunc calls per term on the live series, and about
-thirty more per block for the ratios, the stopping rule and compaction.  So
-a g1 node, whose ratio asks K+2 distinct rows, pays for one pass, not two.
-The jet of y = x^2 depends on the grid alone, so `_square` holds it per
-grid (`jets.grid_factor`), as `oscillator` holds the seed prefactors.
+contiguity series (rows) of every point are summed together in one lockstep
+loop that repeats each series' scalar steps exactly.  The loop's cost is
+mostly fixed per pass and per block of terms, not per series: seven ufunc
+calls per term on the live series, and about thirty more per block for the
+ratios, the stopping rule and compaction.  The jet of y = x^2 depends on
+the grid alone, so `_square` holds it per grid (`jets.grid_factor`), as
+`oscillator` holds the seed prefactors.
 
-Row store.  A summed series over a grid (a row) lives as long as one op.
-The outermost `jets.demand` block, which every `on_grid`, chain link and
-catalog row runs in, opens the op's store (`jets.op_store`); rows go there
-keyed by the bytes of the grid's y array and of its mask, then by (p, q).
-Jets of one seed at orders K and K+1, the seed's rows p+m, and the
-numerator and denominator of a Kummer ratio all read one ladder of rows,
-so each row is summed once per op.  Outside any block a call sums its own
-rows.  Each element of a row takes the same IEEE steps whatever else is
-summed beside it, so results do not depend on what a store holds.  The
-lockstep sums the rows a call lacks over the grid's unmasked y, shared by
-every row, into one (rows, points) block.  When no point is masked (every
-seed on a grid inside (0, 6]) the store keeps that block itself; otherwise
-one masked assignment scatters it into a nan-filled (rows, N) block.  Either
-block is read-only, and rows are views of it, shared by every caller.  A
-row with p = 0 is the terminating series of degree 0, the constant 1 (the
-lockstep's first term is exactly 0.0, so it returns 1.0): it is never
-summed.  It is chi0's and psi0's only row, and the top row of every
-terminating ladder.  Later ops read again only those rows and the rows
-of an epsilon drawn twice, so nothing is kept across ops.  The one-point
-path (`kummer`) is not stored.
+Rows.  The lockstep sums a call's rows over the grid's unmasked y, shared
+by every row, into one (rows, points) block.  When no point is masked
+(every seed on a grid inside (0, 6]) the call reads that block itself;
+otherwise one masked assignment scatters it into a nan-filled (rows, N)
+block.  A row with p = 0 is the terminating series of degree 0, the
+constant 1 (the lockstep's first term is exactly 0.0, so it returns 1.0):
+it is never summed.  It is chi0's and psi0's only row, and the top row of
+every terminating ladder.  No row is kept: a seed is a node
+(`oscillator.seed_state`), evaluated once per grid at the highest order its
+op asks, and the closed forms read the seed at order 1 alone, the rows
+(p, q) and (p+1, q+1), so a store of an op's rows would save no summing
+(every benchmark workload sums the same rows with one as without).
 """
 
 from __future__ import annotations
@@ -54,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import KUMMER_MAX_TERMS, KUMMER_Y_MAX
-from .jets import Jet, grid_factor, jet_compose, jet_mul, op_store
+from .jets import Jet, grid_factor, jet_compose, jet_mul
 
 
 # Series terms per block of the grid (lockstep) summation, and the index n
@@ -238,14 +228,11 @@ def _kummer_lockstep(p: np.ndarray, q: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kummer_rows(rows: list[tuple], y: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
-    """1F1(p; q; y) of each (p, q) row on every unmasked point, nan where masked.
+def _kummer_rows(rows: list[tuple], y: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The (rows, N) block of 1F1(p; q; y) of each (p, q) row, nan where masked.
 
-    Rows already in the op's store are reused; the missing ones are summed
-    together in one lockstep pass over the unmasked y and stored there, but
-    for rows with p = 0, which are 1.  The rows are read-only views, shared
-    by every caller, of the lockstep's block itself when no point is masked,
-    else of a nan-filled block.
+    The rows are summed together in one lockstep pass over the unmasked y,
+    but for rows with p = 0, which are 1.
     """
     masked = mask.any()
     ys = y[~mask] if masked else y
@@ -254,23 +241,18 @@ def _kummer_rows(rows: list[tuple], y: np.ndarray, mask: np.ndarray) -> list[np.
         raise KummerRangeError(
             f"|y| = {float(abs(ys[beyond][0]))!r} exceeds working range {KUMMER_Y_MAX!r}"
         )
-    store = op_store()
-    table = {} if store is None else store.setdefault((y.tobytes(), mask.tobytes()), {})
-    missing = [row for row in dict.fromkeys(rows) if row not in table]
-    series = [row for row in missing if row[0] != 0.0]
-    if series:
-        p, q = np.array(series).T
-        block = _kummer_lockstep(p, q, ys)
-        if masked:
-            sums, block = block, np.full((len(series), mask.size), math.nan)
-            block[:, ~mask] = sums
-        block.flags.writeable = False  # and so is every row, a view of it
-        table.update(zip(series, block))
-    if len(series) < len(missing):  # 1F1(0; q; y) = 1
-        one = np.where(mask, math.nan, 1.0)
-        one.flags.writeable = False
-        table.update((row, one) for row in missing if row[0] == 0.0)
-    return [table[row] for row in rows]
+    series = [row for row in rows if row[0] != 0.0]
+    if len(series) == len(rows):
+        block = _kummer_lockstep(*np.array(series).T, ys)
+    else:  # 1F1(0; q; y) = 1
+        block = np.ones((len(rows), ys.size))
+        if series:
+            block[[row[0] != 0.0 for row in rows]] = _kummer_lockstep(*np.array(series).T, ys)
+    if not masked:
+        return block
+    out = np.full((len(rows), mask.size), math.nan)
+    out[:, ~mask] = block
+    return out
 
 
 @grid_factor
@@ -279,38 +261,27 @@ def _square(xjet: Jet) -> Jet:
     return jet_mul(xjet, xjet)
 
 
-def kummer_jet(params, xjet: Jet):
-    """Jet of x -> 1F1(p; q; x^2) along an arbitrary x-jet; a tuple of jets for a tuple of params.
+def kummer_jet(params: KummerParams, xjet: Jet) -> Jet:
+    """Jet of x -> 1F1(p; q; x^2) along an arbitrary x-jet.
 
     The K+1 y-derivatives are evaluated by contiguity at y0 = x0^2, then
     composed with the jet of y = x^2.  Along a grid jet the K+1 contiguity
-    series 1F1(p+m; q+m; y), m = 0..K (DLMF 13.3.15), of every params are
-    rows of the op's store; those it lacks run in one lockstep pass, rows x
-    points, so the numerator and denominator of a Kummer ratio cost one
-    pass.  One multiply scales each params' rows into its outer block.
+    series 1F1(p+m; q+m; y), m = 0..K (DLMF 13.3.15), run in one lockstep
+    pass, rows x points, and one multiply scales them into the outer block.
     """
-    group = params if isinstance(params, tuple) else (params,)
-    rows, coefs = [], []  # the (p+m, q+m) rows, and per params the coefficient of each
-    for par in group:
-        coef, cs = 1.0, []
-        for m in range(xjet.order + 1):
-            if coef == 0.0:  # the polynomial case differentiated past its degree: zero from here
-                break
-            cs.append(coef)
-            rows.append((par.p + m, par.q + m))
-            coef *= (par.p + m) / (par.q + m)
-        coefs.append(cs)
+    rows, coefs = [], []  # the (p+m, q+m) rows and the coefficient of each
+    coef = 1.0
+    for m in range(xjet.order + 1):
+        if coef == 0.0:  # the polynomial case differentiated past its degree: zero from here
+            break
+        coefs.append(coef)
+        rows.append((params.p + m, params.q + m))
+        coef *= (params.p + m) / (params.q + m)
     y0 = xjet.value * xjet.value
     if xjet.mask is None:
         sums = [[kummer(KummerParams(*row), y0)] for row in rows]  # one point
     else:
         sums = _kummer_rows(rows, y0, xjet.mask)
-    y = _square(xjet)
-    jets = []
-    for cs in coefs:
-        k = len(cs)
-        outer = np.zeros(xjet.block.shape)
-        np.multiply(np.array(cs)[:, None], sums[:k], out=outer[:k])
-        sums = sums[k:]
-        jets.append(jet_compose(Jet(outer, xjet.mask), y))
-    return tuple(jets) if isinstance(params, tuple) else jets[0]
+    outer = np.zeros(xjet.block.shape)
+    np.multiply(np.array(coefs)[:, None], sums, out=outer[:len(coefs)])
+    return jet_compose(Jet(outer, xjet.mask), _square(xjet))

@@ -54,8 +54,10 @@ Nodes.  `grid_memo(body, (child, offset), ...)` makes a state a node: it
 holds the jet of its last grid (keyed by the grid's float64 bytes,
 read-only) and serves any order up to the held one by truncation, held mask
 included (masked entries stay unspecified).  Each (child, offset) pair
-declares that the body asks `child` at order + offset, so the nodes form a
-graph with order offsets on its edges.  `demand((state, order), ...)` is a
+declares that the body asks `child` at order + offset, or at the order
+itself when the offset is an `AtOrder` (a body that reads its child at one
+fixed order whatever it is asked), so the nodes form a graph with order
+offsets on its edges.  `demand((state, order), ...)` is a
 block: on entry a demand pass walks the graph from each root and raises
 every reachable node's `need` to the highest order + offset any consumer
 asks.  A node asked above what it holds then evaluates once at
@@ -72,10 +74,6 @@ asked: that may run a node twice, which costs time, never correctness:
 entry k of every kernel's result reads entries 0..k alone, so a jet
 evaluated at a higher order truncates to the bits of one evaluated at the
 lower order.
-
-The op store.  The outermost demand block opens a dict, `op_store()`, that
-nested blocks share and that is dropped when it exits (None outside any
-block): `hyp1f1` keeps there the Kummer rows of one op.
 
 Grid factors.  `grid_factor(body)` holds the result of a function of the
 x-jet alone (the jet of y = x^2, a seed's Gaussian prefactor, the half-root
@@ -378,6 +376,23 @@ def jet_sqrt(a: Jet) -> Jet:
     return Jet(s, mask)
 
 
+def jet_riccati(y0: Jet, f: Jet) -> Jet:
+    """Jet of the solution y of y' = f - y^2 through y0.value, from the jet of f.
+
+    y^(k+1) = f^(k) - sum_j C(k,j) y^(j) y^(k-j), summed left to right in
+    ascending j after f^(k) (Taylor-mode differentiation of the ODE,
+    Griewank & Walther ch. 13).  The result has f's order; f's top entry is
+    not read, and only y0's value is.
+    """
+    comb = _tables(f.order).comb
+    y = np.empty((len(f.block), max(y0.block.shape[1], f.block.shape[1])))
+    y[0] = y0.block[0]
+    for k in range(f.order):
+        terms = (comb[k, :k + 1] * y[:k + 1]) * y[k::-1]
+        y[k + 1] = np.subtract.reduce(np.concatenate((f.block[k:k + 1], terms)))
+    return Jet(y, _join(y0.mask, f.mask))
+
+
 def log_derivative(a: Jet) -> Jet:
     """Jet of a'/a (order drops by one), the superpotential workhorse: needs a(x0) != 0 only."""
     if a.order < 1:
@@ -434,8 +449,13 @@ class GridNode:
         return jet if top == order else jet.truncate(order)
 
 
+class AtOrder(int):
+    """A dependency offset that is an absolute order: the body asks its child at this order."""
+
+
 def grid_memo(state, *deps) -> GridNode:
-    """The state as a node whose body asks each (child, offset) of deps at order + offset."""
+    """The state as a node whose body asks each (child, offset) of deps at order + offset
+    (at the offset itself for an `AtOrder`)."""
     return GridNode(state, deps)
 
 
@@ -486,14 +506,6 @@ def grid_factor(body):
     return update_wrapper(factor, body)
 
 
-_store: dict | None = None  # the op store while a demand block is open
-
-
-def op_store() -> dict | None:
-    """The store of the op in progress (see the module docstring); None outside any demand block."""
-    return _store
-
-
 def _demand(root, order: int, raised: list) -> None:
     """Raise the need of every node reachable from root to the highest order asked of it.
 
@@ -507,7 +519,8 @@ def _demand(root, order: int, raised: list) -> None:
             continue
         raised.append((node, node.need))
         node.need = need
-        work.extend((child, need + offset) for child, offset in node.deps)
+        work.extend((child, offset if isinstance(offset, AtOrder) else need + offset)
+                    for child, offset in node.deps)
 
 
 @contextmanager
@@ -518,11 +531,8 @@ def demand(*roots):
     it will ask, so each node below the roots runs once per grid in the
     block.  On exit each need goes back to what it was before, so a block
     nested in another (an `on_grid` call in an op's block) keeps the outer
-    demand, and it shares the outer block's op store.
+    demand.
     """
-    global _store
-    outer = _store
-    _store = {} if outer is None else outer
     raised: list = []
     try:
         for state, order in roots:
@@ -531,7 +541,6 @@ def demand(*roots):
     finally:
         for node, need in reversed(raised):
             node.need = need
-        _store = outer
 
 
 def on_grid(state, grid, order: int) -> Jet:

@@ -113,18 +113,21 @@ def _even_prefactor(xjet: Jet) -> Jet:
     return gaussian_jet(xjet)
 
 
+def seed_params(spec: SeedSpec) -> KummerParams:
+    """The seed's Kummer parameters; a non-finite eps raises KummerParameterError."""
+    if spec.parity is Parity.ODD:
+        return KummerParams((3.0 - 2.0 * spec.epsilon) / 4.0, 1.5)
+    return KummerParams((1.0 - 2.0 * spec.epsilon) / 4.0, 0.5)
+
+
 def seed_u_jet(spec: SeedSpec, xjet: Jet) -> Jet:
     """Seed solution jet along an arbitrary x-jet (unnormalized).
 
     Odd branch:  x exp(-x^2/2) 1F1((3-2eps)/4; 3/2; x^2)
     Even branch:   exp(-x^2/2) 1F1((1-2eps)/4; 1/2; x^2)
     """
-    eps = spec.epsilon
-    if spec.parity is Parity.ODD:
-        params = KummerParams((3.0 - 2.0 * eps) / 4.0, 1.5)
-        return _odd_prefactor(xjet) * kummer_jet(params, xjet)
-    params = KummerParams((1.0 - 2.0 * eps) / 4.0, 0.5)
-    return _even_prefactor(xjet) * kummer_jet(params, xjet)
+    prefactor = _odd_prefactor if spec.parity is Parity.ODD else _even_prefactor
+    return prefactor(xjet) * kummer_jet(seed_params(spec), xjet)
 
 
 # Seeds are the states that solutions share (a catalog source and its target,

@@ -9,10 +9,17 @@ a PIV solution with a = E2 + E3 - 2 E1 - 1, b = -2 (E2 - E3)^2.  Rotating
 each of the three states into the first slot gives the families
 g1, g2, g3 (first-order partner, triplet (eps, eps+1, 1/2)) and
 G1, G2, G3 (step-one reduced second-order partner, triplet
-(eps1-1, eps1+1, 1/2)).  The tabulated closed forms are implemented verbatim
-and cross-validated against this extremal-state route: a dual construction
-path is the package's main defense against transcription slips in the long
-expressions.
+(eps1-1, eps1+1, 1/2)).  The tabulated closed forms are rational in x, the
+seed's superpotential alpha = u'/u and its derivatives, and alpha obeys
+alpha' = x^2 - 2 eps - alpha^2; so each is evaluated as one reduced
+rational function of (x, alpha), on one alpha node per seed that reads the
+seed's value and slope and takes every higher derivative from that
+equation.  The reduced forms cancel the poles of alpha, g1 and G1 that the
+tabulated forms pass through.  Tests check them against the tabulated forms
+at 50 digits and cross-validate them against this extremal-state route: a
+dual construction path is the package's main defense against transcription
+slips in the long expressions.  The first-order PV closed forms w1a..w1f
+read the same alpha node.
 
 PV conventions.  With four extremal states (E1..E4) and any choice of the
 pair (phi3, phi4) -- six identifications (a)..(f) --
@@ -36,9 +43,18 @@ from functools import lru_cache
 from typing import Callable, ClassVar, Literal
 
 from .config import default_x_grid, default_z_grid
-from .hyp1f1 import KummerParams, kummer_jet
-from .jets import Jet, grid_factor, grid_memo, jet_compose, jet_sqrt, jet_var, log_derivative
-from .oscillator import Parity, SeedSpec, State, domain_x_jet
+from .jets import (
+    AtOrder,
+    Jet,
+    grid_factor,
+    grid_memo,
+    jet_compose,
+    jet_riccati,
+    jet_sqrt,
+    jet_var,
+    log_derivative,
+)
+from .oscillator import Parity, SeedSpec, State, seed_params, seed_state
 from .susy import (
     ExtremalState,
     FirstOrderTransform,
@@ -46,7 +62,6 @@ from .susy import (
     Target,
     _wronskian_jet,
     extremal_states,
-    superpotential_alpha,
 )
 
 
@@ -162,121 +177,95 @@ def extremal_piv_solution(
 
 # -- PIV: tabulated closed forms ----------------------------------------------------
 
-# A Backlund chain builds the closed forms of one seed link after link; g2
-# and g3 are built on g1, and the G-states on alpha and G1.  All six closed
-# forms and alpha are interned per seed, so every link of a chain reads the
-# same jets, and one link's target is the next link's source node.  A chain
-# asks one seed at a time, and each held node keeps a grid jet (up to 400
-# points), so the caches stay small.
+# A Backlund chain builds the closed forms of one seed link after link, and
+# one link's target is the next link's source node, so the alpha node and
+# each closed-form node are interned per seed.  A chain asks one seed at a
+# time, and each held node keeps a grid jet (up to 400 points), so the caches
+# stay small.
 SUB_STATE_CACHE_SIZE = 2
 
 
 @lru_cache(maxsize=SUB_STATE_CACHE_SIZE)
-def _g1_state(epsilon: float, parity: Parity) -> State:
-    if parity is Parity.ODD:
-        num = KummerParams((7.0 - 2.0 * epsilon) / 4.0, 2.5)
-        den = KummerParams((3.0 - 2.0 * epsilon) / 4.0, 1.5)
-        coef = 1.0 - (2.0 / 3.0) * epsilon
-
-        def g(x: float, order: int) -> Jet:
-            xj = domain_x_jet(x, order)
-            top, bottom = kummer_jet((num, den), xj)
-            return 1.0 / xj - 2.0 * xj + coef * (xj * (top / bottom))
-
-        return grid_memo(g)
-
-    num = KummerParams((5.0 - 2.0 * epsilon) / 4.0, 1.5)
-    den = KummerParams((1.0 - 2.0 * epsilon) / 4.0, 0.5)
-    coef = 1.0 - 2.0 * epsilon
-
-    def g(x: float, order: int) -> Jet:
-        xj = domain_x_jet(x, order)
-        top, bottom = kummer_jet((num, den), xj)
-        return -2.0 * xj + coef * (xj * (top / bottom))
-
-    return grid_memo(g)
-
-
-@lru_cache(maxsize=SUB_STATE_CACHE_SIZE)
-def _g2_state(epsilon: float, parity: Parity) -> State:
-    g1 = _g1_state(epsilon, parity)
-
-    def g(x: float, order: int) -> Jet:
-        xj = jet_var(x, order)
-        G1 = g1(x, order)
-        t = G1 + xj
-        num = xj + (2.0 * epsilon - xj * xj) * t + t**3
-        den = xj * xj - (2.0 * epsilon + 1.0) - t * t
-        return -G1 - 2.0 * xj - 2.0 * (num / den)
-
-    return grid_memo(g, (g1, 0))
-
-
-@lru_cache(maxsize=SUB_STATE_CACHE_SIZE)
-def _g3_state(epsilon: float, parity: Parity) -> State:
-    if parity is Parity.EVEN and epsilon == 0.5:
-        # g1 = -2x makes numerator and denominator vanish identically.
-        raise DegenerateClosedFormError(
-            "degenerate closed form: g3 is 0/0 for the even eps = 1/2 seed"
-        )
-    g1 = _g1_state(epsilon, parity)
-
-    def g(x: float, order: int) -> Jet:
-        G1 = g1(x, order + 1)
-        xj = jet_var(x, order)
-        return -(G1.deriv() + 2.0) / (G1.truncate(order) + 2.0 * xj)
-
-    return grid_memo(g, (g1, 1))
-
-
-@lru_cache(maxsize=SUB_STATE_CACHE_SIZE)
 def _alpha_state(epsilon: float, parity: Parity) -> State:
-    return FirstOrderTransform(SeedSpec(epsilon, parity))._alpha
+    """alpha = u'/u from the seed at order 1, its derivatives from alpha' = x^2 - 2 eps - alpha^2.
 
+    The value takes jet_div's pole guard at the seed's nodes.  A non-finite
+    eps is refused here, when a closed form is built.
+    """
+    spec = SeedSpec(epsilon, parity)
+    seed_params(spec)
+    u = seed_state(spec)
 
-@lru_cache(maxsize=SUB_STATE_CACHE_SIZE)
-def _G1_state(eps1: float, parity: Parity) -> State:
-    al = _alpha_state(eps1, parity)
-
-    def g(x: float, order: int) -> Jet:
+    def alpha(x, order: int) -> Jet:
         xj = jet_var(x, order)
-        a = al(x, order)
-        den = xj * xj + (1.0 - 2.0 * eps1) - a * a
-        return -xj - a + 2.0 * ((xj + a) / den)
+        return jet_riccati(log_derivative(u(x, 1)), xj * xj - 2.0 * epsilon)
 
-    return grid_memo(g, (al, 0))
+    return grid_memo(alpha, (u, AtOrder(1)))
 
 
-@lru_cache(maxsize=SUB_STATE_CACHE_SIZE)
-def _G2_state(eps1: float, parity: Parity) -> State:
-    al = _alpha_state(eps1, parity)
-    G1 = _G1_state(eps1, parity)
+def _closed_form(form):
+    """The interned node of form(x, alpha, eps) per seed; `form` stays readable as `.form`."""
 
-    def g(x: float, order: int) -> Jet:
-        xj = jet_var(x, order)
-        a = al(x, order)
-        G = G1(x, order)
-        num = 2.0 * (a * a) - 2.0 * (xj * xj) + 2.0 * (2.0 * eps1 + 1.0)
-        return G + num / (a - G - xj)
+    @lru_cache(maxsize=SUB_STATE_CACHE_SIZE)
+    def state(epsilon: float, parity: Parity) -> State:
+        al = _alpha_state(epsilon, parity)
+        return grid_memo(lambda x, order: form(jet_var(x, order), al(x, order), epsilon), (al, 0))
 
-    return grid_memo(g, (al, 0), (G1, 0))
+    state.form = form
+    return state
 
 
-@lru_cache(maxsize=SUB_STATE_CACHE_SIZE)
-def _G3_state(eps1: float, parity: Parity) -> State:
-    al = _alpha_state(eps1, parity)
-    G1 = _G1_state(eps1, parity)
+# Each closed form is one reduced rational function of (x, alpha), derived
+# once with sympy from the tabulated forms (tests/closed_form_reference.py
+# holds those, and tests/test_painleve.py checks each reduced form against
+# them at 50 digits).  With q = x^2 - alpha^2 - 2 eps, M = q - 1 and
+# w = alpha + x, G2 and G3 share the quartic S = M (x w + 2 - 2 eps) + 3 - 2 eps.
+# The forms use arithmetic operators alone, so they evaluate on jets and on
+# mpmath numbers alike.
 
-    def g(x: float, order: int) -> Jet:
-        xj = jet_var(x, order)
-        a = al(x, order)
-        G = G1(x, order)
-        t = xj + a
-        num = t * (G * G) + (2.0 * eps1 - 1.0 + t * t) * G + (2.0 * eps1 - 3.0) * t
-        den = t * t + t * G + (2.0 * eps1 - 1.0)
-        return num / den
 
-    return grid_memo(g, (al, 0), (G1, 0))
+def _q(x, al, e):
+    return x * x - al * al - 2.0 * e
+
+
+def _quartic(x, al, e, M):
+    return M * (x * (al + x) + (2.0 - 2.0 * e)) + (3.0 - 2.0 * e)
+
+
+@_closed_form
+def _g1_state(x, al, e):
+    return al - x
+
+
+@_closed_form
+def _g2_state(x, al, e):
+    q = _q(x, al, e)
+    return (al - x) * (q + 1.0) / (q - 1.0)
+
+
+@_closed_form
+def _g3_state(x, al, e):
+    return -(_q(x, al, e) + 1.0) / (al + x)
+
+
+@_closed_form
+def _G1_state(x, al, e):
+    q = _q(x, al, e)
+    return -(al + x) * (q - 1.0) / (q + 1.0)
+
+
+@_closed_form
+def _G2_state(x, al, e):
+    q = _q(x, al, e)
+    M = q - 1.0
+    return M * _quartic(x, al, e, M) / ((q + 1.0) * (x - al * q))
+
+
+@_closed_form
+def _G3_state(x, al, e):
+    q = _q(x, al, e)
+    T = (3.0 - 2.0 * e) * (al * al) + 4.0 * (al * x) + (1.0 + 2.0 * e) * (x * x) - (2.0 * e - 1.0) ** 2
+    return -4.0 * ((al + x) * _quartic(x, al, e, q - 1.0)) / ((q + 1.0) * T)
 
 
 _PIV_CLOSED: dict[str, tuple[Callable[[float, Parity], State], Callable[[float], tuple[float, float]]]] = {
@@ -295,6 +284,11 @@ def closed_piv_solution(name: str, epsilon: float, parity: Parity) -> PIVSolutio
         builder, params = _PIV_CLOSED[name]
     except KeyError:
         raise ValueError(f"unknown PIV family member {name!r}") from None
+    if name == "g3" and parity is Parity.EVEN and epsilon == 0.5:
+        # alpha = -x makes numerator and denominator vanish identically.
+        raise DegenerateClosedFormError(
+            "degenerate closed form: g3 is 0/0 for the even eps = 1/2 seed"
+        )
     a, b = params(epsilon)
     return PIVSolution(
         builder(epsilon, parity), a, b, provenance=f"{name} eps={epsilon:g} {parity.value}"
@@ -411,13 +405,13 @@ def _w1_params(case: str, e: float) -> tuple[float, float, float]:
 
 
 def _w1_state(case: str, epsilon: float, parity: Parity) -> State:
-    t1 = FirstOrderTransform(SeedSpec(epsilon, parity))
+    alpha = _alpha_state(epsilon, parity)
     e = epsilon
 
     def w(z: float, order: int) -> Jet:
         zj = jet_var(z, order)
         X = _half_root(zj)
-        al = jet_compose(superpotential_alpha(t1, X.value, order), X)
+        al = jet_compose(alpha(X.value, order), X)
         s = 2.0 * X  # sqrt(2z)
         if case == "a":
             num = 2.0 * s * (1.0 + 2.0 * e - zj + s * al)
@@ -447,7 +441,7 @@ def _w1_state(case: str, epsilon: float, parity: Parity) -> State:
             out = -(num / den)
         return out
 
-    return grid_memo(w, (t1._alpha, 0))
+    return grid_memo(w, (alpha, 0))
 
 
 def closed_pv_solution(case: str, epsilon: float, parity: Parity) -> PVSolution:

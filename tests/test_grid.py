@@ -45,7 +45,6 @@ from susypainleve.jets import (
     jet_const,
     jet_var,
     on_grid,
-    op_store,
 )
 from susypainleve.oscillator import Parity, SeedSpec, seed_u, seed_u_jet
 from susypainleve.painleve import (
@@ -106,9 +105,8 @@ def _family_state(name, eps, parity):
 
 @pytest.mark.parametrize("name", FAMILIES)
 def test_family_states_on_grid_equal_point_evaluation(name):
-    # every family but the rationals evaluates the oscillator seeds (or g1's
-    # Kummer ratio on their domain) or sqrt(z/2), so x <= 0 and z <= 0 (the
-    # first two points) are lost
+    # every family but the rationals evaluates the oscillator seeds on their
+    # domain or sqrt(z/2), so x <= 0 and z <= 0 (the first two points) are lost
     domain_bound = name not in PV_RATIONAL_NAMES
     seeds = SEEDS[:1] if name in PV_RATIONAL_NAMES else SEEDS
     for eps, parity in seeds:
@@ -318,7 +316,7 @@ def test_lockstep_convergence_error_names_the_row_and_the_point():
         _kummer_lockstep(p, q, y)
 
 
-# -- the op's row store -------------------------------------------------------------
+# -- Kummer rows on a grid -------------------------------------------------------------
 
 
 # 40 points; the last five are masked, as a seed masks points outside its domain
@@ -330,29 +328,11 @@ def row_xjet(order):
     return Jet(jet_var(ROW_GRID, order).d, ROW_MASK)
 
 
-def row_store(grid=ROW_GRID, mask=ROW_MASK):
-    """The rows the op in progress holds for a grid (y = grid^2) and mask."""
-    return op_store().get(((grid * grid).tobytes(), mask.tobytes()), {})
-
-
 def assert_same_jet(got, want):
     assert got.mask.tobytes() == want.mask.tobytes()
     assert got.order == want.order
     for g, w in zip(got.d, want.d):
         assert bits(g) == bits(w)
-
-
-@pytest.mark.parametrize("params", [KummerParams(0.3, 1.5), KummerParams(-2.0, 0.5)])
-def test_warm_row_table_equals_cold(params):
-    # -2: a terminating series, whose rows past its degree are never summed
-    cold = {}
-    for order in (2, 5, 3):
-        clear_package_caches()
-        cold[order] = kummer_jet(params, row_xjet(order))
-    clear_package_caches()
-    with demand():  # one op: the later orders read the rows of the earlier ones
-        for order in (2, 5, 3):
-            assert_same_jet(kummer_jet(params, row_xjet(order)), cold[order])
 
 
 def spy_on_sums(monkeypatch) -> list:
@@ -385,35 +365,8 @@ def spy_on_rows(monkeypatch) -> list:
 UNMASKED = int((~ROW_MASK).sum())
 
 
-def test_contiguous_neighbour_sums_one_new_row(monkeypatch):
-    clear_package_caches()
-    p, q = 0.3, 1.5
-    with demand():
-        kummer_jet(KummerParams(p, q), row_xjet(3))
-        assert len(row_store()) == 4  # rows m = 0..3
-        summed = spy_on_sums(monkeypatch)
-        kummer_jet(KummerParams(p + 1.0, q + 1.0), row_xjet(3))
-        assert len(row_store()) == 5  # only (p+4, q+4) is new
-    assert summed == [UNMASKED]
-
-
-def test_cached_rows_are_read_only():
-    clear_package_caches()
-    with demand():
-        kummer_jet(KummerParams(0.3, 1.5), row_xjet(3))
-        kummer_jet(KummerParams(0.0, 0.5), row_xjet(3))  # the constant row
-        rows = list(row_store().values())
-        one = row_store()[0.0, 0.5]
-    assert len(rows) == 5
-    assert (one[~ROW_MASK] == 1.0).all() and np.isnan(one[ROW_MASK]).all()
-    for row in rows:
-        assert not row.flags.writeable
-        with pytest.raises(ValueError):
-            row[0] = 0.0
-
-
 def test_an_unmasked_grid_stores_the_lockstep_block_itself(monkeypatch):
-    clear_package_caches()
+    # the rows of an unmasked grid are the lockstep's block, not a copy of it
     blocks = []
     lockstep = hyp1f1._kummer_lockstep
 
@@ -423,76 +376,43 @@ def test_an_unmasked_grid_stores_the_lockstep_block_itself(monkeypatch):
 
     monkeypatch.setattr(hyp1f1, "_kummer_lockstep", kept)
     grid = np.array(linear_grid(0.2, 4.0, 40))
-    with demand():
-        kummer_jet((KummerParams(0.3, 1.5), KummerParams(-0.7, 2.5)), jet_var(grid, 3))
-        rows = list(row_store(grid, _clear_mask(grid.size)).values())
+    rows = [(0.3, 1.5), (1.3, 2.5), (2.3, 3.5)]
+    got = hyp1f1._kummer_rows(rows, grid * grid, _clear_mask(grid.size))
     [block] = blocks
-    assert len(rows) == 8 and block.shape == (8, 40) and not block.flags.writeable
-    for row in rows:
-        assert row.base is block and np.shares_memory(row, block)
-        assert not row.flags.writeable
+    assert got is block and block.shape == (3, 40)
+    # a row with p = 0 is 1, and the rows summed beside it keep their bits
+    got = hyp1f1._kummer_rows(rows[:1] + [(0.0, 0.5)] + rows[1:], grid * grid,
+                              _clear_mask(grid.size))
+    assert len(blocks) == 2 and (got[1] == 1.0).all()
+    assert bits(got[[0, 2, 3]]) == bits(block)
 
 
 def test_masked_grid_rows_equal_rows_summed_on_the_kept_points():
-    clear_package_caches()
-    params = KummerParams(0.3, 1.5)
     keep = ~ROW_MASK
     grid = ROW_GRID[keep]
-    with demand():
-        kummer_jet(params, row_xjet(3))
-        kummer_jet(params, jet_var(grid, 3))
-        kept = row_store(grid, _clear_mask(grid.size))
-        masked = row_store()
-    assert len(masked) == len(kept) == 4
-    for key, row in masked.items():
-        assert bits(row[keep]) == bits(kept[key])
-        assert np.isnan(row[ROW_MASK]).all()
-
-
-def test_kummer_errors_raise_with_a_warm_table():
-    clear_package_caches()
-    with demand():
-        kummer_jet(KummerParams(0.5, 1.5), row_xjet(3))
-        assert row_store()
-        # y = 6.5^2 > 36 at an unmasked point
-        xjet = jet_var(np.append(ROW_GRID, 6.5), 3)
-        with pytest.raises(KummerRangeError):
-            kummer_jet(KummerParams(0.5, 1.5), xjet)
-        # the term budget runs out on the warm grid; nothing is stored, so it runs out again
-        before = list(row_store())
-        for _ in range(2):
-            with pytest.raises(KummerConvergenceError), np.errstate(all="ignore"):
-                kummer_jet(KummerParams(-5e5, 1.5), row_xjet(3))
-            assert list(row_store()) == before
+    rows = [(0.3, 1.5), (1.3, 2.5), (2.3, 3.5), (0.0, 1.5)]
+    masked = hyp1f1._kummer_rows(rows, ROW_GRID * ROW_GRID, ROW_MASK)
+    kept = hyp1f1._kummer_rows(rows, grid * grid, _clear_mask(grid.size))
+    assert masked.shape == (4, ROW_GRID.size) and kept.shape == (4, grid.size)
+    assert bits(masked[:, keep]) == bits(kept)
+    assert np.isnan(masked[:, ROW_MASK]).all()
 
 
 def test_a_call_outside_an_op_sums_its_own_rows(monkeypatch):
-    # no package cache holds rows: clearing the caches must not raise, and
-    # outside any demand block a call sums every row it reads, each time
-    clear_package_caches()
-    assert op_store() is None
+    # no cache holds rows, in a demand block or outside one: each call sums
+    # every row it reads, all five in one pass
     summed = spy_on_sums(monkeypatch)
     for _ in range(2):
         kummer_jet(KummerParams(0.3, 1.5), row_xjet(4))
-    assert summed == [5 * UNMASKED] * 2  # all five rows, in one pass per call
-    assert op_store() is None
-
-
-def test_nested_blocks_share_the_op_store():
-    assert op_store() is None
     with demand():
-        store = op_store()
-        assert store == {}
-        with demand():
-            assert op_store() is store
-            kummer_jet(KummerParams(0.3, 1.5), row_xjet(2))
-        assert op_store() is store and row_store()
-    assert op_store() is None
+        for _ in range(2):
+            kummer_jet(KummerParams(0.3, 1.5), row_xjet(4))
+    assert summed == [5 * UNMASKED] * 4
 
 
 def test_no_kummer_row_outlives_an_op(monkeypatch):
-    # each op sums its rows in its own store; once it returns nothing holds
-    # them, so the next op on the same grid sums them again
+    # each op sums its rows; once it returns nothing holds them, so the next
+    # op on the same grid sums them again
     x = np.array(linear_grid(0.2, 4.0, 40))
     z = np.array(default_z_grid())
     ops = [
@@ -504,12 +424,10 @@ def test_no_kummer_row_outlives_an_op(monkeypatch):
         clear_package_caches()
         passes = spy_on_rows(monkeypatch)
         op()
-        assert op_store() is None
         rows = sorted({row for rows in passes for row in rows})
         assert rows
         again = spy_on_rows(monkeypatch)
-        with demand():
-            hyp1f1._kummer_rows(rows, seed_grid * seed_grid, _clear_mask(seed_grid.size))
+        hyp1f1._kummer_rows(rows, seed_grid * seed_grid, _clear_mask(seed_grid.size))
         assert again == [rows]
 
 
@@ -603,15 +521,17 @@ def test_on_grid_broadcasts_a_point_jet_result():
 
 
 @pytest.mark.parametrize("parity", [Parity.ODD, Parity.EVEN])
-def test_a_cold_g1_node_sums_its_ratio_in_one_lockstep_pass(monkeypatch, parity):
-    # at eps = 1.25 the numerator's rows (p+1+m, q+1+m) are the denominator's
-    # rows m+1 to the bit, so order K asks K+2 distinct rows
+@pytest.mark.parametrize("name", PIV_FAMILY_NAMES + PV_CLOSED_NAMES)
+def test_a_cold_closed_form_op_sums_its_seeds_two_rows_in_one_lockstep_pass(monkeypatch, name,
+                                                                            parity):
+    # every closed form reads alpha = u'/u, whose value needs the seed at
+    # order 1 alone, the rows (p, q) and (p+1, q+1), whatever order it is asked
+    params = oscillator.seed_params(SeedSpec(1.25, parity))
     clear_package_caches()
-    g = closed_piv_solution("g1", 1.25, parity).g
-    summed = spy_on_sums(monkeypatch)
-    order = 2
-    on_grid(g, linear_grid(0.2, 4.0, 40), order)
-    assert summed == [(order + 2) * 40]
+    sol = family_solution(name, 1.25, parity)
+    passes = spy_on_rows(monkeypatch)
+    verify_on_grid(sol.kind, sol, grid=linear_grid(0.2, 4.0, 40), min_valid=1)
+    assert passes == [[(params.p, params.q), (params.p + 1.0, params.q + 1.0)]]
 
 
 # the x = sqrt(z/2) at which the PV families evaluate their seeds on the default z grid
@@ -619,8 +539,8 @@ Z_X = np.sqrt(np.array(default_z_grid()) * 0.5)
 
 
 def test_each_op_sums_its_own_rows_and_chi0_none(monkeypatch):
-    # chi0's one row is the constant 1, and a drawn seed's 8 rows live as
-    # long as its op: 40 ops, each in its own block, sum 8 rows each
+    # chi0's one row is the constant 1, and a drawn seed sums its 8 rows:
+    # 40 ops, each in its own block, sum 8 rows each
     clear_package_caches()
     xjet = jet_var(Z_X, 7)
     chi0 = SeedSpec(0.5, Parity.EVEN)
@@ -630,9 +550,7 @@ def test_each_op_sums_its_own_rows_and_chi0_none(monkeypatch):
             seed_u_jet(chi0, xjet)
             seed_u_jet(SeedSpec(-2.5 + 0.17 * i, Parity.ODD), xjet)
             seed_u_jet(chi0, xjet)
-            assert len(row_store(Z_X, _clear_mask(Z_X.size))) == 9
     assert summed == [8 * Z_X.size] * 40  # the op's own rows, never chi0's
-    assert op_store() is None
 
 
 @pytest.mark.parametrize("points", [400, 4000])
@@ -658,8 +576,8 @@ def test_held_memory_does_not_grow_with_the_number_of_ops(points):
 
 
 def test_a_dense_grid_keeps_the_rows_of_one_chain(monkeypatch):
-    # the op's store keeps every row of one chain on any grid size, so g1's
-    # ratio and its seed share one pass
+    # every closed form of a chain reads one alpha node, so the chain sums
+    # its seed's rows in one pass on any grid size
     grid = linear_grid(0.2, 4.0, 4000)
     clear_package_caches()
     summed = spy_on_sums(monkeypatch)

@@ -15,6 +15,8 @@ from susypainleve.hyp1f1 import (
     kummer_y_derivative,
 )
 from susypainleve.jets import jet_var
+from susypainleve.oscillator import Parity
+from susypainleve.painleve import PIV_FAMILY_NAMES, PV_CLOSED_NAMES, family_solution
 
 
 def brute_force_series(p, q, y, rel=1e-17, nmax=5000):
@@ -60,12 +62,12 @@ def test_non_finite_parameters_are_refused_at_construction():
 
 
 def test_closed_form_at_nan_epsilon_is_a_parameter_error():
-    from susypainleve.oscillator import Parity
-    from susypainleve.painleve import closed_piv_solution
-
-    for parity in Parity:
-        with pytest.raises(KummerParameterError):
-            closed_piv_solution("g1", math.nan, parity)
+    # each of the twelve closed forms refuses it when it is built, not when
+    # it is evaluated
+    for name in PIV_FAMILY_NAMES + PV_CLOSED_NAMES:
+        for parity in Parity:
+            with pytest.raises(KummerParameterError):
+                family_solution(name, math.nan, parity)
 
 
 def test_range_and_budget():

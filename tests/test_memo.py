@@ -34,7 +34,7 @@ from susypainleve.backlund import (
     check_catalog_row,
 )
 from susypainleve.config import X_MAX, default_x_grid, default_z_grid, linear_grid
-from susypainleve.jets import DomainError, GridNode, demand, grid_memo, jet_var, on_grid
+from susypainleve.jets import AtOrder, DomainError, GridNode, demand, grid_memo, jet_var, on_grid
 from susypainleve.oscillator import Direction, Parity, SeedSpec, ladder_state, seed_state
 from susypainleve.painleve import (
     PIV_FAMILY_NAMES,
@@ -216,7 +216,7 @@ def test_a_catalog_source_and_target_run_their_shared_seed_once_per_grid(monkeyp
     target = catalog_family_solution("w1b", 1.3, ODD)
     on_grid(source.w, grid, 3)
     on_grid(target.w, grid, 3)
-    assert [order for s, order, _ in runs if s == spec] == [4]  # alpha asks u at order + 1
+    assert [order for s, order, _ in runs if s == spec] == [1]  # alpha asks u at order 1
     on_grid(source.w, linear_grid(0.5, 20.0, 30), 3)
     assert len({key for s, _, key in runs if s == spec}) == 2  # a new grid runs it again
 
@@ -381,15 +381,18 @@ def test_demand_reaches_a_shared_child_once_and_ignores_stale_needs():
     assert runs["shared", grid_memo] == [1, 3, 1]
 
 
-def test_closed_forms_of_one_seed_share_g1_alpha_and_G1():
-    g1, g2, g3, G1, G2, G3 = (closed_piv_solution(name, 1.3, ODD).g for name in PIV_FAMILY_NAMES)
-    assert g2.deps == ((g1, 0),) and g3.deps == ((g1, 1),)
-    alpha = G1.deps[0][0]
-    assert G2.deps == G3.deps == ((alpha, 0), (G1, 0))
-    assert alpha.deps == ((seed_state(SeedSpec(1.3, ODD)), 1),)
-    assert closed_piv_solution("G1", 1.3, EVEN).g is not G1
+def test_closed_forms_of_one_seed_share_one_alpha_node():
+    states = [closed_piv_solution(name, 1.3, ODD).g for name in PIV_FAMILY_NAMES]
+    states += [family_solution(name, 1.3, ODD).w for name in PV_CLOSED_NAMES]
+    alpha = states[0].deps[0][0]
+    assert all(state.deps == ((alpha, 0),) for state in states)
+    # alpha reads its seed at order 1, whatever order it is asked
+    [(seed, order)] = alpha.deps
+    assert seed is seed_state(SeedSpec(1.3, ODD))
+    assert isinstance(order, AtOrder) and order == 1
+    assert closed_piv_solution("G1", 1.3, EVEN).g is not states[3]
     clear_package_caches()
-    assert closed_piv_solution("g1", 1.3, ODD).g is not g1
+    assert closed_piv_solution("g1", 1.3, ODD).g is not states[0]
 
 
 def test_a_pv2f_verify_runs_the_log_wronskian_body_once_per_grid(monkeypatch):

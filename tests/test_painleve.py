@@ -1,13 +1,21 @@
 import math
+import random
 
+import mpmath as mp
+import numpy as np
 import pytest
 
+import closed_form_reference as ref
+
 from susypainleve.config import default_x_grid, default_z_grid, linear_grid
-from susypainleve.jets import DomainError, PoleError
+from susypainleve.jets import DomainError, PoleError, on_grid
 from susypainleve.oscillator import Parity, SeedSpec
 from susypainleve.painleve import (
+    _PIV_CLOSED,
+    PIV_FAMILY_NAMES,
     DegenerateClosedFormError,
     PV_IDENTIFICATIONS,
+    _alpha_state,
     closed_piv_solution,
     closed_pv_solution,
     derived_pv_solution,
@@ -117,9 +125,9 @@ def test_closed_G_matches_extremal_route():
 
 
 def test_closed_forms_mask_the_points_past_x_max():
-    # g1 evaluates its Kummer ratio on the seed's domain (0, X_MAX], as G1
-    # does through the seed: on a grid crossing x = 6 both skip the same
-    # points, and one point past it raises DomainError
+    # g1 and G1 read alpha from the seed, defined on (0, X_MAX]: on a grid
+    # crossing x = 6 both skip the same points, and one point past it raises
+    # DomainError
     grid = linear_grid(0.2, 7.0, 40)
     past = [i for i, x in enumerate(grid) if x > 6.0]
     for name in ("g1", "G1"):
@@ -263,3 +271,85 @@ def test_infer_params_rejects_wrong_family():
     assert fit.a == pytest.approx(g2.a, abs=1e-7)
     g1 = closed_piv_solution("g1", 0.8, Parity.ODD)
     assert abs(fit.a - g1.a) > 1e-2
+
+
+# -- the closed forms from alpha's Riccati equation ----------------------------
+
+
+def _reduced(name):
+    return _PIV_CLOSED[name][0].form
+
+
+@pytest.mark.parametrize("name", PIV_FAMILY_NAMES[1:])
+def test_reduced_closed_forms_equal_the_tabulated_ones(name):
+    # at any (x, alpha, eps) some solution of alpha' = x^2 - 2 eps - alpha^2
+    # passes through alpha, so the reduced form in (x, alpha) and the
+    # tabulated one built on g1 = alpha - x, g1' = alpha' - 1 and G1 agree
+    rng = random.Random(name)
+    with mp.workdps(50):
+        form = _reduced(name)
+        for _ in range(200):
+            x, al, eps = (mp.mpf(rng.uniform(lo, hi)) for lo, hi in ((0.05, 6.0), (-9.0, 9.0),
+                                                                      (-3.0, 5.0)))
+            g1 = al - x
+            if name == "g2":
+                want = ref.g2(x, g1, eps)
+            elif name == "g3":
+                want = ref.g3(x, g1, x * x - 2 * eps - al * al - 1, eps)
+            else:
+                want = getattr(ref, name)(x, al, eps)
+            assert abs(form(x, al, eps) - want) <= mp.mpf(10) ** -30 * max(1, abs(want)), (x, al, eps)
+
+
+@pytest.mark.parametrize("parity", [Parity.ODD, Parity.EVEN])
+def test_reduced_g1_equals_its_kummer_ratio(parity):
+    # g1 = alpha - x, with alpha = u'/u of the seed by numerical differentiation
+    rng = random.Random(parity.value)
+    odd = parity is Parity.ODD
+    with mp.workdps(50):
+        for _ in range(40):
+            x, eps = mp.mpf(rng.uniform(0.05, 6.0)), mp.mpf(rng.uniform(-3.0, 5.0))
+            p, q = ((3 - 2 * eps) / 4, mp.mpf(3) / 2) if odd else ((1 - 2 * eps) / 4, mp.mpf(1) / 2)
+
+            def u(t):
+                return (t if odd else 1) * mp.exp(-t * t / 2) * mp.hyp1f1(p, q, t * t)
+
+            want = ref.g1(x, eps, odd)
+            got = _reduced("g1")(x, mp.diff(u, x) / u(x), eps)
+            assert abs(got - want) <= mp.mpf(10) ** -30 * max(1, abs(want)), (x, eps)
+
+
+@pytest.mark.parametrize("grid", ["x", "z half-root"])
+@pytest.mark.parametrize("eps, parity", [(1.3, Parity.ODD), (-0.7, Parity.EVEN),
+                                         (3.178, Parity.ODD), (0.601, Parity.EVEN)])
+def test_riccati_alpha_equals_the_seed_log_derivative(grid, eps, parity):
+    # the value is u'/u of the seed at order 1, to the bit; the derivatives
+    # agree to the rounding of the log-derivative path, which carries the
+    # larger error at order 4 (about 1e-10 against 1e-12 from mpmath at x = 3.9)
+    x = np.array(X_GRID) if grid == "x" else np.sqrt(np.array(Z_GRID) * 0.5)
+    riccati = on_grid(_alpha_state(eps, parity), x, 4)
+    log_derivative = on_grid(FirstOrderTransform(SeedSpec(eps, parity))._alpha, x, 4)
+    assert not riccati.mask.any() and not log_derivative.mask.any()
+    assert riccati.block[0].tobytes() == log_derivative.block[0].tobytes()
+    for k in range(1, 5):
+        diff = np.abs(riccati.block[k] - log_derivative.block[k])
+        assert (diff <= 1e-9 * np.maximum(1.0, np.abs(log_derivative.block[k]))).all(), k
+
+
+@pytest.mark.parametrize("name, eps, parity", [("G3", 3.178, Parity.ODD),
+                                               ("G3", 0.601, Parity.EVEN),
+                                               ("G2", 3.178, Parity.ODD)])
+def test_G_forms_pass_next_to_the_seed_nodes_on_400_points(name, eps, parity):
+    # these failed at 0.66, 1.01 and 1.7e-7 when G2 and G3 cancelled the
+    # poles of alpha and G1 numerically, next to a node of the seed
+    rep = verify_on_grid("piv", closed_piv_solution(name, eps, parity),
+                         grid=linear_grid(0.2, 4.0, 400))
+    assert rep.passed and rep.skipped == 0, rep.max_rel_residual
+
+
+@pytest.mark.parametrize("name", ["G1", "G2", "G3"])
+def test_G_forms_at_the_even_half_seed_are_grid_degenerate(name):
+    # alpha = -x there: every point is a pole of the reduced form, as it was
+    # of the tabulated one, so the report is degenerate (and g3 is refused at build)
+    with pytest.raises(GridDegenerateError):
+        verify_on_grid("piv", closed_piv_solution(name, 0.5, Parity.EVEN))

@@ -38,9 +38,7 @@ from .painleve import (
     derived_pv_solution,
     extremal_piv_solution,
     family_solution,
-    piv_from_extremal,
     piv_parameters,
-    pv_from_pair,
     pv_parameters,
     rational_pv_solution,
 )

@@ -489,8 +489,7 @@ def bt_pv_catalog(epsilon: float) -> list[CatalogEntry]:
 
 
 def catalog_family_solution(name: str, epsilon: float, parity: Parity) -> PVSolution:
-    """Resolve a catalog family name; first-order w1x are closed forms,
-    second-order w2x come from the extremal-state construction (eps1 = eps)."""
+    """Resolve a catalog family name: w1x is H1's letter x, w2x H2's at eps1 = eps."""
     if name.startswith("w1"):
         return closed_pv_solution(name[-1], epsilon, parity)
     return derived_pv_solution("H2", name[-1], epsilon, parity)

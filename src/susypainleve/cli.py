@@ -30,7 +30,6 @@ from .painleve import (
     family_solution,
 )
 from .residual import GridDegenerateError, verify_on_grid
-from .susy import TransformError
 
 SCHEMA_VERSION = 1
 
@@ -345,13 +344,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except KummerError as exc:
-        # A finite but huge |epsilon| puts the Kummer series past its term budget.
-        print(f"error: outside the Kummer series' working range: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OverflowError, TransformError) as exc:
-        # A huge finite |epsilon| overflows the parameter formulas, which square it;
-        # from |epsilon| ~ 1.8e16 on, epsilon - 2 rounds to epsilon: a seed pair is one seed.
+    except (KummerError, OverflowError) as exc:
+        # A huge finite |epsilon| puts the seed's Kummer series past its term
+        # budget, or overflows the parameter formulas, which square it.
         why = "the parameter formulas overflow" if isinstance(exc, OverflowError) else exc
         print(f"error: --epsilon {args.epsilon!r} is out of range: {why}", file=sys.stderr)
         return EXIT_USAGE

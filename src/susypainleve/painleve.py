@@ -1,4 +1,4 @@
-"""Painleve IV and V solution families built from SUSY extremal states.
+"""Painleve IV and V solution families of the SUSY partners, as reduced forms of (x, alpha).
 
 PIV conventions.  A partner Hamiltonian whose lowering ladder annihilates
 three extremal states at eigenvalues (E1, E2, E3) yields
@@ -9,36 +9,37 @@ a PIV solution with a = E2 + E3 - 2 E1 - 1, b = -2 (E2 - E3)^2.  Rotating
 each of the three states into the first slot gives the families
 g1, g2, g3 (first-order partner, triplet (eps, eps+1, 1/2)) and
 G1, G2, G3 (step-one reduced second-order partner, triplet
-(eps1-1, eps1+1, 1/2)).  The tabulated closed forms are rational in x, the
-seed's superpotential alpha = u'/u and its derivatives, and alpha obeys
-alpha' = x^2 - 2 eps - alpha^2; so each is evaluated as one reduced
-rational function of (x, alpha), on one alpha node per seed that reads the
-seed's value and slope and takes every higher derivative from that
-equation.  The reduced forms cancel the poles of alpha, g1 and G1 that the
-tabulated forms pass through.  Tests check them against the tabulated forms
-at 50 digits and cross-validate them against this extremal-state route: a
-dual construction path is the package's main defense against transcription
-slips in the long expressions.  The first-order PV closed forms w1a..w1f
-read the same alpha node.
+(eps1-1, eps1+1, 1/2)); slot i of H1 is g(i+1), of H2 G(i+1).
 
 PV conventions.  With four extremal states (E1..E4) and any choice of the
 pair (phi3, phi4) -- six identifications (a)..(f) --
 
-    g(x) = (prefactor) x - (ln W(phi3, phi4))',   w(z) = 1 + sqrt(2z)/g(sqrt(z/2))
+    g(x) = -2x - (ln W(phi3, phi4))',   w(z) = 1 + sqrt(2z)/g(sqrt(z/2))
 
 solves PV with a = (E1-E2)^2/8, b = -(E3-E4)^2/8,
 c = (E1+E2-E3-E4)/4 - 1/2, d = -1/8 (z = 2x^2 throughout).  The prefactor is
-fixed at -2x for both families.  The conventional -x of the first-order family
-disagrees with the tabulated closed forms, which all correspond to -2x; the
-solution records the prefactor used and whether it matches the family
-convention.  tests/test_painleve.py::test_pv_prefactor_minus_two_pinned is the
-witness: -x fails the PV residual at O(1) for every identification, -2x passes.
+-2x for both families: the conventional -x of the first-order family misses
+PV at O(1) (tests/test_painleve.py::test_pv_prefactor_minus_two_pinned).
+Letter x of H1 (pv1x) is the tabulated first-order form w1x; letter x of H2
+(pv2x) is the step-two reduced partner's.
+
+One evaluation route.  Every g and w above is rational in x, the seed's
+superpotential alpha = u'/u and its derivatives, and alpha obeys
+alpha' = x^2 - 2 eps - alpha^2; so each family member is evaluated as one
+reduced rational function of (x, alpha), on one alpha node per seed that
+reads the seed's value and slope and takes every higher derivative from
+that equation.  The reduced forms cancel the poles of alpha, g1 and G1 that
+the tabulated forms pass through.  The tests hold them against the
+tabulated forms at 50 digits (tests/closed_form_reference.py) and against
+the paper's construction from extremal states, ladders and intertwiners
+(tests/extremal_reference.py): a dual construction path is the package's
+main defense against transcription slips in the long expressions.
 Constructors never run the verifier.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, ClassVar, Literal
 
@@ -55,14 +56,6 @@ from .jets import (
     log_derivative,
 )
 from .oscillator import Parity, SeedSpec, State, seed_params, seed_state
-from .susy import (
-    ExtremalState,
-    FirstOrderTransform,
-    SecondOrderTransform,
-    Target,
-    _wronskian_jet,
-    extremal_states,
-)
 
 
 class DegenerateClosedFormError(ArithmeticError):
@@ -105,8 +98,6 @@ class PVSolution:
     c: float
     d: float = -0.125
     provenance: str = ""
-    prefactor: int | None = None
-    prefactor_matches_reference: bool | None = None
 
     kind: ClassVar[str] = "pv"
     variable: ClassVar[str] = "z"
@@ -134,45 +125,6 @@ def pv_parameters(e1: float, e2: float, e3: float, e4: float) -> tuple[float, fl
     b = -((hi34 - lo34) ** 2) / 8.0
     c = (e1 + e2 - e3 - e4) / 4.0 - 0.5
     return a, b, c, -0.125
-
-
-# -- PIV: extremal-state route ---------------------------------------------------
-
-
-def piv_from_extremal(
-    phi: ExtremalState, triplet: tuple[float, float, float], which: int
-) -> PIVSolution:
-    """g = -x - (ln phi)' with parameters from rotating triplet[which] to the front."""
-    if not 0 <= which <= 2:
-        raise ValueError("which must index the triplet")
-    if abs(triplet[which] - phi.eigenvalue) > 1e-12:
-        raise ValueError(
-            f"state eigenvalue {phi.eigenvalue} is not triplet[{which}] = {triplet[which]}"
-        )
-    rest = tuple(e for i, e in enumerate(triplet) if i != which)
-    a, b = piv_parameters(triplet[which], *rest)
-
-    def g(x: float, order: int) -> Jet:
-        F = phi.state(x, order + 1)
-        return -jet_var(x, order) - log_derivative(F)
-
-    return PIVSolution(grid_memo(g, (phi.state, 1)), a, b, provenance=f"extremal[{phi.label}]")
-
-
-def extremal_piv_solution(
-    family: Literal["H1", "H2"], which: int, epsilon: float, parity: Parity
-) -> PIVSolution:
-    """Dual-route PIV member built from the extremal state in slot `which`."""
-    if family == "H1":
-        states = extremal_states(Target.H1_PIV, FirstOrderTransform(SeedSpec(epsilon, parity)))
-    else:
-        t = SecondOrderTransform.reduced_step1(SeedSpec(epsilon, parity))
-        states = extremal_states(Target.H2_PIV, t)
-    triplet = tuple(s.eigenvalue for s in states)
-    sol = piv_from_extremal(states[which], triplet, which)
-    return replace(
-        sol, provenance=f"{sol.provenance} {family} eps={epsilon:g} {parity.value}"
-    )
 
 
 # -- PIV: tabulated closed forms ----------------------------------------------------
@@ -295,7 +247,16 @@ def closed_piv_solution(name: str, epsilon: float, parity: Parity) -> PIVSolutio
     )
 
 
-# -- PV: identifications and the pair construction --------------------------------
+def extremal_piv_solution(
+    family: Literal["H1", "H2"], which: int, epsilon: float, parity: Parity
+) -> PIVSolution:
+    """The PIV member of extremal slot `which`: g1, g2, g3 of H1, G1, G2, G3 of H2."""
+    if family not in ("H1", "H2") or which not in (0, 1, 2):
+        raise ValueError(f"no PIV member in slot {which!r} of {family!r}")
+    return closed_piv_solution(f"{'g' if family == 'H1' else 'G'}{which + 1}", epsilon, parity)
+
+
+# -- PV: the letters of H1 and H2 ------------------------------------------------------
 
 # Slot permutation per identification letter: positions of (E1, E2, E3, E4)
 # within the natural state order [low, high, 1/2, 3/2].
@@ -308,8 +269,6 @@ PV_IDENTIFICATIONS: dict[str, tuple[int, int, int, int]] = {
     "f": (0, 1, 2, 3),
 }
 
-_REFERENCE_PREFACTOR = {"H1": -1, "H2": -2}
-
 
 @grid_factor
 def _half_root(zjet: Jet) -> Jet:
@@ -317,75 +276,49 @@ def _half_root(zjet: Jet) -> Jet:
     return jet_sqrt(zjet * 0.5)
 
 
-def _pair_w_state(phi3: ExtremalState, phi4: ExtremalState, prefactor: int) -> State:
+def _pv_state(form, case: str, epsilon: float, parity: Parity) -> State:
+    """The node of w = form(case, z, X, alpha, eps) on a z grid, X = sqrt(z/2).
+
+    alpha is the seed's Riccati node, asked at X and composed with X's z-jet.
+    """
+    alpha = _alpha_state(epsilon, parity)
+
     def w(z: float, order: int) -> Jet:
-        X = _half_root(jet_var(z, order))
-        x0 = X.value
-        wr = _wronskian_jet(phi3.state, phi4.state, x0, order + 1)
-        g_x = float(prefactor) * jet_var(x0, order) - log_derivative(wr)
-        g_z = jet_compose(g_x, X)
-        return 1.0 + (2.0 * X) / g_z
+        zj = jet_var(z, order)
+        X = _half_root(zj)
+        return form(case, zj, X, jet_compose(alpha(X.value, order), X), epsilon)
 
-    return grid_memo(w, (phi3.state, 2), (phi4.state, 2))
+    return grid_memo(w, (alpha, 0))
 
 
-def pv_from_pair(
-    phi3: ExtremalState,
-    phi4: ExtremalState,
-    family: Literal["H1", "H2"],
-    quadruplet: tuple[float, float, float, float],
-    identification: str = "",
-    prefactor: int = -2,
-) -> PVSolution:
-    """PV solution from a chosen extremal pair.
-
-    `quadruplet` is the identified eigenvalue order (E1, E2, E3, E4) with
-    (E3, E4) belonging to (phi3, phi4).  The solution records `prefactor`
-    and whether it matches the family's conventional one.
-    """
-    a, b, c, d = pv_parameters(*quadruplet)
-    prov = f"pv[{family}{':' + identification if identification else ''}] W({phi3.label}, {phi4.label})"
-    return PVSolution(
-        _pair_w_state(phi3, phi4, prefactor),
-        a,
-        b,
-        c,
-        d,
-        provenance=prov,
-        prefactor=prefactor,
-        prefactor_matches_reference=(prefactor == _REFERENCE_PREFACTOR[family]),
-    )
-
-
-def derived_pv_solution(
-    family: Literal["H1", "H2"],
-    case: str,
-    epsilon: float,
-    parity: Parity,
-    prefactor: int = -2,
-) -> PVSolution:
-    """Extremal-state PV member for one identification letter.
-
-    For H1, `epsilon` is the first-order factorization energy; for H2 it is
-    eps1 of the step-two reduced transform.
-    """
-    if case not in PV_IDENTIFICATIONS:
-        raise ValueError(f"unknown identification {case!r}")
-    if family == "H1":
-        states = extremal_states(Target.H1_PV, FirstOrderTransform(SeedSpec(epsilon, parity)))
-    else:
-        t = SecondOrderTransform.reduced_step2(SeedSpec(epsilon, parity))
-        states = extremal_states(Target.H2_PV, t)
-    perm = PV_IDENTIFICATIONS[case]
-    quad = tuple(states[i].eigenvalue for i in perm)
-    sol = pv_from_pair(
-        states[perm[2]], states[perm[3]], family, quad, identification=case,
-        prefactor=prefactor,
-    )
-    return replace(sol, provenance=f"{sol.provenance} eps={epsilon:g} {parity.value}")
-
-
-# -- PV: tabulated first-order closed forms ------------------------------------------
+def _w1(case: str, z, X, al, e):
+    """The tabulated first-order form w1x, H1's letter x."""
+    s = 2.0 * X  # sqrt(2z)
+    if case == "a":
+        num = 2.0 * s * (1.0 + 2.0 * e - z + s * al)
+        den = s * (2.0 + z) - 4.0 * (1.0 + z) * al + 2.0 * s * (al * al)
+        return 1.0 + num / den
+    if case == "b":
+        core = 4.0 * al - 4.0 * e * s + z * s - 2.0 * (al * al) * s
+        return ((2.0 * al + s) * (core - 4.0 * s)) / ((2.0 * al - s) * (core + 4.0 * s))
+    if case == "c":
+        num = s * (8.0 * e * z - 2.0 * (z * z) + 4.0 * (al * al) * z + 4.0 * s * al - 16.0)
+        den = (
+            8.0 * al
+            - 2.0 * (z * s) * (al * al + 2.0 * e - 3.0)
+            + 4.0 * (al * z) * (al * al + 2.0 * e - 1.0)
+            - 8.0 * s * (al * al + e - 1.0)
+            + (z * z) * s
+            - 2.0 * al * (z * z)
+        )
+        return 1.0 + num / den
+    if case == "d":
+        return (2.0 - al * s - z) / (2.0 - al * s + z)
+    if case == "e":
+        return (2.0 * al + s) / (2.0 * al - s)
+    num = -4.0 * al + z * s + 2.0 * (al * al - 1.0) * s + 4.0 * al * z
+    den = 4.0 * al - 2.0 * s * (al * al + 2.0 * e - 2.0) + z * s
+    return -(num / den)
 
 
 def _w1_params(case: str, e: float) -> tuple[float, float, float]:
@@ -404,56 +337,94 @@ def _w1_params(case: str, e: float) -> tuple[float, float, float]:
     raise ValueError(f"unknown w1 case {case!r}")
 
 
-def _w1_state(case: str, epsilon: float, parity: Parity) -> State:
-    alpha = _alpha_state(epsilon, parity)
-    e = epsilon
-
-    def w(z: float, order: int) -> Jet:
-        zj = jet_var(z, order)
-        X = _half_root(zj)
-        al = jet_compose(alpha(X.value, order), X)
-        s = 2.0 * X  # sqrt(2z)
-        if case == "a":
-            num = 2.0 * s * (1.0 + 2.0 * e - zj + s * al)
-            den = s * (2.0 + zj) - 4.0 * (1.0 + zj) * al + 2.0 * s * (al * al)
-            out = 1.0 + num / den
-        elif case == "b":
-            core = 4.0 * al - 4.0 * e * s + zj * s - 2.0 * (al * al) * s
-            out = ((2.0 * al + s) * (core - 4.0 * s)) / ((2.0 * al - s) * (core + 4.0 * s))
-        elif case == "c":
-            num = s * (8.0 * e * zj - 2.0 * (zj * zj) + 4.0 * (al * al) * zj + 4.0 * s * al - 16.0)
-            den = (
-                8.0 * al
-                - 2.0 * (zj * s) * (al * al + 2.0 * e - 3.0)
-                + 4.0 * (al * zj) * (al * al + 2.0 * e - 1.0)
-                - 8.0 * s * (al * al + e - 1.0)
-                + (zj * zj) * s
-                - 2.0 * al * (zj * zj)
-            )
-            out = 1.0 + num / den
-        elif case == "d":
-            out = (2.0 - al * s - zj) / (2.0 - al * s + zj)
-        elif case == "e":
-            out = (2.0 * al + s) / (2.0 * al - s)
-        else:  # f
-            num = -4.0 * al + zj * s + 2.0 * (al * al - 1.0) * s + 4.0 * al * zj
-            den = 4.0 * al - 2.0 * s * (al * al + 2.0 * e - 2.0) + zj * s
-            out = -(num / den)
-        return out
-
-    return grid_memo(w, (alpha, 0))
-
-
 def closed_pv_solution(case: str, epsilon: float, parity: Parity) -> PVSolution:
-    """Closed-form first-order PV member w1a..w1f with its reference parameters."""
+    """Closed-form first-order PV member w1a..w1f (H1's letter) with its parameters."""
     a, b, c = _w1_params(case, epsilon)
-    return PVSolution(
-        _w1_state(case, epsilon, parity),
-        a,
-        b,
-        c,
-        provenance=f"w1{case} eps={epsilon:g} {parity.value}",
-    )
+    return PVSolution(_pv_state(_w1, case, epsilon, parity), a, b, c,
+                      provenance=f"w1{case} eps={epsilon:g} {parity.value}")
+
+
+# H2's letter x is w = 1 + sqrt(2z)/g(sqrt(z/2)), with g = -2x - (ln W(phi3, phi4))'
+# of the letter's extremal pair of the step-two reduced partner
+# (tests/extremal_reference.py builds it from the states), reduced once with
+# sympy to a rational function of (x, alpha).  With q = x^2 - alpha^2 - 2 eps
+# the six share the factors A = x q - alpha, B = x A + 2, C = x (q + 2) + alpha
+# and E = 2 x (alpha + x) + 1 - 2 eps, and b, c and f the cubic K; K and the
+# other factors of degree 3 are Horner in alpha, their coefficients in
+# y = x^2 and eps.
+
+
+def _horner(al, *coeffs):
+    """coeffs[0] al^n + ... + coeffs[n]."""
+    out = coeffs[0]
+    for c in coeffs[1:]:
+        out = out * al + c
+    return out
+
+
+def _w2(case: str, z, x, al, e):
+    """H2's letter `case` at x = sqrt(z/2): 1 + 2x/g with g its reduced form."""
+    q = _q(x, al, e)
+    A, C = x * q - al, x * (q + 2.0) + al
+    if case in "def":
+        E = 2.0 * (x * (al + x)) + (1.0 - 2.0 * e)
+    if case == "a":
+        g = -2.0 * (A * (x * A + 2.0)) / ((x * (q - 2.0) + al) * C)
+    elif case == "d":
+        g = -(E * (x * A + 2.0)) / ((x * (al + x) - 1.0) * C)
+    elif case == "e":
+        g = -(E * A) / ((al + x) * C)
+    else:
+        y = x * x
+        K = _horner(
+            al,
+            -4.0 * (y * (y + (2.0 - e))),
+            -(x * (y * (4.0 * y + (14.0 - 8.0 * e)) + (2.0 * e - 7.0))),
+            y * (y * (4.0 * y + (4.0 - 12.0 * e)) + (18.0 - 16.0 * e + 8.0 * e * e))
+            + (1.0 - 2.0 * e),
+            x * (y * (y * (4.0 * y + (10.0 - 16.0 * e)) + (13.0 - 22.0 * e + 16.0 * e * e))
+                 + (2.0 * e - 4.0 * e * e)),
+        )
+        if case == "b":
+            g = -(A * K) / (C * _horner(
+                al,
+                -(x * (2.0 * y - 1.0)),
+                -(y * (2.0 * y + (3.0 - 4.0 * e)) + 1.0),
+                x * (y * (2.0 * y - (3.0 + 4.0 * e)) + (2.0 * e - 3.0)),
+                y * (y * (2.0 * y + (1.0 - 8.0 * e)) + (8.0 * e * e - 6.0 * e)),
+            ))
+        elif case == "c":
+            g = -((x * A + 2.0) * K) / (C * _horner(
+                al,
+                -(y * (2.0 * y - 3.0)),
+                -(x * (y * (2.0 * y + (3.0 - 4.0 * e)) + 6.0)),
+                y * (y * (2.0 * y - (5.0 + 4.0 * e)) + (6.0 * e - 3.0)) + 3.0,
+                x * (y * (y * (2.0 * y + (1.0 - 8.0 * e)) + (8.0 * e * e - 6.0 * e + 7.0))
+                     + (8.0 - 10.0 * e)),
+            ))
+        else:
+            g = -4.0 * (E * K) / (C * _horner(
+                al,
+                x * (16.0 * y + (8.0 * e - 4.0 * e * e - 3.0)),
+                y * (32.0 * y + (16.0 - 32.0 * e)) + (4.0 * e * e - 8.0 * e + 3.0),
+                x * (y * (16.0 * y + (19.0 - 40.0 * e + 4.0 * e * e))
+                     + (10.0 - 38.0 * e + 40.0 * e * e - 8.0 * e * e * e)),
+            ))
+    return 1.0 + (2.0 * x) / g
+
+
+def derived_pv_solution(
+    family: Literal["H1", "H2"], case: str, epsilon: float, parity: Parity
+) -> PVSolution:
+    """PV member of one identification letter: H1's is w1x at eps, H2's is at eps1."""
+    if family == "H1":
+        return closed_pv_solution(case, epsilon, parity)
+    if family != "H2" or case not in PV_IDENTIFICATIONS:
+        raise ValueError(f"unknown identification {family!r}:{case!r}")
+    states = (epsilon - 2.0, epsilon + 2.0, 0.5, 1.5)  # eigenvalues in the natural order
+    return PVSolution(_pv_state(_w2, case, epsilon, parity),
+                      *pv_parameters(*(states[i] for i in PV_IDENTIFICATIONS[case])),
+                      provenance=f"w2{case} eps={epsilon:g} {parity.value}")
 
 
 # -- PV: the rational examples ----------------------------------------------
@@ -514,8 +485,8 @@ def family_solution(name: str, epsilon: float | None, parity: Parity | None):
 
     g1..g3, G1..G3      -> closed PIV forms            (need epsilon, parity)
     w1a..w1f            -> closed PV forms             (need epsilon, parity)
-    pv1a..pv1f          -> extremal-derived H1 PV      (need epsilon, parity)
-    pv2a..pv2f          -> extremal-derived H2 PV      (need epsilon=eps1, parity)
+    pv1a..pv1f          -> H1 PV letters, as w1a..w1f  (need epsilon, parity)
+    pv2a..pv2f          -> H2 PV letters               (need epsilon=eps1, parity)
     w2a, w2d, w2f       -> rational examples           (pinned seeds)
     """
     if name in PV_RATIONAL_NAMES:
@@ -524,10 +495,8 @@ def family_solution(name: str, epsilon: float | None, parity: Parity | None):
         raise ValueError(f"family {name!r} needs both epsilon and parity")
     if name in PIV_FAMILY_NAMES:
         return closed_piv_solution(name, epsilon, parity)
-    if name in PV_CLOSED_NAMES:
+    if name in PV_CLOSED_NAMES + PV_DERIVED_H1_NAMES:
         return closed_pv_solution(name[-1], epsilon, parity)
-    if name in PV_DERIVED_H1_NAMES:
-        return derived_pv_solution("H1", name[-1], epsilon, parity)
     if name in PV_DERIVED_H2_NAMES:
         return derived_pv_solution("H2", name[-1], epsilon, parity)
     raise ValueError(f"unknown family selector {name!r}")

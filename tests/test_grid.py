@@ -55,6 +55,7 @@ from susypainleve.painleve import (
     PV_RATIONAL_NAMES,
     PIVSolution,
     closed_piv_solution,
+    extremal_piv_solution,
     family_solution,
 )
 from susypainleve.residual import (
@@ -521,14 +522,19 @@ def test_on_grid_broadcasts_a_point_jet_result():
 
 
 @pytest.mark.parametrize("parity", [Parity.ODD, Parity.EVEN])
-@pytest.mark.parametrize("name", PIV_FAMILY_NAMES + PV_CLOSED_NAMES)
+@pytest.mark.parametrize("name", PIV_FAMILY_NAMES + PV_CLOSED_NAMES + PV_DERIVED_H1_NAMES
+                         + PV_DERIVED_H2_NAMES + tuple(f"H{n}:{i}" for n in (1, 2) for i in range(3)))
 def test_a_cold_closed_form_op_sums_its_seeds_two_rows_in_one_lockstep_pass(monkeypatch, name,
                                                                             parity):
-    # every closed form reads alpha = u'/u, whose value needs the seed at
-    # order 1 alone, the rows (p, q) and (p+1, q+1), whatever order it is asked
+    # every family member, and every extremal PIV slot, reads alpha = u'/u,
+    # whose value needs the seed at order 1 alone, the rows (p, q) and
+    # (p+1, q+1), whatever order it is asked
     params = oscillator.seed_params(SeedSpec(1.25, parity))
     clear_package_caches()
-    sol = family_solution(name, 1.25, parity)
+    if name.startswith("H"):
+        sol = extremal_piv_solution(name[:2], int(name[3:]), 1.25, parity)
+    else:
+        sol = family_solution(name, 1.25, parity)
     passes = spy_on_rows(monkeypatch)
     verify_on_grid(sol.kind, sol, grid=linear_grid(0.2, 4.0, 40), min_valid=1)
     assert passes == [[(params.p, params.q), (params.p + 1.0, params.q + 1.0)]]

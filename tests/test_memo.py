@@ -15,7 +15,6 @@ Backlund chain or catalog row declares every order it will ask in one
 """
 
 from collections import defaultdict
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -42,6 +41,7 @@ from susypainleve.painleve import (
     PV_DERIVED_H1_NAMES,
     PV_DERIVED_H2_NAMES,
     PV_RATIONAL_NAMES,
+    DegenerateClosedFormError,
     PVSolution,
     closed_piv_solution,
     extremal_piv_solution,
@@ -58,8 +58,11 @@ from susypainleve.susy import (
 
 ODD, EVEN = Parity.ODD, Parity.EVEN
 SEEDS = ((1.3, ODD), (-0.7, EVEN), (2.5, ODD), (0.5, EVEN))
-# seeds whose grids mask points or collapse the state: pole-guarded pairs,
-# identically vanishing closed forms
+# seeds whose grids masked points when the PV letters were built from
+# extremal states: pole-guarded pairs, identically vanishing closed forms.  Of
+# the reduced forms only pv1b masks there, where its denominator vanishes with
+# alpha = -x; the others evaluate at every point.
+MASKED = {("pv1b", 0.5, EVEN)}
 DEGENERATE = {
     "pv1c": ((-0.5, ODD),),
     "pv1e": ((0.5, ODD), (0.5, EVEN)),
@@ -103,6 +106,10 @@ def _assert_same(jet, fresh):
 
 @pytest.mark.parametrize("name, eps, parity", _cases())
 def test_served_orders_equal_fresh_builds(name, eps, parity):
+    if (name, eps, parity) == ("H1:2", 0.5, EVEN):  # g3: refused when it is built
+        with pytest.raises(DegenerateClosedFormError):
+            _state_and_grid(name, eps, parity)
+        return
     state, grid = _state_and_grid(name, eps, parity)
     for order in (5, 2, 0, 3):
         jet = on_grid(state, grid, order)
@@ -116,7 +123,8 @@ def test_degenerate_seeds_mask_points():
     for name, seeds in DEGENERATE.items():
         for eps, parity in seeds:
             state, grid = _state_and_grid(name, eps, parity)
-            assert on_grid(state, grid, 2).mask.any(), (name, eps, parity)
+            masked = bool(on_grid(state, grid, 2).mask.any())
+            assert masked == ((name, eps, parity) in MASKED), (name, eps, parity)
 
 
 def test_a_node_runs_once_per_grid_at_its_highest_order():
@@ -393,32 +401,6 @@ def test_closed_forms_of_one_seed_share_one_alpha_node():
     assert closed_piv_solution("G1", 1.3, EVEN).g is not states[3]
     clear_package_caches()
     assert closed_piv_solution("g1", 1.3, ODD).g is not states[0]
-
-
-def test_a_pv2f_verify_runs_the_log_wronskian_body_once_per_grid(monkeypatch):
-    # pv2f pairs two B+ states of one transform; both read its (ln W)' node
-    runs = []
-    build = SecondOrderTransform._log_w.func
-
-    def counted(t):
-        node = build(t)
-        body = node.body
-
-        def run(x, order):
-            runs.append((t, x.tobytes()))
-            return body(x, order)
-
-        node.body = run
-        return node
-
-    log_w = cached_property(counted)
-    log_w.__set_name__(SecondOrderTransform, "_log_w")
-    monkeypatch.setattr(SecondOrderTransform, "_log_w", log_w)
-    for parity in (ODD, EVEN):
-        clear_package_caches()
-        runs.clear()
-        verify_on_grid("pv", family_solution("pv2f", 1.3, parity))
-        assert len(runs) == 1, parity
 
 
 def _row(source, target, k):

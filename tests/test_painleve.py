@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 import closed_form_reference as ref
+import extremal_reference as extremal
 
+from package_caches import clear_package_caches
+from susypainleve import cli, oscillator, susy
+from susypainleve.backlund import CATALOG, bt_piv_chain, check_catalog_row
 from susypainleve.config import default_x_grid, default_z_grid, linear_grid
 from susypainleve.jets import DomainError, PoleError, on_grid
 from susypainleve.oscillator import Parity, SeedSpec
@@ -21,9 +25,7 @@ from susypainleve.painleve import (
     derived_pv_solution,
     extremal_piv_solution,
     family_solution,
-    piv_from_extremal,
     piv_parameters,
-    pv_from_pair,
     pv_parameters,
     rational_pv_solution,
     rational_seed,
@@ -62,12 +64,12 @@ def test_pv_parameters_and_symmetry():
 def test_piv_from_extremal_h1_even_half():
     tr = FirstOrderTransform(SeedSpec(0.5, Parity.EVEN))
     states = extremal_states(Target.H1_PIV, tr)
-    sol = piv_from_extremal(states[0], (0.5, 1.5, 0.5), 0)
+    sol = extremal.piv_from_extremal(states[0], (0.5, 1.5, 0.5), 0)
     assert (sol.a, sol.b) == (0.0, -2.0)
     for x in (0.4, 1.1, 2.7):
         assert sol.g(x, 0).value == pytest.approx(-2.0 * x, rel=1e-13)
     with pytest.raises(ValueError):
-        piv_from_extremal(states[0], (0.7, 1.5, 0.5), 0)
+        extremal.piv_from_extremal(states[0], (0.7, 1.5, 0.5), 0)
 
 
 def test_g1_odd_three_halves_closed_form():
@@ -88,10 +90,12 @@ def test_g1_even_half_is_minus_2x():
 def test_g3_even_half_degenerates():
     with pytest.raises(DegenerateClosedFormError):
         closed_piv_solution("g3", 0.5, Parity.EVEN)
-    # fallback route: the eps3 extremal state is A+ u = 0, so the
-    # extremal path degenerates as well (documented behavior)
+    with pytest.raises(DegenerateClosedFormError):  # slot 2 of H1 is g3
+        extremal_piv_solution("H1", 2, 0.5, Parity.EVEN)
+    # the extremal-state route: the eps3 extremal state is A+ u = 0, so it
+    # degenerates as well
     with pytest.raises((PoleError, GridDegenerateError)):
-        sol = extremal_piv_solution("H1", 2, 0.5, Parity.EVEN)
+        sol = extremal.extremal_piv("H1", 2, 0.5, Parity.EVEN)
         sol.g(1.0, 2)
 
 
@@ -109,18 +113,18 @@ def test_closed_g1_matches_extremal_route(parity):
     eps_values = (-1.5, -0.8, -0.1, 0.9, 1.9) if parity is Parity.ODD else (-1.6, -0.9, 0.1, 0.8, 1.8)
     for eps in eps_values:
         closed = closed_piv_solution("g1", eps, parity)
-        extremal = extremal_piv_solution("H1", 0, eps, parity)
-        dev, n, _ = pointwise_deviation(closed.g, extremal.g, X_GRID)
+        built = extremal.extremal_piv("H1", 0, eps, parity)
+        dev, n, _ = pointwise_deviation(closed.g, built.g, X_GRID)
         assert dev <= 1e-10, (eps, parity)
-        assert (closed.a, closed.b) == pytest.approx((extremal.a, extremal.b))
+        assert (closed.a, closed.b) == pytest.approx((built.a, built.b))
 
 
 def test_closed_G_matches_extremal_route():
     for eps1 in (0.8, 2.6):
         for which, name in ((0, "G1"), (1, "G2"), (2, "G3")):
             closed = closed_piv_solution(name, eps1, Parity.ODD)
-            extremal = extremal_piv_solution("H2", which, eps1, Parity.ODD)
-            dev, _, _ = pointwise_deviation(closed.g, extremal.g, X_GRID)
+            built = extremal.extremal_piv("H2", which, eps1, Parity.ODD)
+            dev, _, _ = pointwise_deviation(closed.g, built.g, X_GRID)
             assert dev <= 1e-8, (eps1, name)
 
 
@@ -193,10 +197,10 @@ def test_pv_from_pair_signature_and_prefactor_record():
     states = extremal_states(Target.H1_PV, tr)
     perm = PV_IDENTIFICATIONS["e"]
     quad = tuple(states[i].eigenvalue for i in perm)
-    sol = pv_from_pair(states[perm[2]], states[perm[3]], "H1", quad, identification="e")
-    # conventional H1 prefactor is -x, but the closed forms demand -2x: recorded
-    assert sol.prefactor == -2
-    assert sol.prefactor_matches_reference is False
+    sol = extremal.pv_from_pair(states[perm[2]], states[perm[3]], quad)
+    # conventional H1 prefactor is -x, but the closed forms demand -2x
+    assert sol.provenance.endswith("prefactor=-2")
+    assert extremal.REFERENCE_PREFACTOR["H1"] == -1
     closed = closed_pv_solution("e", 0.7, Parity.ODD)
     dev, _, _ = pointwise_deviation(sol.w, closed.w, Z_GRID)
     assert dev <= 1e-8
@@ -204,10 +208,13 @@ def test_pv_from_pair_signature_and_prefactor_record():
 
 
 def test_derived_h2_prefactor_matches_reference():
+    # the H2 family's conventional -2x builds the package's letter
     eps1, parity, case = rational_seed("w2a")
-    sol = derived_pv_solution("H2", case, eps1, parity)
-    assert sol.prefactor == -2
-    assert sol.prefactor_matches_reference is True
+    prefactor = extremal.REFERENCE_PREFACTOR["H2"]
+    assert prefactor == -2
+    built = extremal.extremal_pv("H2", case, eps1, parity, prefactor=prefactor)
+    dev, _, _ = pointwise_deviation(derived_pv_solution("H2", case, eps1, parity).w, built.w, Z_GRID)
+    assert dev <= 1e-10
 
 
 @pytest.mark.parametrize(
@@ -220,28 +227,101 @@ def test_pv_prefactor_minus_two_pinned(family, eps, parity):
     # family's convention, misses PV at O(1) at every grid point for every
     # identification letter.
     for case in "abcdef":
-        wrong = verify_on_grid("pv", derived_pv_solution(family, case, eps, parity, prefactor=-1),
+        wrong = verify_on_grid("pv", extremal.extremal_pv(family, case, eps, parity, prefactor=-1),
                                tol=1e-6)
         assert not wrong.passed, (case, wrong.max_rel_residual)
         assert wrong.max_rel_residual > 0.1, (case, wrong.max_rel_residual)
         assert all(r > 1e-6 for r in wrong.rel_residuals if not math.isnan(r)), case
-        sol = derived_pv_solution(family, case, eps, parity)
-        assert sol.prefactor == -2
-        assert sol.prefactor_matches_reference is (family == "H2")
-        right = verify_on_grid("pv", sol, tol=1e-6)
+        right = verify_on_grid("pv", extremal.extremal_pv(family, case, eps, parity), tol=1e-6)
         assert right.passed, (case, right.max_rel_residual)
         assert right.n_valid == wrong.n_valid == len(Z_GRID)
+        package = verify_on_grid("pv", derived_pv_solution(family, case, eps, parity), tol=1e-6)
+        assert package.passed and package.n_valid == len(Z_GRID), case
 
 
 @pytest.mark.parametrize("parity", [Parity.ODD, Parity.EVEN])
 def test_derived_h1_matches_closed_forms_all_cases(parity):
     eps = 0.7
     for case in "abcdef":
-        derived = derived_pv_solution("H1", case, eps, parity)
+        built = extremal.extremal_pv("H1", case, eps, parity)
         closed = closed_pv_solution(case, eps, parity)
-        dev, n, _ = pointwise_deviation(derived.w, closed.w, Z_GRID)
+        dev, n, _ = pointwise_deviation(built.w, closed.w, Z_GRID)
         assert dev <= 1e-7, (case, parity, dev)
         assert n >= 20
+        derived = derived_pv_solution("H1", case, eps, parity)
+        assert (derived.params, derived.provenance) == (closed.params, closed.provenance)
+
+
+# -- every family member against the extremal-state route ---------------------------
+
+PIV_ROUTE_SEEDS = {Parity.ODD: (-1.3, 0.7, 1.3, 2.9), Parity.EVEN: (-0.7, 0.3, 1.9, 3.3)}
+
+
+@pytest.mark.parametrize("parity", [Parity.ODD, Parity.EVEN])
+@pytest.mark.parametrize("family", ["H1", "H2"])
+def test_piv_slots_equal_the_extremal_route(family, parity):
+    # slot i of H1 is g(i+1), of H2 G(i+1), with the slot's parameters
+    for eps in PIV_ROUTE_SEEDS[parity]:
+        for which in range(3):
+            sol = extremal_piv_solution(family, which, eps, parity)
+            built = extremal.extremal_piv(family, which, eps, parity)
+            assert sol.provenance.startswith(("g" if family == "H1" else "G") + str(which + 1))
+            assert (sol.a, sol.b) == pytest.approx((built.a, built.b), abs=1e-12)
+            dev, n, _ = pointwise_deviation(sol.g, built.g, X_GRID)
+            assert dev <= 1e-9 and n >= 30, (eps, which, dev, n)
+
+
+def _report(sol):
+    try:
+        return verify_on_grid("pv", sol)
+    except GridDegenerateError:
+        return None
+
+
+# four seeds per parity, the rational examples' seeds and three seeds where
+# the extremal-state construction collapses for some letters
+PV2_ROUTE_SEEDS = ([(eps, Parity.ODD) for eps in (-1.3, 0.7, 1.3, 2.9)]
+                   + [(eps, Parity.EVEN) for eps in (-0.7, 0.3, 1.9, 3.3)]
+                   + [rational_seed(name)[:2] for name in ("w2a", "w2d", "w2f")]
+                   + [(3.5, Parity.ODD), (-1.5, Parity.ODD), (0.5, Parity.EVEN)])
+
+
+@pytest.mark.parametrize("eps, parity", PV2_ROUTE_SEEDS)
+def test_pv2_letters_equal_the_extremal_route(eps, parity):
+    # each H2 letter against the pair construction on the step-two extremal
+    # states: the same function wherever both evaluate, and degenerate on the
+    # default grid for the same letters
+    for case in "abcdef":
+        sol = derived_pv_solution("H2", case, eps, parity)
+        built = extremal.extremal_pv("H2", case, eps, parity)
+        assert sol.params == built.params
+        report, built_report = _report(sol), _report(built)
+        assert (report is None) == (built_report is None), (case, report, built_report)
+        if report is None:
+            continue
+        dev, n, _ = pointwise_deviation(sol.w, built.w, Z_GRID)
+        assert dev <= 1e-9 and n == len(Z_GRID), (case, dev, n)
+
+
+def test_every_cli_family_a_w2_row_and_a_chain_run_without_the_extremal_states(monkeypatch,
+                                                                                   capsys):
+    # one evaluation route: every family member reads the seed's alpha node
+    # alone, so none of the ladders, intertwiners and Wronskians that build
+    # the extremal states is ever called
+    def refused(*args, **kwargs):
+        raise AssertionError("an extremal-state operator was called")
+
+    for module, name in ((susy, "apply_aplus"), (susy, "apply_bplus"), (susy, "_wronskian_jet"),
+                         (oscillator, "ladder")):
+        monkeypatch.setattr(module, name, refused)
+    clear_package_caches()
+    for name in cli.ALL_FAMILIES:
+        seed = [] if name in cli.PV_RATIONAL_NAMES else ["--epsilon", "0.7", "--parity", "odd"]
+        assert cli.main(["verify", name, *seed]) == cli.EXIT_OK, name
+    capsys.readouterr()
+    row = next(r for r in CATALOG if (r.source, r.target, r.k) == ("w1b", "w2a", (-1, -1, 1)))
+    assert check_catalog_row(row, 0.7, Parity.ODD).passed
+    assert all(link.passed for link in bt_piv_chain(SeedSpec(0.7, Parity.ODD)))
 
 
 def test_derived_solution_residual_profile():

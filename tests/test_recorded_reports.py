@@ -1,8 +1,8 @@
 """Reports of the seed path, held to the bits recorded before its Kummer rows were reshaped.
 
-Every extremal-derived PV family and every closed form starts from seed jets
-whose contiguity rows 1F1(p+m; q+m; x^2) are summed on the grid.  These
-recordings pin what reaches the verifier through that path: the relative
+Every family member starts from seed jets whose contiguity rows
+1F1(p+m; q+m; x^2) are summed on the grid.  These recordings pin what
+reaches the verifier through that path: the relative
 residuals that math.fsum gives from each state's order-2 grid jet (a digest
 of their float.hex strings, nan at skipped points) and their largest by
 hex.  The report itself sums each point's terms left to right, so its
@@ -39,20 +39,21 @@ def digest(values) -> str:
 # (name, parity): (fsum residuals digest, their largest, n_valid, skipped, passed) at
 # eps = 1.3; H2:k is the extremal H2 PIV member of slot k on the default x grid.
 # g1 and w1c were re-recorded when the closed forms came to read alpha from
-# its Riccati equation.
+# its Riccati equation, pv1c (now w1c), pv2b, pv2f and H2:k (now G(k+1)) when
+# the PV letters and extremal slots came to read it too.
 RECORDED_REPORTS = {
-    ("pv2b", ODD): ("fb983228614f5aa6", "0x1.1ccfcc437f707p-31", 40, 0, True),
-    ("pv2b", EVEN): ("ea9f764a941a9dd1", "0x1.0ee863f0a03e3p-34", 40, 0, True),
-    ("pv2f", ODD): ("cfbd9a57282d5dfa", "0x1.a7be2644f489cp-26", 40, 0, False),
-    ("pv2f", EVEN): ("27c4f310df8587a1", "0x1.0a8ccb7f59818p-31", 40, 0, True),
-    ("pv1c", ODD): ("6992b4f662b46be6", "0x1.a80bbf582e81ep-44", 40, 0, True),
-    ("pv1c", EVEN): ("1c986c05888126cf", "0x1.bd997f6cff948p-38", 40, 0, True),
-    ("H2:0", ODD): ("0a24e2feed924fb3", "0x1.7ca2f787bbe59p-39", 40, 0, True),
-    ("H2:0", EVEN): ("eb08e929fab0d4c9", "0x1.01b0ce64dc14dp-38", 40, 0, True),
-    ("H2:1", ODD): ("7c96b773801dbe53", "0x1.352835338da78p-36", 40, 0, True),
-    ("H2:1", EVEN): ("f9239ea81d1e87ca", "0x1.4d511ee9414cap-35", 40, 0, True),
-    ("H2:2", ODD): ("7626c086616b202a", "0x1.e6349d79e7234p-39", 40, 0, True),
-    ("H2:2", EVEN): ("61db404a78a18b98", "0x1.450abdba85129p-38", 40, 0, True),
+    ("pv2b", ODD): ("3ef0587d20716153", "0x1.478bfb2cf2293p-35", 40, 0, True),
+    ("pv2b", EVEN): ("1127c3896f7eb37d", "0x1.ffd238881c1c4p-42", 40, 0, True),
+    ("pv2f", ODD): ("a496adfcd147f857", "0x1.a2ad78e36214dp-32", 40, 0, True),
+    ("pv2f", EVEN): ("128f398dfdf5ec92", "0x1.9a85bc9510f08p-39", 40, 0, True),
+    ("pv1c", ODD): ("ae717104fa64a960", "0x1.104ed0dfb6799p-41", 40, 0, True),
+    ("pv1c", EVEN): ("000ca18a2e41b121", "0x1.389e47f8ad144p-47", 40, 0, True),
+    ("H2:0", ODD): ("128933e002667131", "0x1.cbbd5156ae172p-49", 40, 0, True),
+    ("H2:0", EVEN): ("2f6c8b231ef8ec2f", "0x1.0b30769c52771p-48", 40, 0, True),
+    ("H2:1", ODD): ("70903bffac95444d", "0x1.a8b391a605b4dp-49", 40, 0, True),
+    ("H2:1", EVEN): ("36a299dade65d141", "0x1.85f7cf2baa50ap-39", 40, 0, True),
+    ("H2:2", ODD): ("4038b465d0868cb6", "0x1.198eb654f83b1p-47", 40, 0, True),
+    ("H2:2", EVEN): ("670432af338019e1", "0x1.1652189de3431p-43", 40, 0, True),
     ("g1", ODD): ("934618dbc7c95c5c", "0x1.70f1d1fe73195p-51", 400, 0, True),
     ("g1", EVEN): ("067b517c46b54f37", "0x1.befd0b681b710p-51", 400, 0, True),
     ("w1c", ODD): ("857455e0f9438d3b", "0x1.104ed0dfb6799p-41", 400, 0, True),

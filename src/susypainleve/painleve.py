@@ -280,7 +280,10 @@ def _pv_state(form, case: str, epsilon: float, parity: Parity) -> State:
     """The node of w = form(case, z, X, alpha, eps) on a z grid, X = sqrt(z/2).
 
     alpha is the seed's Riccati node, asked at X and composed with X's z-jet.
+    A letter that `_VANISHING` lists for the seed is a pole at every point.
     """
+    if case in _VANISHING[form].get((epsilon, parity), ""):
+        return grid_memo(_pole_everywhere)
     alpha = _alpha_state(epsilon, parity)
 
     def w(z: float, order: int) -> Jet:
@@ -289,6 +292,12 @@ def _pv_state(form, case: str, epsilon: float, parity: Parity) -> State:
         return form(case, zj, X, jet_compose(alpha(X.value, order), X), epsilon)
 
     return grid_memo(w, (alpha, 0))
+
+
+def _pole_everywhere(z, order: int) -> Jet:
+    """w divided by a factor that is 0 on the seed: the pole guard takes every point."""
+    zj = jet_var(z, order)
+    return zj / (0.0 * zj)
 
 
 def _w1(case: str, z, X, al, e):
@@ -413,6 +422,27 @@ def _w2(case: str, z, x, al, e):
     return 1.0 + (2.0 * x) / g
 
 
+# On these seeds the Kummer series terminates, alpha is rational, and a
+# factor of the letter's form vanishes identically on it (K of b, c and f at
+# 3.5 odd and 2.5 even, alpha + x of w2e at 0.5 even, ...): the form divides
+# rounding noise, and the letter is a pole at every point.  A factor that
+# vanishes on alpha puts alpha's poles, the zeros of a Hermite polynomial,
+# among the zeros of its leading coefficient in alpha, so only seeds of low
+# degree qualify; tests/test_painleve.py finds this table at 30 and 60
+# digits over the polynomial seeds |eps| <= 15.5.
+_VANISHING: dict[Callable, dict[tuple[float, Parity], str]] = {
+    _w1: {(1.5, Parity.ODD): "bcf", (-1.5, Parity.ODD): "acd",
+          (0.5, Parity.EVEN): "bcf", (-0.5, Parity.EVEN): "abe"},
+    _w2: {(1.5, Parity.ODD): "abcdef", (-1.5, Parity.ODD): "acd", (3.5, Parity.ODD): "bcf",
+          (0.5, Parity.EVEN): "abcdef", (-0.5, Parity.EVEN): "abe", (2.5, Parity.EVEN): "bcf"},
+}
+
+
+def h2_pv_eigenvalues(eps1: float) -> tuple[float, float, float, float]:
+    """The step-two reduced partner's extremal eigenvalues, in the natural state order."""
+    return (eps1 - 2.0, eps1 + 2.0, 0.5, 1.5)
+
+
 def derived_pv_solution(
     family: Literal["H1", "H2"], case: str, epsilon: float, parity: Parity
 ) -> PVSolution:
@@ -421,7 +451,7 @@ def derived_pv_solution(
         return closed_pv_solution(case, epsilon, parity)
     if family != "H2" or case not in PV_IDENTIFICATIONS:
         raise ValueError(f"unknown identification {family!r}:{case!r}")
-    states = (epsilon - 2.0, epsilon + 2.0, 0.5, 1.5)  # eigenvalues in the natural order
+    states = h2_pv_eigenvalues(epsilon)
     return PVSolution(_pv_state(_w2, case, epsilon, parity),
                       *pv_parameters(*(states[i] for i in PV_IDENTIFICATIONS[case])),
                       provenance=f"w2{case} eps={epsilon:g} {parity.value}")

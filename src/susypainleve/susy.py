@@ -46,6 +46,7 @@ from .oscillator import (
     psi_state,
     seed_state,
 )
+from .painleve import h2_pv_eigenvalues
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -338,11 +339,12 @@ def extremal_states(target: Target, t) -> list[ExtremalState]:
         if t.mode is not Mode.REDUCED_STEP2:
             raise ModeMismatchError("H2 PV extremal states need a step-two reduced transform")
         up2 = ladder_state(Direction.RAISE, ladder_state(Direction.RAISE, u1))
+        low, high, half, three_halves = h2_pv_eigenvalues(eps1)
         return [
-            ExtremalState(eps1 - 2.0, u1_over_w, "u1/W"),
-            ExtremalState(eps1 + 2.0, bplus_state(t, up2), "B+ (a+)^2 u1"),
-            ExtremalState(0.5, bplus_state(t, chi_state(0)), "B+ chi0"),
-            ExtremalState(1.5, bplus_state(t, psi_state(0)), "B+ psi0"),
+            ExtremalState(low, u1_over_w, "u1/W"),
+            ExtremalState(high, bplus_state(t, up2), "B+ (a+)^2 u1"),
+            ExtremalState(half, bplus_state(t, chi_state(0)), "B+ chi0"),
+            ExtremalState(three_halves, bplus_state(t, psi_state(0)), "B+ psi0"),
         ]
     raise ModeMismatchError(f"unknown target {target!r}")
 

@@ -176,6 +176,14 @@ def test_exit_code_contract_extremes(args, code):
         assert json.loads(cp.stdout)["report"]["degenerate"] is True
 
 
+@pytest.mark.parametrize("family", ["pv2b", "pv2c", "pv2f"])
+def test_a_letter_whose_form_collapses_on_the_seed_samples_no_point(family):
+    # the cubic shared by pv2b, pv2c and pv2f vanishes identically on the
+    # eps = 3.5 odd seed, so the letters have no value to print
+    cp = run_cli("sample", family, "--epsilon", "3.5", "--parity", "odd", expect=3)
+    assert cp.stdout == "" and cp.stderr == "error: every grid point is pole-guarded\n"
+
+
 @pytest.mark.parametrize(
     "args, key",
     [

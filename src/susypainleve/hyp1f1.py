@@ -1,4 +1,4 @@
-"""Kummer's confluent hypergeometric function 1F1(p; q; y) and its jets.
+"""Kummer's confluent hypergeometric function 1F1(p; q; y).
 
 The working range of the package is x in (0, 6], i.e. y = x^2 <= 36, where
 the direct Maclaurin series with compensated summation is numerically
@@ -7,20 +7,15 @@ p < 0; the verification tolerances account for that).  There is deliberately
 no asymptotic branch and no Tricomi function: out-of-range arguments raise
 instead of degrading silently.
 
-Jets of x -> 1F1(p; q; x^2) are built from contiguity rather than term-wise
-differentiation:
-
-    d/dy 1F1(p; q; y) = (p/q) 1F1(p+1; q+1; y)
-
-so every y-derivative is itself a certified series evaluation, and the
-composition with y = x^2 is exact jet algebra.  Along a grid, the K+1
-contiguity series (rows) of every point are summed together in one lockstep
-loop that repeats each series' scalar steps exactly.  The loop's cost is
-mostly fixed per pass and per block of terms, not per series: seven ufunc
-calls per term on the live series, and about thirty more per block for the
-ratios, the stopping rule and compaction.  The jet of y = x^2 depends on
-the grid alone, so `_square` holds it per grid (`jets.grid_factor`), as
-`oscillator` holds the seed prefactors.
+A seed reads two rows at most: 1F1(p; q; y), and 1F1(p+1; q+1; y) for its
+first derivative, as d/dy 1F1(p; q; y) = (p/q) 1F1(p+1; q+1; y) (DLMF
+13.3.15); `oscillator.seed_u_jet` takes every higher derivative from the
+seed's ODE.  `kummer` sums one series at one point.  Along a grid,
+the rows of every point are summed together in one lockstep loop that
+repeats each series' scalar steps exactly.  The loop's cost is mostly fixed
+per pass and per block of terms, not per series: seven ufunc calls per term
+on the live series, and about thirty more per block for the ratios, the
+stopping rule and compaction.
 
 Rows.  The lockstep sums a call's rows over the grid's unmasked y, shared
 by every row, into one (rows, points) block.  When no point is masked
@@ -28,12 +23,11 @@ by every row, into one (rows, points) block.  When no point is masked
 otherwise one masked assignment scatters it into a nan-filled (rows, N)
 block.  A row with p = 0 is the terminating series of degree 0, the
 constant 1 (the lockstep's first term is exactly 0.0, so it returns 1.0):
-it is never summed.  It is chi0's and psi0's only row, and the top row of
-every terminating ladder.  No row is kept: a seed is a node
-(`oscillator.seed_state`), evaluated once per grid at the highest order its
-op asks, and the closed forms read the seed at order 1 alone, the rows
-(p, q) and (p+1, q+1), so a store of an op's rows would save no summing
-(every benchmark workload sums the same rows with one as without).
+it is never summed.  It is chi0's and psi0's only row: their u' needs no
+second row, since its coefficient p/q is 0.  No row is kept: a seed is a
+node (`oscillator.seed_state`), evaluated once per grid at the highest order
+its op asks, and it sums its two rows there whatever that order is, so a
+store of an op's rows would save no summing.
 """
 
 from __future__ import annotations
@@ -44,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import KUMMER_MAX_TERMS, KUMMER_Y_MAX
-from .jets import Jet, grid_factor, jet_compose, jet_mul
 
 
 # Series terms per block of the grid (lockstep) summation, and the index n
@@ -122,18 +115,6 @@ def kummer(
     raise KummerConvergenceError(
         f"1F1({p}; {q}; {y}) did not converge within {max_terms} terms"
     )
-
-
-def kummer_y_derivative(params: KummerParams, y: float, m: int) -> float:
-    """m-th y-derivative of 1F1(p; q; y) via repeated contiguity."""
-    if m < 0:
-        raise ValueError("derivative order must be >= 0")
-    coef = 1.0
-    for i in range(m):
-        coef *= (params.p + i) / (params.q + i)
-    if coef == 0.0:
-        return 0.0
-    return coef * kummer(KummerParams(params.p + m, params.q + m), y)
 
 
 def _kummer_lockstep(p: np.ndarray, q: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -253,35 +234,3 @@ def _kummer_rows(rows: list[tuple], y: np.ndarray, mask: np.ndarray) -> np.ndarr
     out = np.full((len(rows), mask.size), math.nan)
     out[:, ~mask] = block
     return out
-
-
-@grid_factor
-def _square(xjet: Jet) -> Jet:
-    """The jet of y = x^2, held per grid."""
-    return jet_mul(xjet, xjet)
-
-
-def kummer_jet(params: KummerParams, xjet: Jet) -> Jet:
-    """Jet of x -> 1F1(p; q; x^2) along an arbitrary x-jet.
-
-    The K+1 y-derivatives are evaluated by contiguity at y0 = x0^2, then
-    composed with the jet of y = x^2.  Along a grid jet the K+1 contiguity
-    series 1F1(p+m; q+m; y), m = 0..K (DLMF 13.3.15), run in one lockstep
-    pass, rows x points, and one multiply scales them into the outer block.
-    """
-    rows, coefs = [], []  # the (p+m, q+m) rows and the coefficient of each
-    coef = 1.0
-    for m in range(xjet.order + 1):
-        if coef == 0.0:  # the polynomial case differentiated past its degree: zero from here
-            break
-        coefs.append(coef)
-        rows.append((params.p + m, params.q + m))
-        coef *= (params.p + m) / (params.q + m)
-    y0 = xjet.value * xjet.value
-    if xjet.mask is None:
-        sums = [[kummer(KummerParams(*row), y0)] for row in rows]  # one point
-    else:
-        sums = _kummer_rows(rows, y0, xjet.mask)
-    outer = np.zeros(xjet.block.shape)
-    np.multiply(np.array(coefs)[:, None], sums, out=outer[:len(coefs)])
-    return jet_compose(Jet(outer, xjet.mask), _square(xjet))

@@ -76,11 +76,11 @@ evaluated at a higher order truncates to the bits of one evaluated at the
 lower order.
 
 Grid factors.  `grid_factor(body)` holds the result of a function of the
-x-jet alone (the jet of y = x^2, a seed's Gaussian prefactor, the half-root
-X = sqrt(z/2) that a PV state takes of its z-jet) per grid and serves lower
-orders by truncation, as a node does.  Unlike a node it holds several grids
-at once, keyed by the x-jet's value and mask bytes, since it does not
-depend on eps and so serves every seed on a grid.
+x-jet alone (the Gaussian exp(-x^2/2) that every seed reads at order 0, the
+half-root X = sqrt(z/2) that a PV state takes of its z-jet) per grid and
+serves lower orders by truncation, as a node does.  Unlike a node it holds
+several grids at once, keyed by the x-jet's value and mask bytes, since it
+does not depend on eps and so serves every seed on a grid.
 """
 
 from __future__ import annotations

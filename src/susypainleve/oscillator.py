@@ -14,6 +14,10 @@ x is a point or a whole grid array (see `jets`).  Every state (seeds,
 ladders, intertwiners, maps) is a `jets.grid_memo` node, evaluated once per
 grid at the highest order asked; `seed_state` interns one node per seed, so
 all solutions built on a seed share its jets.
+
+A seed's jet reads two Kummer rows at any order: u and u' come from the
+Gaussian and the rows by the product and chain rules, and every higher
+entry from the seed's own equation u'' = (x^2 - 2 eps) u (`seed_u_jet`).
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from typing import Callable
 import numpy as np
 
 from .config import DEFAULT_JET_ORDER, X_MAX
-from .hyp1f1 import KummerParams, kummer_jet
-from .jets import DomainError, Jet, grid_factor, grid_memo, jet_exp, jet_var
+from .hyp1f1 import KummerParams, _kummer_rows, kummer
+from .jets import DomainError, Jet, grid_factor, grid_memo, jet_var
 
 State = Callable[[float | np.ndarray, int], Jet]  # x: one point or a grid array
 
@@ -96,21 +100,12 @@ def domain_x_jet(x, order: int) -> Jet:
     return jet_var(x, order)
 
 
-def gaussian_jet(xjet: Jet) -> Jet:
-    """Jet of exp(-x^2/2) along an arbitrary x-jet."""
-    return jet_exp(xjet * xjet * (-0.5))
-
-
-# The prefactors depend on the grid alone, not on eps: each is held per grid
-# and serves lower orders by truncation.
+# The Gaussian depends on the grid alone, not on eps: it is held per grid.
 @grid_factor
-def _odd_prefactor(xjet: Jet) -> Jet:
-    return xjet * gaussian_jet(xjet)
-
-
-@grid_factor
-def _even_prefactor(xjet: Jet) -> Jet:
-    return gaussian_jet(xjet)
+def _gaussian(xjet: Jet) -> Jet:
+    """The order-0 jet of exp(-x^2/2) at the x-jet's points, through math.exp point by point."""
+    x = xjet.block[0]
+    return Jet(np.array([[math.exp(t) for t in ((x * x) * -0.5).tolist()]]), xjet.mask)
 
 
 def seed_params(spec: SeedSpec) -> KummerParams:
@@ -121,13 +116,47 @@ def seed_params(spec: SeedSpec) -> KummerParams:
 
 
 def seed_u_jet(spec: SeedSpec, xjet: Jet) -> Jet:
-    """Seed solution jet along an arbitrary x-jet (unnormalized).
+    """Seed solution jet along the identity x-jet of a point or a grid (unnormalized).
 
     Odd branch:  x exp(-x^2/2) 1F1((3-2eps)/4; 3/2; x^2)
     Even branch:   exp(-x^2/2) 1F1((1-2eps)/4; 1/2; x^2)
+
+    u and u' are the product and chain rules on the Gaussian and two Kummer
+    rows, M0 = 1F1(p; q; x^2) and M1 = 1F1(p+1; q+1; x^2), as
+    d/dx M0 = (p/q) M1 2x; M1 is not summed when p = 0.  Every higher entry
+    comes from the ODE u'' = (x^2 - 2 eps) u differentiated k times
+    (Taylor-mode, as `jets.jet_riccati`):
+    u^(k+2) = (x^2 - 2 eps) u^(k) + 2k x u^(k-1) + k(k-1) u^(k-2).
     """
-    prefactor = _odd_prefactor if spec.parity is Parity.ODD else _even_prefactor
-    return prefactor(xjet) * kummer_jet(seed_params(spec), xjet)
+    params = seed_params(spec)
+    order = xjet.order
+    rows = [(params.p, params.q)]
+    if order and params.p != 0.0:
+        rows.append((params.p + 1.0, params.q + 1.0))
+    x = xjet.block[0]
+    y = x * x
+    if xjet.mask is None:
+        m = np.array([[kummer(KummerParams(*row), y.item())] for row in rows])
+    else:
+        m = _kummer_rows(rows, y, xjet.mask)
+    g = _gaussian(xjet.truncate(0)).block[0]
+    if spec.parity is Parity.ODD:  # the prefactor and its derivative
+        prefactor, dprefactor = x * g, g - x * (x * g)
+    else:
+        prefactor, dprefactor = g, -x * g
+    u = np.empty((order + 1, x.size))
+    u[0] = prefactor * m[0]
+    if order:
+        dm = (params.p / params.q * m[1]) * (2.0 * x) if len(rows) == 2 else 0.0
+        u[1] = prefactor * dm + dprefactor * m[0]
+    v = y - 2.0 * spec.epsilon
+    for k in range(order - 1):
+        u[k + 2] = v * u[k]
+        if k:
+            u[k + 2] += (2.0 * k) * x * u[k - 1]
+        if k > 1:
+            u[k + 2] += (k * (k - 1.0)) * u[k - 2]
+    return Jet(u, xjet.mask)
 
 
 # Seeds are the states that solutions share (a catalog source and its target,

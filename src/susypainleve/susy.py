@@ -34,7 +34,6 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_JET_ORDER
-from .hyp1f1 import _square
 from .jets import Jet, JetError, grid_memo, jet_var, log_derivative, on_grid
 from .oscillator import (
     Direction,
@@ -212,7 +211,7 @@ def apply_bplus(t: SecondOrderTransform, f: State, x: float, order: int = DEFAUL
     lw2 = lw.deriv()
     xj = jet_var(x, order)
     eps_sum = t.seed1.epsilon + t.seed2.epsilon
-    gamma = 0.5 * (lw2 + lw1 * lw1) - _square(xj) + eps_sum
+    gamma = 0.5 * (lw2 + lw1 * lw1) - xj * xj + eps_sum
     return (F.deriv(2) - lw1 * F.deriv().truncate(order) + gamma * F.truncate(order)) * 0.5
 
 

@@ -35,7 +35,6 @@ from susypainleve.hyp1f1 import (
     KummerRangeError,
     _kummer_lockstep,
     kummer,
-    kummer_jet,
 )
 from susypainleve.jets import (
     Jet,
@@ -185,7 +184,7 @@ def test_verify_on_grid_equals_per_point_reference():
 def test_grid_kummer_errors_follow_the_point_path():
     # the series refuses y = x^2 > 36 on a grid as it does at a point ...
     with pytest.raises(KummerRangeError):
-        kummer_jet(KummerParams(0.5, 1.5), jet_var(np.array([1.0, 6.5]), 2))
+        hyp1f1._kummer_rows([(0.5, 1.5), (1.5, 2.5)], np.array([1.0, 42.25]), _clear_mask(2))
     # ... and gives up after the same term budget
     for sum_series in (
         lambda: kummer(KummerParams(-5e5, 1.5), 0.25),
@@ -401,14 +400,15 @@ def test_masked_grid_rows_equal_rows_summed_on_the_kept_points():
 
 def test_a_call_outside_an_op_sums_its_own_rows(monkeypatch):
     # no cache holds rows, in a demand block or outside one: each call sums
-    # every row it reads, all five in one pass
+    # every row it reads, both in one pass
     summed = spy_on_sums(monkeypatch)
+    spec = SeedSpec(0.9, Parity.ODD)  # the rows (0.3, 1.5) and (1.3, 2.5)
     for _ in range(2):
-        kummer_jet(KummerParams(0.3, 1.5), row_xjet(4))
+        seed_u_jet(spec, row_xjet(4))
     with demand():
         for _ in range(2):
-            kummer_jet(KummerParams(0.3, 1.5), row_xjet(4))
-    assert summed == [5 * UNMASKED] * 4
+            seed_u_jet(spec, row_xjet(4))
+    assert summed == [2 * UNMASKED] * 4
 
 
 def test_no_kummer_row_outlives_an_op(monkeypatch):
@@ -436,7 +436,7 @@ def test_no_kummer_row_outlives_an_op(monkeypatch):
                                   SeedSpec(5.5, Parity.ODD), SeedSpec(4.5, Parity.EVEN)])
 def test_rows_with_p_zero_are_never_summed(monkeypatch, spec):
     # chi0, psi0 and the p = -2 seeds of both parities: 1F1(0; q; y) = 1
-    # is their only row, or the top of their ladder, and is never summed
+    # is the only row of the first two, and is never summed
     grid = np.array(linear_grid(0.2, 4.0, 40))
     assert _kummer_lockstep(np.zeros(1), np.array([1.5]), grid * grid).tolist() == [[1.0] * 40]
     clear_package_caches()
@@ -449,9 +449,25 @@ def test_rows_with_p_zero_are_never_summed(monkeypatch, spec):
         assert bits(jet.block[:, 7 * i]) == bits(seed_u(spec, t, 5).d)
 
 
-@pytest.mark.parametrize("factor", [oscillator._odd_prefactor, oscillator._even_prefactor,
-                                    hyp1f1._square, painleve._half_root])
-def test_grid_factors_warm_equal_cold(factor):
+@pytest.mark.parametrize("parity", [Parity.ODD, Parity.EVEN])
+def test_a_seed_sums_at_most_two_rows_at_any_order(monkeypatch, parity):
+    # u reads the row (p, q), u' the row (p+1, q+1), and every higher entry
+    # comes from the seed's ODE
+    grid = np.array(linear_grid(0.2, 4.0, 40))
+    spec = SeedSpec(1.3, parity)
+    params = oscillator.seed_params(spec)
+    for order in range(10):
+        clear_package_caches()
+        passes = spy_on_rows(monkeypatch)
+        on_grid(oscillator.seed_state(spec), grid, order)
+        rows = [(params.p, params.q), (params.p + 1.0, params.q + 1.0)]
+        assert passes == [rows[:1 if order == 0 else 2]], order
+
+
+# the Gaussian is asked at order 0 alone
+@pytest.mark.parametrize("factor, orders", [(oscillator._gaussian, (0,)),
+                                            (painleve._half_root, (2, 5, 3))])
+def test_grid_factors_warm_equal_cold(factor, orders):
     # two grids, asked alternately: each keeps its own held factor
     grids = [(ROW_GRID, ROW_MASK), (np.array(linear_grid(0.3, 5.0, 25)), np.zeros(25, bool))]
 
@@ -461,23 +477,24 @@ def test_grid_factors_warm_equal_cold(factor):
 
     cold = {}
     for i in (0, 1):
-        for order in (2, 5, 3):
+        for order in orders:
             clear_package_caches()
             cold[i, order] = factor(xjet(i, order))
     clear_package_caches()
-    for order in (2, 5, 3):
+    for order in orders:
         for i in (0, 1):
             assert_same_jet(factor(xjet(i, order)), cold[i, order])
-    # orders 2 and 3 were served from the order-5 jet held for each grid ...
-    held = factor(xjet(0, 5))
-    assert np.shares_memory(factor(xjet(0, 3)).block, held.block)
+    # lower orders were served from the highest-order jet held for each grid ...
+    top, low = max(orders), min(orders)
+    held = factor(xjet(0, top))
+    assert np.shares_memory(factor(xjet(0, low)).block, held.block)
     # ... an x-jet with the same values but other derivatives is built afresh ...
     other = Jet(np.vstack([ROW_GRID, np.full((2, ROW_GRID.size), 2.0)]), ROW_MASK)
     assert_same_jet(factor(other), factor.__wrapped__(other))
     # ... and clearing the package caches empties the factor caches
-    held = factor(xjet(0, 5))
+    held = factor(xjet(0, top))
     clear_package_caches()
-    assert not np.shares_memory(factor(xjet(0, 3)).block, held.block)
+    assert not np.shares_memory(factor(xjet(0, low)).block, held.block)
 
 
 def test_grid_jets_share_one_read_only_all_false_mask():
@@ -545,8 +562,8 @@ Z_X = np.sqrt(np.array(default_z_grid()) * 0.5)
 
 
 def test_each_op_sums_its_own_rows_and_chi0_none(monkeypatch):
-    # chi0's one row is the constant 1, and a drawn seed sums its 8 rows:
-    # 40 ops, each in its own block, sum 8 rows each
+    # chi0's one row is the constant 1, and a drawn seed sums its 2 rows at
+    # any order: 40 ops, each in its own block, sum 2 rows each
     clear_package_caches()
     xjet = jet_var(Z_X, 7)
     chi0 = SeedSpec(0.5, Parity.EVEN)
@@ -556,7 +573,7 @@ def test_each_op_sums_its_own_rows_and_chi0_none(monkeypatch):
             seed_u_jet(chi0, xjet)
             seed_u_jet(SeedSpec(-2.5 + 0.17 * i, Parity.ODD), xjet)
             seed_u_jet(chi0, xjet)
-    assert summed == [8 * Z_X.size] * 40  # the op's own rows, never chi0's
+    assert summed == [2 * Z_X.size] * 40  # the op's own rows, never chi0's
 
 
 @pytest.mark.parametrize("points", [400, 4000])

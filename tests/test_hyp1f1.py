@@ -1,7 +1,6 @@
 import math
 import random
 
-import mpmath as mp
 import pytest
 import scipy.special as special
 
@@ -11,10 +10,7 @@ from susypainleve.hyp1f1 import (
     KummerParams,
     KummerRangeError,
     kummer,
-    kummer_jet,
-    kummer_y_derivative,
 )
-from susypainleve.jets import jet_var
 from susypainleve.oscillator import Parity
 from susypainleve.painleve import PIV_FAMILY_NAMES, PV_CLOSED_NAMES, family_solution
 
@@ -109,22 +105,6 @@ def test_terminating_cases_match_horner():
             assert got == pytest.approx(want, rel=1e-14, abs=1e-18)
 
 
-def test_kummer_ode_residual_at_random_points():
-    # y F'' + (q - y) F' - p F = 0, derivatives via contiguity
-    rng = random.Random(19)
-    for _ in range(50):
-        p = rng.uniform(-4.0, 4.0)
-        q = rng.choice([0.5, 1.5, 2.5, 3.5])
-        y = rng.uniform(0.05, 16.0)
-        params = KummerParams(p, q)
-        F = kummer(params, y)
-        F1 = kummer_y_derivative(params, y, 1)
-        F2 = kummer_y_derivative(params, y, 2)
-        res = y * F2 + (q - y) * F1 - p * F
-        scale = max(abs(y * F2), abs((q - y) * F1), abs(p * F), 1e-300)
-        assert abs(res) <= 1e-10 * scale
-
-
 def test_against_scipy_reference():
     rng = random.Random(101)
     for _ in range(60):
@@ -134,36 +114,3 @@ def test_against_scipy_reference():
         got = kummer(KummerParams(p, q), y)
         want = special.hyp1f1(p, q, y)
         assert got == pytest.approx(want, rel=1e-11, abs=1e-12)
-
-
-def test_jet_trivial_cases():
-    # p = 0: constant 1
-    j = kummer_jet(KummerParams(0.0, 1.5), jet_var(1.3, 4))
-    assert j.d == (1.0, 0.0, 0.0, 0.0, 0.0)
-    # p = q: 1F1(a;a;x^2) = exp(x^2); at x=1, order 2: (e, 2e, 6e)
-    j = kummer_jet(KummerParams(0.5, 0.5), jet_var(1.0, 2))
-    assert j.d == pytest.approx((math.e, 2 * math.e, 6 * math.e), rel=1e-13)
-    # p=-1, q=1/2: 1 - 2x^2; at x=1, order 1: (-1, -4)
-    j = kummer_jet(KummerParams(-1.0, 0.5), jet_var(1.0, 1))
-    assert j.d == pytest.approx((-1.0, -4.0), rel=1e-14)
-
-
-def test_jet_value_consistency():
-    rng = random.Random(5)
-    for _ in range(30):
-        p = rng.uniform(-3.0, 3.0)
-        q = rng.choice([0.5, 1.5])
-        x = rng.uniform(0.1, 3.5)
-        params = KummerParams(p, q)
-        j = kummer_jet(params, jet_var(x, 5))
-        assert j.value == pytest.approx(kummer(params, x * x), rel=1e-13)
-
-
-def test_jet_derivatives_against_mpmath():
-    mp.mp.dps = 30
-    for p, q, x in [(-1.25, 0.5, 0.9), (0.75, 1.5, 1.4), (2.0, 0.5, 0.6)]:
-        f = lambda t: mp.hyp1f1(p, q, t * t)
-        j = kummer_jet(KummerParams(p, q), jet_var(x, 4))
-        for k in range(5):
-            want = float(mp.diff(f, mp.mpf(x), k))
-            assert abs(j.d[k] - want) <= 1e-11 * max(1.0, abs(want))

@@ -1,9 +1,11 @@
 import math
 import random
 
+import mpmath as mp
 import pytest
 
 from susypainleve.config import linear_grid
+from susypainleve.hyp1f1 import kummer
 from susypainleve.jets import DomainError
 from susypainleve.oscillator import (
     Direction,
@@ -19,6 +21,7 @@ from susypainleve.oscillator import (
     psi_state,
     schrodinger_residual,
     schrodinger_scale,
+    seed_params,
     seed_state,
     seed_u,
 )
@@ -45,6 +48,54 @@ def test_seed_values():
     assert seed_u(SeedSpec(-0.5, Parity.EVEN), 1.0, 2).value == pytest.approx(math.exp(0.5))
     with pytest.raises(DomainError):
         seed_u(SeedSpec(0.5, Parity.EVEN), -1.0, 2)
+
+
+def test_seed_jets_in_closed_form():
+    x = 1.3
+    e = math.exp(-0.5 * x * x)
+    # chi0 = exp(-x^2/2), whose only row is 1F1(0; 1/2; x^2) = 1: (-1)^k He_k(x) exp(-x^2/2)
+    want = (e, -x * e, (x * x - 1.0) * e, -(x**3 - 3.0 * x) * e, (x**4 - 6.0 * x * x + 3.0) * e)
+    assert seed_u(SeedSpec(0.5, Parity.EVEN), x, 4).d == pytest.approx(want, rel=1e-13)
+    # even eps = -1/2: 1F1(1/2; 1/2; x^2) = exp(x^2), so u = exp(x^2/2); at x = 1, order 2
+    r = math.exp(0.5)
+    assert seed_u(SeedSpec(-0.5, Parity.EVEN), 1.0, 2).d == pytest.approx((r, r, 2.0 * r), rel=1e-13)
+    # even eps = 5/2: 1F1(-1; 1/2; x^2) = 1 - 2x^2; at x = 1, order 1: (-1, -3) exp(-1/2)
+    e1 = math.exp(-0.5)
+    assert seed_u(SeedSpec(2.5, Parity.EVEN), 1.0, 1).d == pytest.approx((-e1, -3.0 * e1), rel=1e-14)
+
+
+def test_seed_value_is_prefactor_times_kummer():
+    rng = random.Random(5)
+    for _ in range(30):
+        spec = SeedSpec(rng.uniform(-6.0, 6.0), rng.choice([Parity.ODD, Parity.EVEN]))
+        x = rng.uniform(0.1, 3.5)
+        prefactor = math.exp(-0.5 * x * x) * (x if spec.parity is Parity.ODD else 1.0)
+        want = prefactor * kummer(seed_params(spec), x * x)
+        assert seed_u(spec, x, 5).value == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("parity", [Parity.ODD, Parity.EVEN])
+def test_seed_jets_against_mpmath(parity):
+    # u and u' read the Kummer rows; the higher entries come from the seed's
+    # ODE, so its Schroedinger residual is zero by construction and this
+    # oracle is what checks them: every entry to order 9, against the
+    # derivatives of the 50-digit closed form
+    for eps in (-2.5, -0.7, 0.3, 1.3, 2.5, 3.5, 4.4, 7.9):
+        with mp.workdps(50):
+            e = mp.mpf(eps)
+            if parity is Parity.ODD:
+                def u(t):
+                    return t * mp.exp(-t * t / 2) * mp.hyp1f1((3 - 2 * e) / 4, mp.mpf(3) / 2, t * t)
+            else:
+                def u(t):
+                    return mp.exp(-t * t / 2) * mp.hyp1f1((1 - 2 * e) / 4, mp.mpf(1) / 2, t * t)
+            wants = {x: [float(d) for d in mp.diffs(u, mp.mpf(x), 9)]
+                     for x in (0.25, 0.8, 1.5, 2.3, 3.1, 3.9)}
+        for x, want in wants.items():
+            got = seed_u(SeedSpec(eps, parity), x, 9).d
+            scale = max(abs(w) for w in want[:3])
+            for k in range(10):
+                assert abs(got[k] - want[k]) <= 1e-12 * max(abs(want[k]), scale), (eps, x, k)
 
 
 def test_eigenfunction_and_formal_state():

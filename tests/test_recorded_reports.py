@@ -1,13 +1,13 @@
 """Reports of the seed path, held to the bits recorded before its Kummer rows were reshaped.
 
-Every family member starts from seed jets whose contiguity rows
-1F1(p+m; q+m; x^2) are summed on the grid.  These recordings pin what
+Every family member starts from seed jets whose Kummer rows 1F1(p; q; x^2)
+and 1F1(p+1; q+1; x^2) are summed on the grid.  These recordings pin what
 reaches the verifier through that path: the relative
 residuals that math.fsum gives from each state's order-2 grid jet (a digest
 of their float.hex strings, nan at skipped points) and their largest by
 hex.  The report itself sums each point's terms left to right, so its
 residuals are held within the gamma_5 bound of those, and its n_valid,
-skipped and passed to the recording.  A Kummer jet on a grid with masked
+skipped and passed to the recording.  A seed jet on a grid with masked
 points (x beyond 6) pins the path that scatters rows into a nan-filled
 block.  Catalog rows and chains are pinned in test_backlund.py.
 """
@@ -21,9 +21,8 @@ import pytest
 from package_caches import clear_package_caches
 from residual_reference import grid_jet_terms, residuals, sum_error_bound
 from susypainleve.config import default_x_grid, default_z_grid, linear_grid
-from susypainleve.hyp1f1 import KummerParams, kummer_jet
 from susypainleve.jets import Jet, jet_var
-from susypainleve.oscillator import Parity
+from susypainleve.oscillator import Parity, SeedSpec, seed_u_jet
 from susypainleve.painleve import extremal_piv_solution, family_solution
 from susypainleve.residual import verify_on_grid
 
@@ -97,26 +96,23 @@ def test_report_matches_its_recording(name, parity):
 MASKED_GRID = np.array(linear_grid(0.5, 7.0, 27))
 MASK = MASKED_GRID > 6.0
 
-# per params, the digest of each derivative row at the unmasked points, at order 7
-RECORDED_MASKED_JETS = [
-    (KummerParams(0.3, 1.5), ("9b701c6410fb89ec", "d3a0a7c8a1f7637b", "98689468f3c9db08",
-                              "4a2c4347ef57b5c2", "e3af872cd6933643", "4e7f3dcfa9372993",
-                              "97b13ea94abea745", "7ada09ac1e17e448")),
-    (KummerParams(1.3, 2.5), ("150c519d9410b031", "ee9d7f1ad8da2021", "81620c3da73f580c",
-                              "2555bba1ea7ed01d", "a7a66cb895a450b6", "3b16dfc05b102229",
-                              "a02d29b64d51f4e3", "c3bc23e0e4dd93a2")),
-    # a terminating series: its rows past the degree are zero and never summed
-    (KummerParams(-2.0, 0.5), ("00ac7de03320ae15", "dd6369def4abcf97", "90173042ef21803f",
-                               "00e6ac44adb7898d", "a0fb309951662889", "cc4cb9b4164d26f0",
-                               "cc4cb9b4164d26f0", "cc4cb9b4164d26f0")),
+# per seed, the digest of its value and derivative rows at the unmasked points, as
+# recorded when each seed jet was the product of Gaussian and contiguity jets;
+# the rows above order 1 come from the seed's ODE and are not pinned
+RECORDED_MASKED_SEEDS = [
+    (SeedSpec(0.9, ODD), ("d524badb79fc262a", "84a6f39d8448973f")),  # the rows p = 0.3, 1.3
+    (SeedSpec(-0.7, ODD), ("9a3292fde81186b8", "6e0de33384d9f709")),
+    (SeedSpec(1.3, EVEN), ("bdf02946f61a2b7a", "b7f9b8b3ff21730d")),
+    (SeedSpec(4.5, EVEN), ("d14d8cf37c582376", "e28cebe81693874f")),  # terminating, p = -2
+    (SeedSpec(0.5, EVEN), ("46e47275e2c3c8bb", "c50012b3fce0cda2")),  # chi0: p = 0, one row
 ]
 
 
-def test_kummer_jets_on_a_masked_grid_match_their_recording():
+def test_seed_jets_on_a_masked_grid_match_their_recording():
     clear_package_caches()
     keep = ~MASK
-    for order in (3, 7):
-        for params, rows in RECORDED_MASKED_JETS:
-            jet = kummer_jet(params, Jet(jet_var(MASKED_GRID, order).d, MASK))
+    for order in (1, 3, 7):
+        for spec, rows in RECORDED_MASKED_SEEDS:
+            jet = seed_u_jet(spec, Jet(jet_var(MASKED_GRID, order).d, MASK))
             assert jet.mask.tolist() == MASK.tolist()
-            assert tuple(digest(row[keep]) for row in jet.d) == rows[:order + 1], params
+            assert tuple(digest(row[keep]) for row in jet.d[:2]) == rows, spec

@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCE, VALUE_GUARD, default_x_grid, default_z_grid
-from .jets import Jet, demand, grid_memo, jet_var, on_grid
+from .jets import Jet, jet_var, on_grid
 from .oscillator import Parity, SeedSpec, State
 from .painleve import (
     DegenerateClosedFormError,
@@ -45,11 +45,9 @@ from .painleve import (
 from .residual import (
     GridDegenerateError,
     SingularSystemError,
-    infer_piv_params,
-    infer_pv_params,
     jet_deviation,
-    pointwise_deviation,
-    verify_on_grid,
+    jet_fit,
+    jet_verdict,
 )
 
 
@@ -108,26 +106,30 @@ def piv_map_params(map_: PIVMap, a: float, b: float) -> tuple[float, float]:
     return -1.5 - 0.5 * a - 0.75 * s, -0.5 * (-1.0 - a + 0.5 * s) ** 2
 
 
-def _piv_map_state(map_: PIVMap, sol: PIVSolution) -> State:
+def _piv_map(map_: PIVMap, sol: PIVSolution, xj: Jet, G: Jet) -> Jet:
+    """The image of sol under the map, from the x-jet and the jet G of sol.g one order up."""
     s = _signed_root(map_, sol.b)
     a = sol.a
-    g = sol.g
+    gk = G.truncate(xj.order)
+    gp = G.deriv()
+    if map_.kind is PIVMapKind.WTILDE_PLUS:
+        num = gp - gk * gk - 2.0 * (xj * gk) - s
+        return num / (2.0 * gk)
+    if map_.kind is PIVMapKind.WDAGGER_PLUS:
+        den = gp + s + 2.0 * (xj * gk) + gk * gk
+        return gk + (2.0 * (1.0 - a - 0.5 * s)) * (gk / den)
+    den = gp - s - 2.0 * (xj * gk) - gk * gk
+    return gk + (2.0 * (1.0 + a + 0.5 * s)) * (gk / den)
 
-    def out(x: float, order: int) -> Jet:
-        G = g(x, order + 1)
-        gk = G.truncate(order)
-        gp = G.deriv()
-        xj = jet_var(x, order)
-        if map_.kind is PIVMapKind.WTILDE_PLUS:
-            num = gp - gk * gk - 2.0 * (xj * gk) - s
-            return num / (2.0 * gk)
-        if map_.kind is PIVMapKind.WDAGGER_PLUS:
-            den = gp + s + 2.0 * (xj * gk) + gk * gk
-            return gk + (2.0 * (1.0 - a - 0.5 * s)) * (gk / den)
-        den = gp - s - 2.0 * (xj * gk) - gk * gk
-        return gk + (2.0 * (1.0 + a + 0.5 * s)) * (gk / den)
 
-    return grid_memo(out, (g, 1))
+def _piv_map_state(map_: PIVMap, sol: PIVSolution) -> State:
+    return lambda x, order: _piv_map(map_, sol, jet_var(x, order), sol.g(x, order + 1))
+
+
+def _image_jet(body, map_, sol, x: np.ndarray, source: Jet) -> Jet:
+    """body's image of sol on the grid x, from sol's grid jet `source`, one order below it."""
+    with np.errstate(all="ignore"):  # masked points may overflow or divide by zero
+        return body(map_, sol, jet_var(x, source.order - 1), source)
 
 
 def _piv_image(map_: PIVMap, sol: PIVSolution) -> PIVSolution:
@@ -157,14 +159,13 @@ class BTResult:
     certificate_tol: float | None = None  # tolerance of its parameter certificate
 
 
-def _inferred(image: PIVSolution | PVSolution, grid: Sequence[float]) -> tuple | None:
-    """The fitted (a, b) of a PIV image or (a, b, c) of a PV one; None when the fit degenerates."""
-    infer = infer_piv_params if image.kind == "piv" else infer_pv_params
+def _inferred(kind: str, jet: Jet, x: np.ndarray) -> tuple | None:
+    """The fitted (a, b) of a PIV jet or (a, b, c) of a PV one; None when the fit degenerates."""
     try:
-        fit = infer(image.state, samples=grid)
-    except (SingularSystemError, GridDegenerateError):
+        fit = jet_fit(kind, jet, x)
+    except SingularSystemError:
         return None
-    return (fit.a, fit.b) if image.kind == "piv" else (fit.a, fit.b, fit.c)
+    return (fit.a, fit.b) if kind == "piv" else (fit.a, fit.b, fit.c)
 
 
 def _verify_image(
@@ -177,18 +178,20 @@ def _verify_image(
 
     The map-predicted and the numerically inferred parameters are both
     reported so parameter drift is visible, never silently accepted.  The
-    result is degenerate (and not passed) when inference or verification
-    degenerates.
+    image is evaluated once, at order 2, for both.  The result is
+    degenerate (and not passed) when inference or verification degenerates.
     """
     if grid is None:
         grid = image.default_grid()
+    x = np.asarray(grid, dtype=float)
+    jet = on_grid(image.state, x, 2)
     predicted = tuple(image.params.values())
-    inferred = _inferred(image, grid)
+    inferred = _inferred(image.kind, jet, x)
     if inferred is None:
         return BTResult(image, predicted, None, passed=False, degenerate=True, **recorded)
-    checked = replace(image, **dict(zip(image.params, inferred)))  # a PV image keeps its d
+    checked = inferred + predicted[len(inferred):]  # a PV image keeps its d
     try:
-        passed = verify_on_grid(image.kind, checked, grid=grid, tol=tol).passed
+        passed = jet_verdict(image.kind, jet, x, checked, tol).passed
     except GridDegenerateError:
         return BTResult(image, predicted, inferred, passed=False, degenerate=True, **recorded)
     return BTResult(image, predicted, inferred, passed=passed, **recorded)
@@ -258,36 +261,41 @@ def bt_piv_chain(
     Links whose construction or comparison collapses (identically vanishing
     denominators, all-pole grids) are flagged degenerate, not failed.
 
-    All five links' images are built first, then verified in one demand
-    block: the comparison asks each target at order 0 and each image at
-    order 2, the order its parameter inference asks, so its source at
-    order 3.  One link's target is the next link's source node, so each
-    closed form, each map image and the nodes below them run once on the
-    grid.
+    Each of the six families is evaluated once on the grid, highest order
+    first: every source at order 3, since its image is read at order 2 (the
+    order of its parameter inference), and G2, a target alone, at order 0.
+    Each link's image is evaluated once, from its source's jet, and compared
+    with its target's jet.
     """
     if grid is None:
         grid = default_x_grid()
-    eps, parity = seed.epsilon, seed.parity
-    links: list[BTResult | tuple] = []  # a refused link's result, or what _verify_link takes
-    for src_name, kind, tgt_name in CHAIN_LINKS:
+    x = np.asarray(grid, dtype=float)
+    sources = [source for source, _, _ in CHAIN_LINKS]
+    families, refused = {}, {}
+    for name in sources + [CHAIN_LINKS[-1][2]]:  # the last target is no source
         try:
-            source = closed_piv_solution(src_name, eps, parity)
-            target = closed_piv_solution(tgt_name, eps, parity)
+            families[name] = closed_piv_solution(name, seed.epsilon, seed.parity)
         except DegenerateClosedFormError as exc:
-            links.append(BTResult(
+            refused[name] = exc
+    jets = {name: on_grid(sol.g, x, 3 if name in sources else 0)
+            for name, sol in families.items()}
+    results = []
+    for src_name, kind, tgt_name in CHAIN_LINKS:
+        if src_name in refused or tgt_name in refused:
+            exc = refused.get(src_name, refused.get(tgt_name))
+            results.append(BTResult(
                 None, (), None, passed=False, degenerate=True,
                 source=src_name, target=tgt_name, notes=(str(exc),),
             ))
             continue
+        source, target = families[src_name], families[tgt_name]
         branch = _branch_for(kind, source, target)
-        image = _piv_image(PIVMap(kind, branch), source)
-        links.append((src_name, tgt_name, branch, image, target))
-    built = [link for link in links if isinstance(link, tuple)]
-    roots = [(image.g, 2) for *_, image, _ in built]
-    roots += [(target.g, 0) for *_, target in built]
-    with demand(*roots):
-        return [link if isinstance(link, BTResult) else _verify_link(*link, grid, tol)
-                for link in links]
+        map_ = PIVMap(kind, branch)
+        image = _piv_image(map_, source)
+        image_jet = _image_jet(_piv_map, map_, source, x, jets[src_name])
+        results.append(_verify_link(src_name, tgt_name, branch, image, image_jet, target,
+                                    jets[tgt_name], x, tol))
+    return results
 
 
 def _verify_link(
@@ -295,8 +303,10 @@ def _verify_link(
     tgt_name: str,
     branch: RootBranch,
     image: PIVSolution,
+    image_jet: Jet,
     target: PIVSolution,
-    grid: Sequence[float],
+    target_jet: Jet,
+    x: np.ndarray,
     tol: float,
 ) -> BTResult:
     """One chain link: its image against its target, then the image's parameter inference.
@@ -305,8 +315,6 @@ def _verify_link(
     (a collapsed family member) or too few points are comparable; its note
     then says which.
     """
-    x = np.asarray(grid, dtype=float)
-    target_jet, image_jet = on_grid(target.g, x, 0), on_grid(image.g, x, 2)
     try:
         if _identically_small(target_jet) or _identically_small(image_jet):
             raise GridDegenerateError("identically small on the grid")
@@ -315,7 +323,7 @@ def _verify_link(
         return BTResult(None, (), None, passed=False, degenerate=True, source=src_name,
                         target=tgt_name, notes=(str(exc),))
     notes = () if dev <= tol else (_mismatch_profile(deviations, tol),)
-    inferred = _inferred(image, grid)
+    inferred = _inferred("piv", image_jet, x)
     if inferred is None:
         notes += ("parameter inference degenerate",)
     return BTResult(
@@ -366,25 +374,24 @@ def pv_map_params(
     return a1, b1, c1, d
 
 
-def _pv_map_state(map_: PVMap, sol: PVSolution) -> State:
+def _pv_map(map_: PVMap, sol: PVSolution, zj: Jet, W: Jet) -> Jet:
+    """The image of sol under T_{k1,k2,k3}, from the z-jet and the jet W of sol.w one order up."""
     ra, rb, rd = _pv_roots(sol.a, sol.b, sol.d)
     k1, k2, k3 = map_.triple
+    wk = W.truncate(zj.order)
+    wp = W.deriv()
+    f1 = (
+        zj * wp
+        - (k1 * ra) * (wk * wk)
+        + (k1 * ra - k2 * rb) * wk
+        + (k3 * rd) * (zj * wk)
+        + k2 * rb
+    )
+    return 1.0 - (2.0 * k3 * rd) * (zj * wk) / f1
 
-    def out(z: float, order: int) -> Jet:
-        W = sol.w(z, order + 1)
-        wk = W.truncate(order)
-        wp = W.deriv()
-        zj = jet_var(z, order)
-        f1 = (
-            zj * wp
-            - (k1 * ra) * (wk * wk)
-            + (k1 * ra - k2 * rb) * wk
-            + (k3 * rd) * (zj * wk)
-            + k2 * rb
-        )
-        return 1.0 - (2.0 * k3 * rd) * (zj * wk) / f1
 
-    return grid_memo(out, (sol.w, 1))
+def _pv_map_state(map_: PVMap, sol: PVSolution) -> State:
+    return lambda z, order: _pv_map(map_, sol, jet_var(z, order), sol.w(z, order + 1))
 
 
 def _pv_image(map_: PVMap, sol: PVSolution) -> PVSolution:
@@ -510,31 +517,35 @@ def check_catalog_row(
     inference stays attached as a drift detector, but its conditioning
     depends on how much the solution varies over the grid).  The result
     records the tolerances applied: `tol` to the pointwise match and
-    `certificate_tol`, never below 1e-6, to the certificate.  The row's
-    calls run in one demand block, so a seed that the source and target
-    share, and every other node below them, runs once on the grid.
+    `certificate_tol`, never below 1e-6, to the certificate.  The source is
+    evaluated once at order 3, since inference and the certificate read the
+    image at order 2, and before the target at order 0, so the seed they
+    share is evaluated once; the image is evaluated once, from the source's
+    jet.
     """
     if grid is None:
         grid = default_z_grid()
+    x = np.asarray(grid, dtype=float)
     source = catalog_family_solution(row.source, epsilon, parity)
     target = catalog_family_solution(row.target, epsilon, parity)
     certificate_tol = max(tol, 1e-6)
-    # inference and the certificate ask the image at order 2, so the source
-    # at 3; the pointwise match asks the target at 0
-    with demand((source.w, 3), (target.w, 0)):
-        image = _pv_image(PVMap(*row.k), source)
-        inferred = _inferred(image, grid)
-        result = partial(
-            BTResult, image, tuple(image.params.values()), inferred, source=row.source,
-            target=row.target, target_params=tuple(target.params.values()),
-            tol=tol, certificate_tol=certificate_tol,
-        )
-        try:
-            dev, n_valid, deviations = pointwise_deviation(image.w, target.w, grid)
-            certified = replace(image, **target.params)
-            target_report = verify_on_grid("pv", certified, grid=grid, tol=certificate_tol)
-        except GridDegenerateError:
-            return result(passed=False, degenerate=True)
+    map_ = PVMap(*row.k)
+    image = _pv_image(map_, source)
+    source_jet = on_grid(source.w, x, 3)
+    target_jet = on_grid(target.w, x, 0)
+    image_jet = _image_jet(_pv_map, map_, source, x, source_jet)
+    inferred = _inferred("pv", image_jet, x)
+    result = partial(
+        BTResult, image, tuple(image.params.values()), inferred, source=row.source,
+        target=row.target, target_params=tuple(target.params.values()),
+        tol=tol, certificate_tol=certificate_tol,
+    )
+    try:
+        dev, n_valid, deviations = jet_deviation(image_jet, target_jet)
+        target_report = jet_verdict("pv", image_jet, x, tuple(target.params.values()),
+                                    certificate_tol)
+    except GridDegenerateError:
+        return result(passed=False, degenerate=True)
     # Parameter certificate: wrong parameters push the residual to O(0.1) at
     # most grid points, while correct ones leave at worst a few isolated
     # conditioning spikes (doubly transformed jets shed digits near poles and

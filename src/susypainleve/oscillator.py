@@ -10,10 +10,8 @@ Every state here is *unnormalized*: all downstream formulas consume
 logarithmic derivatives or Wronskian ratios, so overall constants cancel.
 States are represented uniformly as jet-valued functions f(x, order) -> Jet,
 which keeps operator application (ladder, intertwiners) purely algebraic;
-x is a point or a whole grid array (see `jets`).  Every state (seeds,
-ladders, intertwiners, maps) is a `jets.grid_memo` node, evaluated once per
-grid at the highest order asked; `seed_state` interns one node per seed, so
-all solutions built on a seed share its jets.
+x is a point or a whole grid array (see `jets`).  A state is a plain
+closure: it holds no jet, and each call evaluates it afresh.
 
 A seed's jet reads two Kummer rows at any order: u and u' come from the
 Gaussian and the rows by the product and chain rules, and every higher
@@ -25,14 +23,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULT_JET_ORDER, X_MAX
-from .hyp1f1 import KummerParams, _kummer_rows, kummer
-from .jets import DomainError, Jet, grid_factor, grid_memo, jet_var
+from .config import DEFAULT_JET_ORDER, EPSILON_RANGE, X_MAX
+from .hyp1f1 import KummerParameterError, KummerParams, _kummer_rows, kummer
+from .jets import DomainError, Jet, grid_factor, jet_var
 
 State = Callable[[float | np.ndarray, int], Jet]  # x: one point or a grid array
 
@@ -109,7 +106,12 @@ def _gaussian(xjet: Jet) -> Jet:
 
 
 def seed_params(spec: SeedSpec) -> KummerParams:
-    """The seed's Kummer parameters; a non-finite eps raises KummerParameterError."""
+    """The seed's Kummer parameters; an eps outside EPSILON_RANGE raises KummerParameterError."""
+    lo, hi = EPSILON_RANGE
+    if not lo <= spec.epsilon <= hi:  # nan included
+        raise KummerParameterError(
+            f"eps = {spec.epsilon!r} is outside the seed's domain [{lo:g}, {hi:g}]"
+        )
     if spec.parity is Parity.ODD:
         return KummerParams((3.0 - 2.0 * spec.epsilon) / 4.0, 1.5)
     return KummerParams((1.0 - 2.0 * spec.epsilon) / 4.0, 0.5)
@@ -159,26 +161,14 @@ def seed_u_jet(spec: SeedSpec, xjet: Jet) -> Jet:
     return Jet(u, xjet.mask)
 
 
-# Seeds are the states that solutions share (a catalog source and its target,
-# chi0 and psi0 across operations), so each spec has one node: seed_state
-# interns it.  One op evaluates at most 3 seeds, chi0 and psi0 included, and
-# other specs are seldom read again by a later op, so 8 nodes keep every
-# measured reuse; a node holds one grid jet (about 26 kB for 400 points at
-# order 7).
-SEED_CACHE_SIZE = 8
-
-
-@lru_cache(maxsize=SEED_CACHE_SIZE)
 def seed_state(spec: SeedSpec) -> State:
-    """The seed's node: one per spec, evaluated once per grid at the highest order asked.
-
-    A grid jet masks the points outside (0, X_MAX], where a point raises DomainError.
-    """
+    """The seed as a state; a grid jet masks the points outside (0, X_MAX], where a point
+    raises DomainError."""
 
     def u(x, order: int) -> Jet:
         return seed_u_jet(spec, domain_x_jet(x, order))
 
-    return grid_memo(u)
+    return u
 
 
 def seed_u(spec: SeedSpec, x, order: int = DEFAULT_JET_ORDER) -> Jet:
@@ -227,7 +217,7 @@ def ladder(direction: Direction, f: State, x: float, order: int = DEFAULT_JET_OR
 
 
 def ladder_state(direction: Direction, f: State) -> State:
-    return grid_memo(lambda x, order: ladder(direction, f, x, order), (f, 1))
+    return lambda x, order: ladder(direction, f, x, order)
 
 
 def schrodinger_residual(f: State, epsilon: float, x: float) -> float:

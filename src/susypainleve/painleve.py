@@ -26,10 +26,11 @@ Letter x of H1 (pv1x) is the tabulated first-order form w1x; letter x of H2
 One evaluation route.  Every g and w above is rational in x, the seed's
 superpotential alpha = u'/u and its derivatives, and alpha obeys
 alpha' = x^2 - 2 eps - alpha^2; so each family member is evaluated as one
-reduced rational function of (x, alpha), on one alpha node per seed that
-reads the seed's value and slope and takes every higher derivative from
-that equation.  The reduced forms cancel the poles of alpha, g1 and G1 that
-the tabulated forms pass through.  The tests hold them against the
+reduced rational function of (x, alpha).  alpha is held per seed and grid
+(`_alpha`, a grid factor): it reads the seed's value and slope and takes
+every higher derivative from that equation, so every family of one seed on
+one grid shares one evaluation of the seed.  The reduced forms cancel the
+poles of alpha, g1 and G1 that the tabulated forms pass through.  The tests hold them against the
 tabulated forms at 50 digits (tests/closed_form_reference.py) and against
 the paper's construction from extremal states, ladders and intertwiners
 (tests/extremal_reference.py): a dual construction path is the package's
@@ -40,22 +41,11 @@ Constructors never run the verifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, ClassVar, Literal
 
 from .config import default_x_grid, default_z_grid
-from .jets import (
-    AtOrder,
-    Jet,
-    grid_factor,
-    grid_memo,
-    jet_compose,
-    jet_riccati,
-    jet_sqrt,
-    jet_var,
-    log_derivative,
-)
-from .oscillator import Parity, SeedSpec, State, seed_params, seed_state
+from .jets import Jet, grid_factor, jet_compose, jet_riccati, jet_sqrt, jet_var, log_derivative
+from .oscillator import Parity, SeedSpec, State, domain_x_jet, seed_params, seed_u_jet
 
 
 class DegenerateClosedFormError(ArithmeticError):
@@ -129,39 +119,33 @@ def pv_parameters(e1: float, e2: float, e3: float, e4: float) -> tuple[float, fl
 
 # -- PIV: tabulated closed forms ----------------------------------------------------
 
-# A Backlund chain builds the closed forms of one seed link after link, and
-# one link's target is the next link's source node, so the alpha node and
-# each closed-form node are interned per seed.  A chain asks one seed at a
-# time, and each held node keeps a grid jet (up to 400 points), so the caches
-# stay small.
-SUB_STATE_CACHE_SIZE = 2
 
-
-@lru_cache(maxsize=SUB_STATE_CACHE_SIZE)
-def _alpha_state(epsilon: float, parity: Parity) -> State:
+@grid_factor
+def _alpha(xj: Jet, epsilon: float, parity: Parity) -> Jet:
     """alpha = u'/u from the seed at order 1, its derivatives from alpha' = x^2 - 2 eps - alpha^2.
 
-    The value takes jet_div's pole guard at the seed's nodes.  A non-finite
-    eps is refused here, when a closed form is built.
+    Held per grid and seed, so that every family of a seed on a grid (a
+    Backlund chain's six, a catalog row's source and target) reads one
+    evaluation.  The value takes jet_div's pole guard at the seed's zeros.
     """
-    spec = SeedSpec(epsilon, parity)
-    seed_params(spec)
-    u = seed_state(spec)
-
-    def alpha(x, order: int) -> Jet:
-        xj = jet_var(x, order)
-        return jet_riccati(log_derivative(u(x, 1)), xj * xj - 2.0 * epsilon)
-
-    return grid_memo(alpha, (u, AtOrder(1)))
+    u = seed_u_jet(SeedSpec(epsilon, parity), domain_x_jet(xj.value, 1))
+    return jet_riccati(log_derivative(u), xj * xj - 2.0 * epsilon)
 
 
 def _closed_form(form):
-    """The interned node of form(x, alpha, eps) per seed; `form` stays readable as `.form`."""
+    """The state of form(x, alpha, eps) per seed; `form` stays readable as `.form`.
 
-    @lru_cache(maxsize=SUB_STATE_CACHE_SIZE)
+    An eps the seed cannot serve is refused here, when the state is built.
+    """
+
     def state(epsilon: float, parity: Parity) -> State:
-        al = _alpha_state(epsilon, parity)
-        return grid_memo(lambda x, order: form(jet_var(x, order), al(x, order), epsilon), (al, 0))
+        seed_params(SeedSpec(epsilon, parity))
+
+        def g(x, order: int) -> Jet:
+            xj = jet_var(x, order)
+            return form(xj, _alpha(xj, epsilon, parity), epsilon)
+
+        return g
 
     state.form = form
     return state
@@ -277,21 +261,22 @@ def _half_root(zjet: Jet) -> Jet:
 
 
 def _pv_state(form, case: str, epsilon: float, parity: Parity) -> State:
-    """The node of w = form(case, z, X, alpha, eps) on a z grid, X = sqrt(z/2).
+    """The state of w = form(case, z, X, alpha, eps) on a z grid, X = sqrt(z/2).
 
-    alpha is the seed's Riccati node, asked at X and composed with X's z-jet.
-    A letter that `_VANISHING` lists for the seed is a pole at every point.
+    alpha is the seed's, taken at X and composed with X's z-jet.  A letter
+    that `_VANISHING` lists for the seed is a pole at every point.
     """
+    seed_params(SeedSpec(epsilon, parity))
     if case in _VANISHING[form].get((epsilon, parity), ""):
-        return grid_memo(_pole_everywhere)
-    alpha = _alpha_state(epsilon, parity)
+        return _pole_everywhere
 
     def w(z: float, order: int) -> Jet:
         zj = jet_var(z, order)
         X = _half_root(zj)
-        return form(case, zj, X, jet_compose(alpha(X.value, order), X), epsilon)
+        alpha = _alpha(jet_var(X.value, order), epsilon, parity)
+        return form(case, zj, X, jet_compose(alpha, X), epsilon)
 
-    return grid_memo(w, (alpha, 0))
+    return w
 
 
 def _pole_everywhere(z, order: int) -> Jet:
@@ -469,7 +454,7 @@ def _rational_state(num_coeffs: tuple[float, ...], den_coeffs: tuple[float, ...]
         den = sum((c * zj**i for i, c in enumerate(den_coeffs) if c), 0.0 * zj)
         return num / den
 
-    return grid_memo(w)
+    return w
 
 
 _RATIONALS = {

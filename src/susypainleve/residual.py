@@ -178,14 +178,13 @@ def _value_guarded(kind: str, value):
     return (abs(value) < VALUE_GUARD) | (abs(value - 1.0) < VALUE_GUARD)
 
 
-def _usable_samples(kind: str, state: State, x: np.ndarray, order: int):
-    """The state on the grid array x at `order` (2 or more), cut to its usable samples.
+def _usable_samples(kind: str, jet: Jet, x: np.ndarray):
+    """A grid jet of order 2 or more on the points x, cut to its usable samples.
 
     Returns (keep, (v0, v1, v2), t): keep marks the points neither masked
     nor inside the value guard, v0..v2 are the value and first two
     derivatives there and t the points themselves.
     """
-    jet = on_grid(state, x, order)
     keep = ~(jet.mask | _value_guarded(kind, jet.value))
     return keep, tuple(v[keep] for v in jet.d[:3]), x[keep]
 
@@ -203,11 +202,8 @@ def verify_on_grid(
 
     `kind` is checked against the solution's own equation (`sol.kind`), and
     a mismatch raises ValueError; the state and the default grid are the
-    solution's.  Points where the solution value sits inside the guard band
-    (|g| < VALUE_GUARD for PIV; |w| or |w-1| < VALUE_GUARD for PV) or where
-    jet evaluation hits a pole are skipped and counted.  The state is
-    evaluated once, on the whole grid.  Raises GridDegenerateError when
-    fewer than min_valid points survive.
+    solution's.  The state is evaluated once, on the whole grid, and judged
+    by `jet_verdict` with the solution's parameters.
     """
     if kind != sol.kind:
         raise ValueError(f"cannot verify a {sol.kind!r} solution as equation kind {kind!r}")
@@ -215,10 +211,29 @@ def verify_on_grid(
         grid = sol.default_grid()
     if len(grid) == 0:
         raise ValueError("empty verification grid")
-
     x = np.asarray(grid, dtype=float)
-    keep, (v0, v1, v2), t = _usable_samples(kind, sol.state, x, max(order, 2))
-    terms = (_piv_terms if kind == "piv" else _pv_terms)(v0, v1, v2, t, *sol.params.values())
+    jet = on_grid(sol.state, x, max(order, 2))
+    return jet_verdict(kind, jet, x, tuple(sol.params.values()), tol, min_valid=min_valid)
+
+
+def jet_verdict(
+    kind: Literal["piv", "pv"],
+    jet: Jet,
+    x: np.ndarray,
+    params: Sequence[float],
+    tol: float = DEFAULT_TOLERANCE,
+    *,
+    min_valid: int = MIN_VALID_POINTS,
+) -> VerificationReport:
+    """verify_on_grid of a grid jet of order 2 or more on the points x, with these parameters.
+
+    Points where the value sits inside the guard band (|g| < VALUE_GUARD
+    for PIV; |w| or |w-1| < VALUE_GUARD for PV) or that the jet masks (a
+    pole, say) are skipped and counted.  Raises GridDegenerateError when
+    fewer than min_valid points survive.
+    """
+    keep, (v0, v1, v2), t = _usable_samples(kind, jet, x)
+    terms = (_piv_terms if kind == "piv" else _pv_terms)(v0, v1, v2, t, *params)
     residuals = np.full(keep.shape, math.nan)
     residuals[keep] = _relative_residuals(terms)
     skipped = int(keep.size - keep.sum())
@@ -267,8 +282,8 @@ class PVFit:
 _COND_LIMIT = 1e10
 
 
-def _affine_fit(kind: str, state: State, samples: Sequence[float] | None, columns_of, n_params: int):
-    """Least-squares parameters making the residual of `state` vanish.
+def _affine_fit(kind: str, jet: Jet, x: np.ndarray, columns_of, n_params: int):
+    """Least-squares parameters making the residual of a grid jet on the points x vanish.
 
     columns_of(v0, v1, v2, t) gives, from arrays over the usable samples,
     the n_params coefficient columns and the right-hand side.  Samples that
@@ -276,9 +291,7 @@ def _affine_fit(kind: str, state: State, samples: Sequence[float] | None, column
     equilibrated, and the system is refused when it has too few rows or is
     ill-conditioned.  Returns (theta, cond, misfit).
     """
-    if samples is None:
-        samples = (default_x_grid() if kind == "piv" else default_z_grid())[1::3]
-    _, (v0, v1, v2), t = _usable_samples(kind, state, np.asarray(samples, dtype=float), 2)
+    _, (v0, v1, v2), t = _usable_samples(kind, jet, x)
     with np.errstate(all="ignore"):  # Python's float arithmetic, which this replays, never warns
         cols = np.array(columns_of(v0, v1, v2, t))
         # row-equilibration: keeps near-pole samples from dominating the fit
@@ -295,32 +308,46 @@ def _affine_fit(kind: str, state: State, samples: Sequence[float] | None, column
     return [float(v) for v in theta], cond, misfit
 
 
-def infer_piv_params(g: State, samples: Sequence[float] | None = None) -> PIVFit:
-    """Least-squares (a, b) making the PIV residual of g vanish.
+def _piv_columns(g0, g1, g2, x):
+    """The PIV residual is affine in (a, b), with coefficients 2g and -1/g."""
+    base = _fsums(_piv_terms(g0, g1, g2, x, 0.0, 0.0))
+    return 2.0 * g0, -1.0 / g0, -base
 
-    The residual is affine in (a, b) with coefficients 2g and -1/g, so each
-    usable sample contributes one linear equation.
+
+def _pv_columns(w0, w1, w2, z):
+    """The PV residual is affine in (a, b, c) with d = -1/8."""
+    base = _fsums(_pv_terms(w0, w1, w2, z, 0.0, 0.0, 0.0, -0.125))
+    # Python's float ** 2 per element, as the squares of one sample
+    wm1sq = np.array([t**2 for t in (w0 - 1.0).tolist()])
+    return wm1sq * w0 / (z * z), wm1sq / (w0 * z * z), w0 / z, base
+
+
+def jet_fit(kind: Literal["piv", "pv"], jet: Jet, x: np.ndarray) -> PIVFit | PVFit:
+    """Least-squares (a, b) of a PIV, or (a, b, c) of a PV, grid jet of order 2 or more on x.
+
+    Each usable sample contributes one linear equation.
     """
+    if kind == "piv":
+        (a, b), cond, misfit = _affine_fit(kind, jet, x, _piv_columns, 2)
+        return PIVFit(a, b, cond, misfit)
+    (a, b, c), cond, misfit = _affine_fit(kind, jet, x, _pv_columns, 3)
+    return PVFit(a, b, c, cond, misfit)
 
-    def columns_of(g0, g1, g2, x):
-        base = _fsums(_piv_terms(g0, g1, g2, x, 0.0, 0.0))
-        return 2.0 * g0, -1.0 / g0, -base
 
-    (a, b), cond, misfit = _affine_fit("piv", g, samples, columns_of, 2)
-    return PIVFit(a, b, cond, misfit)
+def _samples(samples: Sequence[float] | None, default_grid) -> np.ndarray:
+    return np.asarray(default_grid()[1::3] if samples is None else samples, dtype=float)
+
+
+def infer_piv_params(g: State, samples: Sequence[float] | None = None) -> PIVFit:
+    """Least-squares (a, b) making the PIV residual of g vanish, by `jet_fit`."""
+    x = _samples(samples, default_x_grid)
+    return jet_fit("piv", on_grid(g, x, 2), x)
 
 
 def infer_pv_params(w: State, samples: Sequence[float] | None = None) -> PVFit:
-    """Least-squares (a, b, c) making the PV residual of w vanish (d = -1/8)."""
-
-    def columns_of(w0, w1, w2, z):
-        base = _fsums(_pv_terms(w0, w1, w2, z, 0.0, 0.0, 0.0, -0.125))
-        # Python's float ** 2 per element, as the squares of one sample
-        wm1sq = np.array([t**2 for t in (w0 - 1.0).tolist()])
-        return wm1sq * w0 / (z * z), wm1sq / (w0 * z * z), w0 / z, base
-
-    (a, b, c), cond, misfit = _affine_fit("pv", w, samples, columns_of, 3)
-    return PVFit(a, b, c, cond, misfit)
+    """Least-squares (a, b, c) making the PV residual of w vanish (d = -1/8), by `jet_fit`."""
+    z = _samples(samples, default_z_grid)
+    return jet_fit("pv", on_grid(w, z, 2), z)
 
 
 def pointwise_deviation(

@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_JET_ORDER
-from .jets import Jet, JetError, grid_memo, jet_var, log_derivative, on_grid
+from .jets import Jet, JetError, jet_var, log_derivative, on_grid
 from .oscillator import (
     Direction,
     Parity,
@@ -66,9 +66,9 @@ class FirstOrderTransform:
         return seed_state(self.seed)
 
     @cached_property
-    def _alpha(self) -> State:  # the node of alpha = u'/u, shared by all A+ and A built on t
-        u = self.u_state()  # the node must not hold the transform, which holds the node
-        return grid_memo(lambda x, order: log_derivative(u(x, order + 1)), (u, 1))
+    def _alpha(self) -> State:  # the state of alpha = u'/u, shared by all A+ and A built on t
+        u = self.u_state()  # the state must not hold the transform, which holds the state
+        return lambda x, order: log_derivative(u(x, order + 1))
 
 
 class Mode(enum.Enum):
@@ -119,14 +119,13 @@ class SecondOrderTransform:
         return seed_state(self.seed2)
 
     @cached_property
-    def _w(self) -> State:  # the Wronskian node
-        u1, u2 = self.u1_state(), self._u2
-        return grid_memo(partial(_wronskian_jet, u1, u2), (u1, 1), (u2, 1))
+    def _w(self) -> State:  # the Wronskian's state
+        return partial(_wronskian_jet, self.u1_state(), self._u2)
 
     @cached_property
-    def _log_w(self) -> State:  # the node of (ln W)' = W'/W, shared by all B+ built on t
+    def _log_w(self) -> State:  # the state of (ln W)' = W'/W, shared by all B+ built on t
         w = self._w
-        return grid_memo(lambda x, order: log_derivative(w(x, order + 1)), (w, 1))
+        return lambda x, order: log_derivative(w(x, order + 1))
 
 
 @dataclass(frozen=True)
@@ -160,7 +159,7 @@ def apply_aplus(t: FirstOrderTransform, f: State, x: float, order: int = DEFAULT
 
 
 def aplus_state(t: FirstOrderTransform, f: State) -> State:
-    return grid_memo(lambda x, order: apply_aplus(t, f, x, order), (f, 1), (t._alpha, 0))
+    return lambda x, order: apply_aplus(t, f, x, order)
 
 
 def apply_a(t: FirstOrderTransform, f: State, x: float, order: int = DEFAULT_JET_ORDER) -> Jet:
@@ -171,7 +170,7 @@ def apply_a(t: FirstOrderTransform, f: State, x: float, order: int = DEFAULT_JET
 
 
 def a_state(t: FirstOrderTransform, f: State) -> State:
-    return grid_memo(lambda x, order: apply_a(t, f, x, order), (f, 1), (t._alpha, 0))
+    return lambda x, order: apply_a(t, f, x, order)
 
 
 def apply_lminus(t: FirstOrderTransform, f: State, x: float, order: int = DEFAULT_JET_ORDER) -> Jet:
@@ -216,7 +215,7 @@ def apply_bplus(t: SecondOrderTransform, f: State, x: float, order: int = DEFAUL
 
 
 def bplus_state(t: SecondOrderTransform, f: State) -> State:
-    return grid_memo(lambda x, order: apply_bplus(t, f, x, order), (f, 2), (t._log_w, 1))
+    return lambda x, order: apply_bplus(t, f, x, order)
 
 
 # -- admissibility ------------------------------------------------------------
@@ -282,11 +281,11 @@ class Target(enum.Enum):
 
 
 def _inverse_state(f: State) -> State:
-    return grid_memo(lambda x, order: 1.0 / f(x, order), (f, 0))
+    return lambda x, order: 1.0 / f(x, order)
 
 
 def _ratio_state(num: State, den: State) -> State:
-    return grid_memo(lambda x, order: num(x, order) / den(x, order), (num, 0), (den, 0))
+    return lambda x, order: num(x, order) / den(x, order)
 
 
 def extremal_states(target: Target, t) -> list[ExtremalState]:

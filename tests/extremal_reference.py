@@ -12,7 +12,7 @@ They serve the tests as a second construction route, never as an
 evaluation path.
 """
 
-from susypainleve.jets import grid_memo, jet_compose, jet_var, log_derivative
+from susypainleve.jets import jet_compose, jet_var, log_derivative
 from susypainleve.oscillator import SeedSpec
 from susypainleve.painleve import (
     PV_IDENTIFICATIONS,
@@ -49,7 +49,7 @@ def piv_from_extremal(phi, triplet, which):
     def g(x, order):
         return -jet_var(x, order) - log_derivative(phi.state(x, order + 1))
 
-    return PIVSolution(grid_memo(g, (phi.state, 1)), a, b, provenance=f"extremal[{phi.label}]")
+    return PIVSolution(g, a, b, provenance=f"extremal[{phi.label}]")
 
 
 def extremal_piv(family, which, epsilon, parity):
@@ -72,7 +72,7 @@ def pv_from_pair(phi3, phi4, quadruplet, prefactor=-2):
         g = float(prefactor) * jet_var(x0, order) - log_derivative(wr)
         return 1.0 + (2.0 * X) / jet_compose(g, X)
 
-    return PVSolution(grid_memo(w, (phi3.state, 2), (phi4.state, 2)), *pv_parameters(*quadruplet),
+    return PVSolution(w, *pv_parameters(*quadruplet),
                       provenance=f"W({phi3.label}, {phi4.label}) prefactor={prefactor}")
 
 

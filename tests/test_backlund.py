@@ -308,57 +308,57 @@ def test_catalog_certificate_rejects_wrong_parameters():
     assert p90 >= 1e-4  # orders above the certificate threshold
 
 
-def test_check_catalog_row_evaluates_the_image_three_times(monkeypatch):
-    # inference, the pointwise match and the target-parameter certificate each
-    # evaluate the transformed state once on the grid; nothing else does
-    import numpy as np
+def _count_grid_calls(state, calls, label):
+    """state, recording (label, order) of each call on a grid array."""
+
+    def counted(x, order):
+        if isinstance(x, np.ndarray):
+            calls.append((label, order))
+        return state(x, order)
+
+    return counted
+
+
+def test_check_catalog_row_evaluates_its_source_and_target_once_each(monkeypatch):
+    # the source once at order 3, since inference and the certificate read
+    # the image at order 2, and then the target once at order 0
+    from dataclasses import replace
 
     from susypainleve import backlund
 
-    grid_calls = []
-    make_state = backlund._pv_map_state
+    calls = []
+    build = backlund.catalog_family_solution
 
-    def counting(map_, sol):
-        state = make_state(map_, sol)
+    def counting(name, epsilon, parity):
+        sol = build(name, epsilon, parity)
+        return replace(sol, w=_count_grid_calls(sol.w, calls, name))
 
-        def counted(z, order):
-            if isinstance(z, np.ndarray):
-                grid_calls.append(order)
-            return state(z, order)
-
-        return counted
-
-    monkeypatch.setattr(backlund, "_pv_map_state", counting)
+    monkeypatch.setattr(backlund, "catalog_family_solution", counting)
     row = next(r for r in CATALOG if (r.source, r.target, r.k) == ("w1c", "w2a", (1, -1, 1)))
     res = check_catalog_row(row, 1.0, Parity.ODD)
     assert res.passed and not res.degenerate
-    assert 0 < len(grid_calls) <= 3
+    assert calls == [("w1c", 3), ("w2a", 0)]
 
 
 def test_check_catalog_row_runs_the_image_body_once(monkeypatch):
-    # the image is a node: inference asks it at order 2 first, so the
-    # pointwise match (order 0) and the certificate (order 2) are served
-    # from its held jet and its body runs once on the grid
-    import numpy as np
-
+    # inference, the pointwise match and the certificate all read one image
+    # jet, computed from the source's jet; the image's state is not evaluated
     from susypainleve import backlund
 
-    body_runs = []
-    memo = backlund.grid_memo
+    body_runs, state_calls = [], []
+    body, make_state = backlund._pv_map, backlund._pv_map_state
 
-    def counting_memo(body, *deps):
-        def counted(z, order):
-            if isinstance(z, np.ndarray):
-                body_runs.append(order)
-            return body(z, order)
+    def counted_body(map_, sol, zj, W):
+        body_runs.append(zj.order)
+        return body(map_, sol, zj, W)
 
-        return memo(counted, *deps)
-
-    monkeypatch.setattr(backlund, "grid_memo", counting_memo)
+    monkeypatch.setattr(backlund, "_pv_map", counted_body)
+    monkeypatch.setattr(backlund, "_pv_map_state",
+                        lambda map_, sol: _count_grid_calls(make_state(map_, sol), state_calls, ""))
     row = next(r for r in CATALOG if (r.source, r.target, r.k) == ("w1c", "w2a", (1, -1, 1)))
     res = check_catalog_row(row, 1.0, Parity.ODD)
     assert res.passed and not res.degenerate
-    assert body_runs == [2]
+    assert body_runs == [2] and state_calls == []
 
 
 def test_bt_pv_apply_verifies_with_inferred_parameters(monkeypatch):
@@ -435,7 +435,7 @@ def test_chain_notes_a_degenerate_parameter_inference(monkeypatch):
     def singular(*args, **kwargs):
         raise SingularSystemError("PIV inference system condition number inf")
 
-    monkeypatch.setattr(backlund, "infer_piv_params", singular)
+    monkeypatch.setattr(backlund, "jet_fit", singular)
     links = bt_piv_chain(SeedSpec(2.5, Parity.ODD))
     assert len(links) == 5
     for link in links:

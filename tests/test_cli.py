@@ -25,6 +25,7 @@ def test_defaults_subcommand():
     assert d["x_grid"] == {"lo": 0.2, "hi": 4.0, "count": 40}
     assert d["z_grid"] == {"lo": 0.1, "hi": 8.0, "count": 40}
     assert d["tolerance"] == 1e-8
+    assert d["epsilon_range"] == {"lo": -100.0, "hi": 25.0}
 
 
 def test_sample_g1_even_is_minus_2x():
@@ -151,8 +152,16 @@ def test_exit_code_contract(args, code):
 @pytest.mark.parametrize(
     "args, code",
     [
-        # a huge finite epsilon drives the Kummer series past its term budget
+        # an epsilon outside the seed's domain [-100, 25] is refused when the seed is built
         (("verify", "pv1a", "--epsilon", "1e6", "--parity", "odd"), 2),
+        (("verify", "g1", "--epsilon", "60.3", "--parity", "odd"), 2),
+        (("sample", "g1", "--epsilon", "60.3", "--parity", "odd"), 2),
+        (("verify", "g1", "--epsilon", "1e6", "--parity", "even"), 2),
+        (("sample", "pv2a", "--epsilon", "1e6", "--parity", "even"), 2),
+        (("verify", "G2", "--epsilon", "25.1", "--parity", "odd"), 2),
+        (("sample", "w1a", "--epsilon", "-100.3", "--parity", "even"), 2),
+        (("chain", "--epsilon", "60.3", "--parity", "odd"), 2),
+        (("catalog", "--epsilon", "60.3", "--parity", "odd"), 2),
         # every grid point of this pair state is pole-guarded: a degeneracy
         (("verify", "pv2b", "--epsilon", "3.5", "--parity", "odd"), 3),
         # the parameter formulas square epsilon, which overflows a float
@@ -209,10 +218,11 @@ def test_catalog_without_parity_checks_nothing_and_exits_0():
 @pytest.mark.parametrize(
     "command, epsilon",
     [(("verify", "g1"), 1e300), (("chain",), 1e160), (("verify", "pv2a"), 1e17),
-     (("catalog",), -1e17)],
+     (("catalog",), -1e17), (("sample", "g1"), 60.3), (("verify", "pv2a"), -100.3)],
 )
 def test_an_epsilon_out_of_range_is_named(command, epsilon):
-    # an overflow or a seed pair with one energy names the epsilon, not errno
+    # an overflow, a seed pair with one energy or an epsilon outside the seed's
+    # domain names the epsilon, not errno
     cp = run_cli(*command, f"--epsilon={epsilon!r}", "--parity", "odd", expect=2)
     assert cp.stderr.startswith(f"error: --epsilon {epsilon!r} is out of range: ")
     assert "Numerical result out of range" not in cp.stderr

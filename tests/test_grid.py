@@ -40,7 +40,6 @@ from susypainleve.jets import (
     Jet,
     JetError,
     _clear_mask,
-    demand,
     jet_const,
     jet_var,
     on_grid,
@@ -399,15 +398,11 @@ def test_masked_grid_rows_equal_rows_summed_on_the_kept_points():
 
 
 def test_a_call_outside_an_op_sums_its_own_rows(monkeypatch):
-    # no cache holds rows, in a demand block or outside one: each call sums
-    # every row it reads, both in one pass
+    # no cache holds rows: each call sums every row it reads, both in one pass
     summed = spy_on_sums(monkeypatch)
     spec = SeedSpec(0.9, Parity.ODD)  # the rows (0.3, 1.5) and (1.3, 2.5)
-    for _ in range(2):
+    for _ in range(4):
         seed_u_jet(spec, row_xjet(4))
-    with demand():
-        for _ in range(2):
-            seed_u_jet(spec, row_xjet(4))
     assert summed == [2 * UNMASKED] * 4
 
 
@@ -563,16 +558,15 @@ Z_X = np.sqrt(np.array(default_z_grid()) * 0.5)
 
 def test_each_op_sums_its_own_rows_and_chi0_none(monkeypatch):
     # chi0's one row is the constant 1, and a drawn seed sums its 2 rows at
-    # any order: 40 ops, each in its own block, sum 2 rows each
+    # any order: 40 ops sum 2 rows each
     clear_package_caches()
     xjet = jet_var(Z_X, 7)
     chi0 = SeedSpec(0.5, Parity.EVEN)
     summed = spy_on_sums(monkeypatch)
     for i in range(40):
-        with demand():
-            seed_u_jet(chi0, xjet)
-            seed_u_jet(SeedSpec(-2.5 + 0.17 * i, Parity.ODD), xjet)
-            seed_u_jet(chi0, xjet)
+        seed_u_jet(chi0, xjet)
+        seed_u_jet(SeedSpec(-2.5 + 0.17 * i, Parity.ODD), xjet)
+        seed_u_jet(chi0, xjet)
     assert summed == [2 * Z_X.size] * 40  # the op's own rows, never chi0's
 
 

@@ -12,14 +12,14 @@ from package_caches import clear_package_caches
 from susypainleve import cli, oscillator, painleve, susy
 from susypainleve.backlund import CATALOG, bt_piv_chain, check_catalog_row
 from susypainleve.config import default_x_grid, default_z_grid, linear_grid
-from susypainleve.jets import DomainError, PoleError, on_grid
+from susypainleve.jets import DomainError, PoleError, jet_var, on_grid
 from susypainleve.oscillator import Parity, SeedSpec
 from susypainleve.painleve import (
     _PIV_CLOSED,
     PIV_FAMILY_NAMES,
     DegenerateClosedFormError,
     PV_IDENTIFICATIONS,
-    _alpha_state,
+    _alpha,
     closed_piv_solution,
     closed_pv_solution,
     derived_pv_solution,
@@ -464,7 +464,7 @@ def test_riccati_alpha_equals_the_seed_log_derivative(grid, eps, parity):
     # agree to the rounding of the log-derivative path, which carries the
     # larger error at order 4 (about 1e-10 against 1e-12 from mpmath at x = 3.9)
     x = np.array(X_GRID) if grid == "x" else np.sqrt(np.array(Z_GRID) * 0.5)
-    riccati = on_grid(_alpha_state(eps, parity), x, 4)
+    riccati = on_grid(lambda x, order: _alpha(jet_var(x, order), eps, parity), x, 4)
     log_derivative = on_grid(FirstOrderTransform(SeedSpec(eps, parity))._alpha, x, 4)
     assert not riccati.mask.any() and not log_derivative.mask.any()
     assert riccati.block[0].tobytes() == log_derivative.block[0].tobytes()

@@ -17,8 +17,8 @@ from .backlund import (
     piv_map_params,
     pv_map_params,
 )
-from .hyp1f1 import KummerParams, kummer
-from .jets import Jet, jet_compose, jet_const, jet_div, jet_exp, jet_ln, jet_mul, jet_sqrt, jet_var, log_derivative
+from .hyp1f1 import KummerParams
+from .jets import Jet, jet_compose, jet_const, jet_div, jet_mul, jet_sqrt, jet_var, log_derivative
 from .oscillator import (
     Direction,
     Parity,

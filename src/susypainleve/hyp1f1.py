@@ -10,20 +10,21 @@ instead of degrading silently.
 A seed reads two rows at most: 1F1(p; q; y), and 1F1(p+1; q+1; y) for its
 first derivative, as d/dy 1F1(p; q; y) = (p/q) 1F1(p+1; q+1; y) (DLMF
 13.3.15); `oscillator.seed_u_jet` takes every higher derivative from the
-seed's ODE.  `kummer` sums one series at one point.  Along a grid,
-the rows of every point are summed together in one lockstep loop that
-repeats each series' scalar steps exactly.  The loop's cost is mostly fixed
-per pass and per block of terms, not per series: seven ufunc calls per term
-on the live series, and about thirty more per block for the ratios, the
+seed's ODE.  The rows of every point of a call, at one point as along a
+grid, are summed together in one lockstep loop, the package's only Kummer
+summation; each series takes the steps of the scalar compensated loop
+(tests/kummer_reference.py) exactly.  The loop's cost is mostly fixed per
+pass and per block of terms, not per series: seven ufunc calls per term on
+the live series, and about thirty more per block for the ratios, the
 stopping rule and compaction.
 
 Rows.  The lockstep sums a call's rows over the grid's unmasked y, shared
 by every row, into one (rows, points) block.  When no point is masked
-(every seed on a grid inside (0, 6]) the call reads that block itself;
-otherwise one masked assignment scatters it into a nan-filled (rows, N)
-block.  A row with p = 0 is the terminating series of degree 0, the
-constant 1 (the lockstep's first term is exactly 0.0, so it returns 1.0):
-it is never summed.  It is chi0's and psi0's only row: their u' needs no
+(a point, and every seed on a grid inside (0, 6]) the call reads that
+block itself; otherwise one masked assignment scatters it into a nan-filled
+(rows, N) block.  A row with p = 0 is the terminating series of degree 0,
+the constant 1 (the lockstep's first term is exactly 0.0, so it returns
+1.0): it is never summed.  It is chi0's and psi0's only row: their u' needs no
 second row, since its coefficient p/q is 0.  No row is kept: a seed sums
 its two rows whatever order it is asked, and every family reads it through
 alpha = u'/u, which is held per seed and grid (`painleve._alpha`), so a
@@ -80,55 +81,21 @@ class KummerParams:
             raise KummerParameterError(f"lower parameter q={self.q!r} is a nonpositive integer")
 
 
-def kummer(
-    params: KummerParams,
-    y: float,
-    *,
-    max_terms: int = KUMMER_MAX_TERMS,
-) -> float:
-    """Sum the 1F1 series to machine convergence (Kahan-compensated).
-
-    Terminating cases (p in {0, -1, -2, ...}) stop exactly when the running
-    term hits zero, so they carry no truncation error beyond rounding.
-    """
-    if abs(y) > KUMMER_Y_MAX:
-        raise KummerRangeError(f"|y| = {abs(y)!r} exceeds working range {KUMMER_Y_MAX!r}")
-    p, q = params.p, params.q
-    total = 1.0
-    comp = 0.0
-    term = 1.0
-    quiet = 0
-    for n in range(max_terms):
-        term = term * ((p + n) / (q + n)) * y / (n + 1)
-        if term == 0.0:
-            return total
-        t = term - comp
-        s = total + t
-        comp = (s - total) - t
-        total = s
-        if abs(term) <= 1e-17 * abs(total):
-            quiet += 1
-            if quiet >= 2:
-                return total
-        else:
-            quiet = 0
-    raise KummerConvergenceError(
-        f"1F1({p}; {q}; {y}) did not converge within {max_terms} terms"
-    )
-
-
 def _kummer_lockstep(p: np.ndarray, q: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The (R, n) block of R rows 1F1(p[r]; q[r]; y), p and q of shape (R,), on n points.
 
     y is shape (n,), shared by every row, or (R, n).  Every element takes the
-    steps of `kummer` in the same order (term update, then Kahan update) and
-    stops at the same n by the same rule, so its sum equals `kummer`'s to the
-    bit.  The loop runs in blocks of _BLOCK terms, writing every step into
-    buffers allocated once per call, and applies the stopping rule to a whole
-    block at once: an element that stops inside a block takes the partial sum
-    of its stopping term and ignores the terms after it.  Finished elements
-    leave the working arrays between blocks.  A block's ratios (p+n)/(q+n)
-    are computed once per row.
+    steps of the scalar series loop in its order (the term update
+    term * ((p+n)/(q+n)) * y / (n+1), then the Kahan update) and stops at the
+    same n by the same rule: before adding a zero term, so that terminating
+    series (p in {0, -1, -2, ...}) carry rounding alone, or after the second
+    quiet term in a row, |term| <= 1e-17 |total|.  So its sum equals that
+    loop's (tests/kummer_reference.py) to the bit.  The loop runs in blocks
+    of _BLOCK terms, writing every step into buffers allocated once per
+    call, and applies the stopping rule to a whole block at once: an element
+    that stops inside a block takes the partial sum of its stopping term and
+    ignores the terms after it.  Finished elements leave the working arrays
+    between blocks.  A block's ratios (p+n)/(q+n) are computed once per row.
     """
     rows, points = p.size, y.shape[-1]
     out = np.empty((rows, points))
@@ -209,13 +176,13 @@ def _kummer_lockstep(p: np.ndarray, q: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kummer_rows(rows: list[tuple], y: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _kummer_rows(rows: list[tuple], y: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     """The (rows, N) block of 1F1(p; q; y) of each (p, q) row, nan where masked.
 
     The rows are summed together in one lockstep pass over the unmasked y,
-    but for rows with p = 0, which are 1.
+    but for rows with p = 0, which are 1.  A point (N = 1) has mask None.
     """
-    masked = mask.any()
+    masked = mask is not None and mask.any()
     ys = y[~mask] if masked else y
     beyond = np.abs(ys) > KUMMER_Y_MAX
     if beyond.any():

@@ -14,8 +14,8 @@ evaluates a state once on a whole grid.  Both kinds run through the same
 kernels, and a point jet (a constant, say) broadcasts over a grid.
 
 Masks.  ``mask[i]`` is True exactly where the point computation at ``x[i]``
-raises JetError (pole guard, non-finite entry, ln or sqrt domain, or x
-outside (0, X_MAX] for the seeds); every operation ORs its operands' masks,
+raises JetError (pole guard, non-finite entry, sqrt domain, or x outside
+(0, X_MAX] for the seeds); every operation ORs its operands' masks,
 and entries at masked points mean nothing.  Errors of no one point (jets of
 different orders, say) raise for both kinds.  No code writes a mask in
 place, so results share them: every ``Jet(...)`` runs one finiteness check,
@@ -39,12 +39,13 @@ tables and sums them negated with ``np.subtract.reduce`` over a leading
 axis (``s - (-t)`` is ``s + t`` to the bit, signed zeros included).  Pads
 that square up a triangle are +-0.0 at every unmasked (finite) point, and a
 sum that starts from +0.0 never becomes -0.0, so they change nothing.  A
-quotient or exp adds each new coefficient's terms to all later sums at
-once; a square root gathers one sum at a time.  A matmul, einsum or np.sum
-against a binomial tensor regroups the additions, as does np.add.reduceat
-from 9 terms on: last digits move, and with them borderline verdicts.  exp,
-log and sqrt of the value row go through `math` per element: np.exp
-differs from math.exp by one ulp on about 5% of arguments.
+quotient adds each new coefficient's terms to all later sums at once; a
+square root gathers one sum at a time.  A matmul, einsum or np.sum against
+a binomial tensor regroups the additions, as does np.add.reduceat from 9
+terms on: last digits move, and with them borderline verdicts.  The square
+root of the value row goes through `math` per element, as the seeds'
+Gaussian does: np.exp differs from math.exp by one ulp on about 5% of
+arguments.
 
 Jets are immutable: no operation mutates its operands or their arrays, so
 jets can be held and shared.  A state body computes at the order it is
@@ -91,7 +92,7 @@ class PoleError(JetError):
 
 
 class DomainError(JetError):
-    """Argument outside the domain of the lifted function (ln, sqrt, ...)."""
+    """Argument outside the domain of the lifted function (sqrt, a seed's x)."""
 
 
 class Jet:
@@ -321,26 +322,6 @@ def _quotient(ad: np.ndarray, amask: np.ndarray | None, b: Jet) -> Jet:
         q[j + 1:] -= (comb[j + 1:, j] * q[j]) * bd[1:len(q) - j]
     q[-1] /= bd[0]
     return Jet(q, mask)
-
-
-def jet_exp(a: Jet) -> Jet:
-    """exp(a): e[k] = sum_{j<k} C(k-1,j) e[j] a[k-j]."""
-    comb = _tables(a.order).comb
-    e = np.zeros(a.block.shape)  # e[k] holds the terms of e[k] found so far
-    e[0] = _per_point(math.exp, a.block[0], a.mask)
-    for j in range(len(e) - 1):
-        e[j + 1:] += (comb[j:-1, j] * e[j]) * a.block[1:len(e) - j]
-    return Jet(e, a.mask)
-
-
-def jet_ln(a: Jet) -> Jet:
-    """ln(a); requires a(x0) > 0."""
-    mask = _guard(a.mask, a.value <= 0.0, DomainError, "ln of non-positive jet value %r", a.value)
-    log0 = _per_point(math.log, a.block[0], mask)[None]
-    if a.order == 0:
-        return Jet(log0, mask)
-    m = jet_div(a.deriv(), a.truncate(a.order - 1))  # (ln a)' = a'/a
-    return Jet(np.concatenate((log0, m.block)), _join(mask, m.mask))
 
 
 def jet_sqrt(a: Jet) -> Jet:

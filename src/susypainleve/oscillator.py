@@ -13,9 +13,11 @@ which keeps operator application (ladder, intertwiners) purely algebraic;
 x is a point or a whole grid array (see `jets`).  A state is a plain
 closure: it holds no jet, and each call evaluates it afresh.
 
-A seed's jet reads two Kummer rows at any order: u and u' come from the
-Gaussian and the rows by the product and chain rules, and every higher
-entry from the seed's own equation u'' = (x^2 - 2 eps) u (`seed_u_jet`).
+A seed's jet reads two Kummer rows at any order, summed in one lockstep
+pass at a point as on a grid (`hyp1f1._kummer_rows`), so a point's jet is
+the bits of the grid's at that point: u and u' come from the Gaussian and
+the rows by the product and chain rules, and every higher entry from the
+seed's own equation u'' = (x^2 - 2 eps) u (`seed_u_jet`).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .config import DEFAULT_JET_ORDER, EPSILON_RANGE, X_MAX
-from .hyp1f1 import KummerParameterError, KummerParams, _kummer_rows, kummer
+from .hyp1f1 import KummerParameterError, KummerParams, _kummer_rows
 from .jets import DomainError, Jet, grid_factor, jet_var
 
 State = Callable[[float | np.ndarray, int], Jet]  # x: one point or a grid array
@@ -125,9 +127,10 @@ def seed_u_jet(spec: SeedSpec, xjet: Jet) -> Jet:
 
     u and u' are the product and chain rules on the Gaussian and two Kummer
     rows, M0 = 1F1(p; q; x^2) and M1 = 1F1(p+1; q+1; x^2), as
-    d/dx M0 = (p/q) M1 2x; M1 is not summed when p = 0.  Every higher entry
-    comes from the ODE u'' = (x^2 - 2 eps) u differentiated k times
-    (Taylor-mode, as `jets.jet_riccati`):
+    d/dx M0 = (p/q) M1 2x; one `_kummer_rows` call sums both, and M1 is not
+    summed when p = 0.  Every higher entry comes from the ODE
+    u'' = (x^2 - 2 eps) u differentiated k times (Taylor-mode, as
+    `jets.jet_riccati`):
     u^(k+2) = (x^2 - 2 eps) u^(k) + 2k x u^(k-1) + k(k-1) u^(k-2).
     """
     params = seed_params(spec)
@@ -137,10 +140,7 @@ def seed_u_jet(spec: SeedSpec, xjet: Jet) -> Jet:
         rows.append((params.p + 1.0, params.q + 1.0))
     x = xjet.block[0]
     y = x * x
-    if xjet.mask is None:
-        m = np.array([[kummer(KummerParams(*row), y.item())] for row in rows])
-    else:
-        m = _kummer_rows(rows, y, xjet.mask)
+    m = _kummer_rows(rows, y, xjet.mask)
     g = _gaussian(xjet.truncate(0)).block[0]
     if spec.parity is Parity.ODD:  # the prefactor and its derivative
         prefactor, dprefactor = x * g, g - x * (x * g)

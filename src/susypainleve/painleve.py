@@ -225,10 +225,10 @@ def closed_piv_solution(name: str, epsilon: float, parity: Parity) -> PIVSolutio
         raise DegenerateClosedFormError(
             "degenerate closed form: g3 is 0/0 for the even eps = 1/2 seed"
         )
-    a, b = params(epsilon)
-    return PIVSolution(
-        builder(epsilon, parity), a, b, provenance=f"{name} eps={epsilon:g} {parity.value}"
-    )
+    # the state first: it refuses an eps outside the seed's domain
+    state = builder(epsilon, parity)
+    return PIVSolution(state, *params(epsilon),
+                       provenance=f"{name} eps={epsilon:g} {parity.value}")
 
 
 def extremal_piv_solution(
@@ -333,8 +333,9 @@ def _w1_params(case: str, e: float) -> tuple[float, float, float]:
 
 def closed_pv_solution(case: str, epsilon: float, parity: Parity) -> PVSolution:
     """Closed-form first-order PV member w1a..w1f (H1's letter) with its parameters."""
-    a, b, c = _w1_params(case, epsilon)
-    return PVSolution(_pv_state(_w1, case, epsilon, parity), a, b, c,
+    # the state first: it refuses an eps outside the seed's domain
+    state = _pv_state(_w1, case, epsilon, parity)
+    return PVSolution(state, *_w1_params(case, epsilon),
                       provenance=f"w1{case} eps={epsilon:g} {parity.value}")
 
 

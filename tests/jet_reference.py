@@ -3,8 +3,9 @@
 These are the loops the vectorized kernels of `susypainleve.jets` replaced,
 kept verbatim over tuples of floats: the k, j order of every Leibniz sum,
 the operand order `(C(k, j) * a[j]) * b[k - j]`, a sum that starts from 0.0
-(or from a[k]), exp, log and sqrt through `math`, and series composition
-that skips a zero coefficient.  They share no code with the package, so a
+(or from a[k]), exp and sqrt through `math`, and series composition that
+skips a zero coefficient.  `ref_exp`, the exp jet the package no longer
+carries, is the oracle of composition with the exp jet.  They share no code with the package, so a
 kernel that regroups its sums (a matmul, `einsum`, `np.add.reduceat`) fails
 a bitwise comparison against them.  Each takes and returns tuples of floats;
 none checks a pole or domain guard.  The one exception is `old_pow`, the
@@ -43,13 +44,6 @@ def ref_exp(ad):
             s = s + math.comb(k - 1, j) * e[j] * ad[k - j]
         e.append(s)
     return tuple(e)
-
-
-def ref_ln(ad):
-    log0 = math.log(ad[0])
-    if len(ad) == 1:
-        return (log0,)
-    return (log0,) + ref_div(ad[1:], ad[:-1])
 
 
 def ref_sqrt(ad):

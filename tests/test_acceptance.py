@@ -17,13 +17,7 @@ from susypainleve.backlund import (
 )
 from susypainleve.config import default_x_grid, default_z_grid
 from susypainleve.jets import log_derivative
-from susypainleve.oscillator import (
-    Parity,
-    SeedSpec,
-    schrodinger_residual,
-    schrodinger_scale,
-    seed_state,
-)
+from susypainleve.oscillator import Parity, SeedSpec
 from susypainleve.painleve import (
     DegenerateClosedFormError,
     PIVSolution,
@@ -247,13 +241,8 @@ def test_criterion_6_pv_catalog():
 
 
 def test_criterion_7_structural_invariants():
-    # seed Schroedinger residuals
-    for eps in (-3.5, -1.5, -0.5, 0.5, 2.5):
-        for parity in (Parity.ODD, Parity.EVEN):
-            f = seed_state(SeedSpec(eps, parity))
-            for x in X_GRID:
-                res = schrodinger_residual(f, eps, x)
-                assert abs(res) <= 1e-9 * max(schrodinger_scale(f, eps, x), 1e-300)
+    # a seed's Schroedinger residual is 0 by construction (its entries above
+    # u' come from its ODE); test_oscillator checks seeds against mpmath
     # Wronskian derivative identity
     rng = random.Random(3)
     for _ in range(12):
@@ -311,7 +300,7 @@ def test_criterion_7_structural_invariants():
                 if not nodeless_check(lambda x, o: wronskian(t2, x, o), X_GRID):
                     violations += 1
     assert violations == 0
-    report(7, True, "seed ODE 1e-9, Wronskian identity 1e-10, B+ kernel 1e-9, "
+    report(7, True, "Wronskian identity 1e-10, B+ kernel 1e-9, "
                     "L- annihilation 1e-8, window=>nodeless 30/pair with 0 violations")
 
 

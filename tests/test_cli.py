@@ -164,13 +164,13 @@ def test_exit_code_contract(args, code):
         (("catalog", "--epsilon", "60.3", "--parity", "odd"), 2),
         # every grid point of this pair state is pole-guarded: a degeneracy
         (("verify", "pv2b", "--epsilon", "3.5", "--parity", "odd"), 3),
-        # the parameter formulas square epsilon, which overflows a float
+        # ... before the parameter formulas square it, which would overflow a float
         (("verify", "g1", "--epsilon", "1e300", "--parity", "odd"), 2),
         (("verify", "w1b", "--epsilon", "1e300", "--parity", "even"), 2),
         (("sample", "w1b", "--epsilon", "1e200", "--parity", "odd"), 2),
         (("chain", "--epsilon", "1e160", "--parity", "even"), 2),
         (("catalog", "--epsilon", "1e300", "--parity", "odd"), 2),
-        # epsilon - 2 rounds to epsilon, so a seed pair's two energies are equal
+        # ... and before epsilon - 2, which rounds to epsilon here, gives a seed pair one energy
         (("verify", "pv2a", "--epsilon", "1e17", "--parity", "odd"), 2),
         (("sample", "pv2a", "--epsilon", "2e16", "--parity", "even"), 2),
         (("catalog", "--epsilon", "1e17", "--parity", "odd"), 2),
@@ -181,6 +181,7 @@ def test_exit_code_contract_extremes(args, code):
     assert "Traceback" not in cp.stderr
     if code == 2:
         assert cp.stderr.startswith("error:") and cp.stderr.count("\n") == 1
+        assert "outside the seed's domain" in cp.stderr
     else:
         assert json.loads(cp.stdout)["report"]["degenerate"] is True
 
@@ -221,10 +222,12 @@ def test_catalog_without_parity_checks_nothing_and_exits_0():
      (("catalog",), -1e17), (("sample", "g1"), 60.3), (("verify", "pv2a"), -100.3)],
 )
 def test_an_epsilon_out_of_range_is_named(command, epsilon):
-    # an overflow, a seed pair with one energy or an epsilon outside the seed's
-    # domain names the epsilon, not errno
+    # the refusal names the epsilon and the seed's domain, whatever the
+    # parameter formulas would have made of it (an overflow at 1e300, a seed
+    # pair with one energy at 1e17), not errno
     cp = run_cli(*command, f"--epsilon={epsilon!r}", "--parity", "odd", expect=2)
     assert cp.stderr.startswith(f"error: --epsilon {epsilon!r} is out of range: ")
+    assert "outside the seed's domain" in cp.stderr
     assert "Numerical result out of range" not in cp.stderr
 
 

@@ -14,6 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from kummer_reference import kummer
 from package_caches import clear_package_caches
 from residual_reference import left_to_right, residuals, sum_error_bound
 from susypainleve import hyp1f1, oscillator, painleve
@@ -34,7 +35,6 @@ from susypainleve.hyp1f1 import (
     KummerParams,
     KummerRangeError,
     _kummer_lockstep,
-    kummer,
 )
 from susypainleve.jets import (
     Jet,
@@ -118,6 +118,22 @@ def test_family_states_on_grid_equal_point_evaluation(name):
             assert not domain_bound or masked[:2] == [True, True]
 
 
+# the seeds above, p = 0 (chi0 and psi0) and p + 1 = 0, whose second row is 1
+SEED_SPECS = [SeedSpec(eps, parity) for eps, parity in SEEDS] + [
+    SeedSpec(1.5, Parity.ODD), SeedSpec(0.5, Parity.EVEN),
+    SeedSpec(3.5, Parity.ODD), SeedSpec(2.5, Parity.EVEN),
+]
+
+
+@pytest.mark.parametrize("spec", SEED_SPECS)
+def test_seed_states_on_grid_equal_point_evaluation(spec):
+    # a point sums its rows through the grid's lockstep, so its jet is the
+    # grid's at that point, to the bit
+    for order in (0, 1, 2, 3):
+        masked = assert_grid_matches_points(oscillator.seed_state(spec), X_GRID, order)
+        assert masked[:2] == [True, True] and not any(masked[2:])
+
+
 def test_transformed_states_on_grid_equal_point_evaluation():
     # one chain link (g2 -> g3 by Wddag-) and one catalog row (w1f -> w2d)
     g2 = closed_piv_solution("g2", 2.5, Parity.ODD)
@@ -182,9 +198,10 @@ def test_verify_on_grid_equals_per_point_reference():
 
 def test_grid_kummer_errors_follow_the_point_path():
     # the series refuses y = x^2 > 36 on a grid as it does at a point ...
-    with pytest.raises(KummerRangeError):
-        hyp1f1._kummer_rows([(0.5, 1.5), (1.5, 2.5)], np.array([1.0, 42.25]), _clear_mask(2))
-    # ... and gives up after the same term budget
+    for y, mask in ((np.array([1.0, 42.25]), _clear_mask(2)), (np.array([42.25]), None)):
+        with pytest.raises(KummerRangeError):
+            hyp1f1._kummer_rows([(0.5, 1.5), (1.5, 2.5)], y, mask)
+    # ... and gives up after the term budget of the scalar loop
     for sum_series in (
         lambda: kummer(KummerParams(-5e5, 1.5), 0.25),
         lambda: _kummer_lockstep(np.array([0.5, -5e5]), np.array([1.5, 1.5]), np.array([[0.25]] * 2)),
@@ -439,7 +456,7 @@ def test_rows_with_p_zero_are_never_summed(monkeypatch, spec):
     jet = on_grid(oscillator.seed_state(spec), grid, 5)
     assert not [row for rows in passes for row in rows if row[0] == 0.0]
     assert len(passes) == (0 if spec.epsilon in (0.5, 1.5) else 1)
-    # the jets are the cold bits of the one-point path, which sums every series
+    # the jets are the cold bits of the one-point path, which skips the same rows
     for i, t in enumerate(grid[::7].tolist()):
         assert bits(jet.block[:, 7 * i]) == bits(seed_u(spec, t, 5).d)
 

@@ -21,10 +21,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from jet_reference import (  # noqa: E402
-    old_pow, ref_compose, ref_div, ref_exp, ref_ln, ref_mul, ref_sqrt,
+    old_pow, ref_compose, ref_div, ref_mul, ref_sqrt,
 )
 from susypainleve.jets import (  # noqa: E402
-    DomainError, Jet, JetError, jet_compose, jet_const, jet_div, jet_exp, jet_ln, jet_mul, jet_sqrt,
+    DomainError, Jet, JetError, jet_compose, jet_const, jet_div, jet_mul, jet_sqrt,
 )
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
@@ -39,8 +39,8 @@ CASES = dict(
 def entries(rng, K: int, N: int, value: str = "any") -> np.ndarray:
     """A (K+1, N) block: magnitudes 1e-8..1e8, random signs, about 1 entry in 8 a signed zero.
 
-    value "positive" keeps row 0 positive and nonzero (ln, sqrt), "nonzero"
-    keeps it nonzero (a divisor), "moderate" keeps it in [-30, 30] (exp).
+    value "positive" keeps row 0 positive and nonzero (sqrt), "nonzero"
+    keeps it nonzero (a divisor).
     """
     block = rng.choice([-1.0, 1.0], (K + 1, N)) * 10.0 ** rng.uniform(-8, 8, (K + 1, N))
     zeros = rng.random((K + 1, N)) < 0.125
@@ -49,8 +49,6 @@ def entries(rng, K: int, N: int, value: str = "any") -> np.ndarray:
         block[0] = 10.0 ** rng.uniform(-8, 8, N)
     elif value == "nonzero":
         block[0] = rng.choice([-1.0, 1.0], N) * 10.0 ** rng.uniform(-8, 8, N)
-    elif value == "moderate":
-        block[0] = np.where(zeros[0], block[0], rng.uniform(-30.0, 30.0, N))
     return block
 
 
@@ -110,17 +108,13 @@ def test_compose_matches_reference(K, N, seed, point):
     assert_columns_match(jet_compose(a, b), ref_compose, a_block, b_block)
 
 
-@pytest.mark.parametrize(
-    "kernel, reference, value",
-    [(jet_exp, ref_exp, "moderate"), (jet_ln, ref_ln, "positive"), (jet_sqrt, ref_sqrt, "positive")],
-)
 @SETTINGS
 @given(**CASES)
 @example(K=11, N=400, seed=7, point=False)
 @example(K=0, N=1, seed=8, point=True)
-def test_unary_kernels_match_reference(kernel, reference, value, K, N, seed, point):
-    a = entries(np.random.default_rng(seed), K, 1 if point else N, value)
-    assert_columns_match(kernel(as_jet(a, point)), reference, a)
+def test_sqrt_matches_reference(K, N, seed, point):
+    a = entries(np.random.default_rng(seed), K, 1 if point else N, "positive")
+    assert_columns_match(jet_sqrt(as_jet(a, point)), ref_sqrt, a)
 
 
 @SETTINGS

@@ -4,8 +4,8 @@ import random
 import mpmath as mp
 import pytest
 
+from kummer_reference import kummer
 from susypainleve.config import linear_grid
-from susypainleve.hyp1f1 import kummer
 from susypainleve.jets import DomainError
 from susypainleve.oscillator import (
     Direction,

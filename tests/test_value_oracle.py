@@ -7,7 +7,10 @@ see them.  This test evaluates the package's own forms, which use
 arithmetic operators alone, on alpha = u'/u from mpmath's hyp1f1 at 50
 digits, and bounds the package's values by them over the seed's domain
 `config.EPSILON_RANGE`.  As the verifier does, it skips masked points and
-points inside the value guard.
+points inside the value guard.  A property test draws the family, eps,
+parity and grid (the default one or the widest the CLI accepts), and holds
+every value `sample` leaves unflagged to the same bound, so every value a
+passing `verify` judges.
 """
 
 import math
@@ -16,10 +19,13 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from package_caches import clear_package_caches
 from susypainleve import oscillator, painleve
-from susypainleve.config import EPSILON_RANGE, default_x_grid, default_z_grid
+from susypainleve.config import (
+    EPSILON_RANGE, GRID_POINTS, X_MAX, Z_MAX, default_x_grid, default_z_grid, linear_grid,
+)
 from susypainleve.hyp1f1 import KummerParameterError
 from susypainleve.jets import on_grid
 from susypainleve.oscillator import Parity, SeedSpec
@@ -27,14 +33,17 @@ from susypainleve.painleve import (
     PIV_FAMILY_NAMES,
     PV_CLOSED_NAMES,
     PV_DERIVED_H2_NAMES,
+    DegenerateClosedFormError,
     closed_piv_solution,
     family_solution,
 )
-from susypainleve.residual import _value_guarded
+from susypainleve.residual import GridDegenerateError, _value_guarded, verify_on_grid
 
 FAMILIES = PIV_FAMILY_NAMES + PV_CLOSED_NAMES + PV_DERIVED_H2_NAMES
 EPSILONS = (-100.0, -2.7, 4.4, 25.0)
 TOL = 1e-8
+# the widest grids the CLI accepts, x up to X_MAX and z up to Z_MAX
+WIDEST = {"piv": linear_grid(0.2, X_MAX, GRID_POINTS), "pv": linear_grid(0.1, Z_MAX, GRID_POINTS)}
 
 
 @lru_cache(maxsize=None)
@@ -111,3 +120,65 @@ def test_the_domain_s_endpoints_are_served():
         for parity in Parity:
             oscillator.seed_params(SeedSpec(eps, parity))
             family_solution("w1a", eps, parity)
+
+
+def _assert_values_match_the_oracle(name: str, eps: float, parity: Parity, wide: bool) -> None:
+    """Every value `sample` leaves unflagged, but inside the value guard, is within TOL of
+    the oracle; so is every value a passing `verify` judges, which is one of them."""
+    try:
+        sol = family_solution(name, eps, parity)
+    except DegenerateClosedFormError:  # g3 on the even eps = 1/2 seed
+        return
+    grid = np.array(WIDEST[sol.kind] if wide else sol.default_grid())
+    jet = on_grid(sol.state, grid, 1)  # the jet `sample` prints
+    checked = ~(jet.mask | _value_guarded(sol.kind, jet.value))
+    try:
+        report = verify_on_grid(sol.kind, sol, grid=grid)
+    except GridDegenerateError:
+        report = None
+    if report is not None and report.passed:
+        judged = ~np.isnan(np.array(report.rel_residuals))
+        assert not (judged & ~checked).any(), (name, eps, parity, wide)
+    with mp.workdps(50):
+        for t, v in zip(grid[checked].tolist(), jet.value[checked].tolist()):
+            want = _oracle(name, t, eps, parity)
+            error = float(abs(v - want) / max(1, abs(want)))
+            assert error <= TOL, (name, eps, parity.value, wide, t, error)
+
+
+def _values_property(lo: float, hi: float):
+    """The property over eps in [lo, hi]; the draws always include each PIV family at hi,
+    where the seed's Kummer rows lose the most digits."""
+    check = given(
+        name=st.sampled_from(FAMILIES),
+        eps=st.floats(min_value=lo, max_value=hi),
+        parity=st.sampled_from(list(Parity)),
+        wide=st.booleans(),
+    )(_assert_values_match_the_oracle)
+    for name in PIV_FAMILY_NAMES:
+        check = example(name=name, eps=hi, parity=Parity.ODD, wide=False)(check)
+    return settings(derandomize=True, max_examples=60, deadline=None, database=None)(check)
+
+
+def test_drawn_values_match_the_oracle_over_the_domain():
+    _values_property(*EPSILON_RANGE)()
+
+
+def test_the_drawn_values_fail_with_the_bound_raised_to_40(monkeypatch):
+    # negative control: above eps = 25 the Kummer rows lose digits
+    monkeypatch.setattr(oscillator, "EPSILON_RANGE", (EPSILON_RANGE[0], 40.0))
+    clear_package_caches()
+    with pytest.raises(AssertionError):
+        _values_property(EPSILON_RANGE[0], 40.0)()
+
+
+# Counterexamples inside the domain, all on the widest grids, found by a sweep
+# of eps over the half-integers: verify passes G2 at -73.5, even, with a value
+# wrong by 1.5e-8, and sample leaves unflagged values of pv2c at -1.5, even,
+# wrong by 2.3, and of pv2b at 4.5, even, wrong by 2.6e-6.  The draws above
+# meet none of them.
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="values lost at large x or z on some seeds; no check flags them")
+@pytest.mark.parametrize("name, eps", [("G2", -73.5), ("pv2c", -1.5), ("pv2b", 4.5)])
+def test_values_on_the_widest_grids_of_some_seeds_miss_the_oracle(name, eps):
+    _assert_values_match_the_oracle(name, eps, Parity.EVEN, wide=True)
